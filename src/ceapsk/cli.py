@@ -153,8 +153,9 @@ def cmd_ser(args) -> int:
     write_manifest(outdir / f"{name}.manifest.json", "ser",
                    {"scheme": cfg.scheme, "m": cfg.m, "snr": args.snr,
                     "trials": cfg.trials, "seed": cfg.seed,
-                    "csit_sweep": args.csit_sweep, "threads": args.threads,
-                    "out_dir": args.out_dir}, [out], started)
+                    "csit_sweep": args.csit_sweep, "grid_step": args.grid_step,
+                    "threads": args.threads, "out_dir": args.out_dir},
+                   [out], started)
     print(f"wrote {out}")
     return 0
 
@@ -175,8 +176,9 @@ def cmd_rate(args) -> int:
     write_manifest(outdir / f"{name}.manifest.json", "rate",
                    {"scheme": cfg.scheme, "m": cfg.m, "snr": args.snr,
                     "trials": cfg.trials, "pe": cfg.target_ser,
-                    "seed": cfg.seed, "threads": args.threads,
-                    "out_dir": args.out_dir}, [out], started)
+                    "seed": cfg.seed, "grid_step": args.grid_step,
+                    "threads": args.threads, "out_dir": args.out_dir},
+                   [out], started)
     print(f"wrote {out}")
     return 0
 
@@ -276,6 +278,8 @@ def _apply_config_file(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
     with open(path) as f:
         conf = json.load(f)

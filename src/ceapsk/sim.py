@@ -16,27 +16,20 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcinv
 
 from .channel import annulus_arrays
-from .constellation import apsk_points, qam_family, qfunc, modulus_ratio
+from .constellation import med, modulus_ratio, qam_family, ser_union_bound
 from .optimizer import RegionTable
 from .precoder import phases_for_targets, reconstruct
 from .rng import stream
 
-SCHEMES = (
-    "proposed-optimal",
-    "proposed-suboptimal",
-    "fixed-qam16",
-    "adaptive-qam-psk",
-    "egt-qam16",
-    "variable-apsk",
-    "variable-qam",
-)
-_SCHEME_ID = {name: i for i, name in enumerate(SCHEMES)}
+SCHEMES = ("proposed-optimal", "proposed-suboptimal", "fixed-qam16",
+           "adaptive-qam-psk", "egt-qam16", "variable-apsk", "variable-qam")
+_QAM16_SCHEMES = ("fixed-qam16", "adaptive-qam-psk", "egt-qam16")
 
 DEFAULT_PATH_LOSS = 1e-9          # -90 dB
 DEFAULT_NOISE_POWER = 10 ** (-12.4)  # -94 dBm in watts
@@ -61,6 +54,11 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
+        for name in ("m", "threads", "chunk_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.scheme in _QAM16_SCHEMES and self.n != 16:
+            raise ValueError(f"scheme {self.scheme} sends 16-QAM; n must be 16")
         if self.trials < 1000:
             raise ValueError("need at least 1e3 trials")
         if not (0.0 < self.target_ser < 1.0):
@@ -111,42 +109,74 @@ class RateCurve:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial constellation assembly
+# Exact ML detection: w = y / (sqrt(P) R) -> label of the nearest point
 
 
-def _apsk_point_matrix(n: int, n2: np.ndarray, omega2: np.ndarray,
-                       rho2: np.ndarray, region_idx: np.ndarray) -> np.ndarray:
-    """Per-trial two-ring point sets, shape (T, n); outer ring first."""
-    T = n2.size
-    pts = np.empty((T, n), dtype=complex)
-    for reg in np.unique(region_idx):
-        sel = region_idx == reg
-        n2r = int(n2[sel][0])
-        n1r = n - n2r
-        om = float(omega2[sel][0])
-        outer = np.exp(2j * np.pi * np.arange(n1r) / n1r)
-        inner = np.exp(1j * (2.0 * np.pi * np.arange(n2r) / n2r + om))
-        pts[sel, :n1r] = outer
-        pts[sel, n1r:] = rho2[sel][:, None] * inner
-    return pts
+class _RingTables:
+    """Per-region unit-circle lookup tables of a proposed scheme's table.
+
+    Row r of `unit` holds region r's outer then inner points at unit radius,
+    computed as the point set is defined.  Each ring is also kept three times
+    over in `re`/`im`/`label`, where floor(phase * scale + offset) indexes
+    the ring point nearest in phase; the nearer of the two is the ML point.
+    """
+
+    def __init__(self, cfg: SimConfig, table: RegionTable | None):
+        if (table is None or table.size != cfg.n
+                or not all(1 <= reg.n2 < cfg.n for reg in table.regions)):
+            raise ValueError(f"scheme {cfg.scheme} requires a two-ring region "
+                             f"table for N={cfg.n}")
+        n, regs = cfg.n, table.regions
+        self.n1 = np.array([n - reg.n2 for reg in regs])
+        self.unit = np.array([np.concatenate([
+            np.exp(2j * np.pi * np.arange(n - reg.n2) / (n - reg.n2)),
+            np.exp(1j * (2.0 * np.pi * np.arange(reg.n2) / reg.n2 + reg.omega2))])
+            for reg in regs])
+        flat, label, rings = [], [], []
+        for unit, n1, reg in zip(self.unit, self.n1, regs):
+            for first, k, om in ((0, n1, 0.0), (n1, reg.n2, reg.omega2)):
+                om = math.remainder(om, 2.0 * math.pi) * k / (2.0 * math.pi)
+                rings.append((k / (2.0 * math.pi), len(label) + k + 0.5 - om))
+                flat += [unit[first:first + k]] * 3
+                label += list(range(first, first + k)) * 3
+        flat = np.concatenate(flat)
+        self.re, self.im = flat.real.copy(), flat.imag.copy()
+        self.label = np.array(label)
+        # each (2, regions): row 0 for the outer ring, row 1 for the inner
+        self.scale, self.offset = np.array(rings).reshape(-1, 2, 2).T
+
+    def for_trials(self, idx, rho2, u):
+        """Symbols u of the trials' regions, and the trials' ML detector."""
+        s = self.unit[idx, u]
+        inner = u >= self.n1[idx]
+        s[inner] = rho2[inner] * s[inner]
+        (f1, f2), (o1, o2) = self.scale[:, idx], self.offset[:, idx]
+
+        def decide(wr, wi):
+            phi = np.arctan2(wi, wr)
+            j1 = (phi * f1 + o1).astype(np.intp)
+            j2 = (phi * f2 + o2).astype(np.intp)
+            d1 = (wr - self.re[j1]) ** 2 + (wi - self.im[j1]) ** 2
+            d2 = (wr - rho2 * self.re[j2]) ** 2 + (wi - rho2 * self.im[j2]) ** 2
+            # a tie goes to the outer ring, as argmin over outer-first points
+            return self.label[np.where(d1 <= d2, j1, j2)]
+        return s, decide
 
 
-def _chunk_bounds(trials: int, chunk_size: int):
-    n_chunks = (trials + chunk_size - 1) // chunk_size
-    return [(c, min(chunk_size, trials - c * chunk_size)) for c in range(n_chunks)]
+def _qam16_decide(wr, wi) -> np.ndarray:
+    """qam_family(16) label (4 * real level + imaginary level) by slicing."""
+    edges = np.array([-2.0, 0.0, 2.0]) / (3.0 * math.sqrt(2.0))
+    return 4 * np.searchsorted(edges, wr) + np.searchsorted(edges, wi)
+
+
+def _psk_decide(wr, wi, n: int) -> np.ndarray:
+    """Label k of the nearest point exp(2j pi k / n) by phase rounding."""
+    return np.rint(np.arctan2(wi, wr) * (n / (2.0 * np.pi))).astype(np.intp) % n
 
 
 def _draw_channel(rng, m: int, t: int, path_loss: float) -> np.ndarray:
-    re = rng.standard_normal((t, m))
-    im = rng.standard_normal((t, m))
+    re, im = rng.standard_normal((t, m)), rng.standard_normal((t, m))
     return np.sqrt(path_loss / 2.0) * (re + 1j * im)
-
-
-def _detect_errors(y: np.ndarray, scale, pts: np.ndarray,
-                   u: np.ndarray) -> int:
-    """ML detection against the scaled per-trial point sets."""
-    dist = np.abs(y[:, None] - scale * pts)
-    return int(np.count_nonzero(np.argmin(dist, axis=1) != u))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +185,9 @@ def _detect_errors(y: np.ndarray, scale, pts: np.ndarray,
 
 def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     """Average SER over the SNR grid for one fixed-rate scheme."""
-    if cfg.scheme.startswith("proposed") and table is None:
-        raise ValueError(f"scheme {cfg.scheme} requires a region table")
     if cfg.scheme.startswith("variable"):
         raise ValueError("use run_variable_rate for variable-rate schemes")
+    rings = _RingTables(cfg, table) if cfg.scheme.startswith("proposed") else None
     powers = cfg.powers()
     sigma = math.sqrt(cfg.noise_power)
     # all fixed-rate schemes share one stream key: common random numbers
@@ -175,55 +204,56 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         r0, big_r0 = annulus_arrays(h, 1.0)
         ratio = r0 / big_r0
         dmin_trial = None
-        if cfg.scheme in ("proposed-optimal", "proposed-suboptimal"):
-            idx, n2, om, rho2 = table.params_at(ratio)
-            pts = _apsk_point_matrix(cfg.n, n2, om, rho2, idx)
+        if rings is not None:
+            idx, _, _, rho2 = table.params_at(ratio)
+            s, decide = rings.for_trials(idx, rho2, u)
             dmin_trial = table.d_min_at(ratio)
         elif cfg.scheme == "adaptive-qam-psk":
             feas = ratio <= 1.0 / 3.0
-            pts = np.where(feas[:, None], qam16[None, :], psk16[None, :])
+            s = np.where(feas, qam16[u], psk16[u])
+            def decide(wr, wi):
+                return np.where(feas, _qam16_decide(wr, wi), _psk_decide(wr, wi, 16))
         else:  # fixed-qam16, egt-qam16
-            pts = np.broadcast_to(qam16, (t, 16)).copy()
-        s = pts[np.arange(t), u]
-        if cfg.scheme == "fixed-qam16":
+            s = qam16[u]
+            decide = _qam16_decide
+        if cfg.scheme == "fixed-qam16":  # clip each symbol into the annulus
             mod = np.abs(s)
-            s_tx = s / mod * np.clip(mod, ratio, 1.0)
-        else:
-            s_tx = s
-        target = big_r0 * s_tx
+            s = s / mod * np.clip(mod, ratio, 1.0)
+        target = big_r0 * s
         if cfg.scheme == "egt-qam16":
             d0 = target  # linear precoding reaches R*s exactly
         else:
-            theta = phases_for_targets(h, 1.0, target)
-            d0 = reconstruct(h, 1.0, theta)
+            d0 = reconstruct(h, 1.0, phases_for_targets(h, 1.0, target))
             if cfg.debug_checks:
                 mods = np.abs(d0)
-                assert np.all(mods <= big_r0 * (1 + 1e-9))
-                assert np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)
-        errors = np.zeros(powers.size, dtype=np.int64)
-        bound = np.zeros(powers.size)
+                if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
+                        np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
+                    raise RuntimeError("precoder output left the annulus")
+        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point
+        a, b = d0 / big_r0, z / big_r0
+        ar, ai, br, bi = (np.ascontiguousarray(x)
+                          for x in (a.real, a.imag, b.real, b.imag))
+        errors, bound = np.zeros(powers.size, dtype=np.int64), np.zeros(powers.size)
         for k, p in enumerate(powers):
             sp = math.sqrt(p)
-            y = sp * d0 + sigma * z
-            errors[k] = _detect_errors(y, sp * big_r0[:, None], pts, u)
+            c = sigma / sp
+            errors[k] = np.count_nonzero(decide(ar + c * br, ai + c * bi) != u)
             if dmin_trial is not None:
-                raw = (cfg.n - 1) * qfunc(sp * big_r0 * dmin_trial
-                                          / (sigma * np.sqrt(2.0)))
-                bound[k] = np.minimum(raw, 1.0).sum()
+                bound[k] = ser_union_bound(cfg.n, dmin_trial, sp * big_r0,
+                                           cfg.noise_power).sum()
         return errors, bound
 
     errors, bound = _reduce_chunks(cfg, one_chunk, powers.size)
-    has_bound = cfg.scheme in ("proposed-optimal", "proposed-suboptimal")
-    return SerCurve(snr_db=np.asarray(cfg.snr_db, dtype=float),
-                    errors=errors,
+    return SerCurve(snr_db=np.asarray(cfg.snr_db, dtype=float), errors=errors,
                     trials=np.full(powers.size, cfg.trials, dtype=np.int64),
-                    union_bound=bound / cfg.trials if has_bound else None)
+                    union_bound=None if rings is None else bound / cfg.trials)
 
 
 def _reduce_chunks(cfg: SimConfig, one_chunk, width: int):
-    bounds = _chunk_bounds(cfg.trials, cfg.chunk_size)
-    errors = np.zeros(width, dtype=np.int64)
-    extra = np.zeros(width)
+    size = cfg.chunk_size
+    bounds = [(c, min(size, cfg.trials - c * size))
+              for c in range((cfg.trials + size - 1) // size)]
+    errors, extra = np.zeros(width, dtype=np.int64), np.zeros(width)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(lambda ct: one_chunk(*ct), bounds))
@@ -255,16 +285,12 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         raise ValueError("csit sweep uses a single data SNR")
     if cfg.scheme not in ("proposed-optimal", "proposed-suboptimal", "egt-qam16"):
         raise ValueError(f"csit sweep not defined for scheme {cfg.scheme!r}")
-    if cfg.scheme.startswith("proposed") and table is None:
-        raise ValueError("proposed schemes require a region table")
+    rings = _RingTables(cfg, table) if cfg.scheme.startswith("proposed") else None
     p = float(cfg.powers()[0])
-    sigma = math.sqrt(cfg.noise_power)
-    sp = math.sqrt(p)
+    sigma, sp = math.sqrt(cfg.noise_power), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
-    tr_lin = [10.0 ** (s / 10.0) for s in training_snr_db]
-    err_vars = [cfg.path_loss / (1.0 + s) for s in tr_lin]
-    if include_perfect:
-        err_vars = err_vars + [0.0]
+    err_vars = [cfg.path_loss / (1.0 + 10.0 ** (s / 10.0))
+                for s in training_snr_db] + [0.0] * include_perfect
     qam16 = qam_family(16)
 
     def one_chunk(chunk: int, t: int):
@@ -279,20 +305,17 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
             h_hat = h - math.sqrt(var) * dh_unit
             r0, big_r0 = annulus_arrays(h_hat, 1.0)
             ratio = np.where(big_r0 > 0, r0 / np.where(big_r0 > 0, big_r0, 1.0), 0.0)
-            if cfg.scheme == "egt-qam16":
-                pts = np.broadcast_to(qam16, (t, 16)).copy()
-                s = pts[np.arange(t), u]
-                scale = np.sqrt(p / cfg.m)
-                d0 = scale * np.sum(h * np.exp(-1j * np.angle(h_hat)), axis=1) * s
-                y = d0 + sigma * z
+            if rings is None:  # egt-qam16
+                y = (np.sqrt(p / cfg.m) * np.sum(h * np.exp(-1j * np.angle(h_hat)),
+                                                 axis=1) * qam16[u] + sigma * z)
+                decide = _qam16_decide
             else:
-                idx, n2, om, rho2 = table.params_at(ratio)
-                pts = _apsk_point_matrix(cfg.n, n2, om, rho2, idx)
-                s = pts[np.arange(t), u]
+                idx, _, _, rho2 = table.params_at(ratio)
+                s, decide = rings.for_trials(idx, rho2, u)
                 theta = phases_for_targets(h_hat, 1.0, big_r0 * s)
-                d0 = reconstruct(h, 1.0, theta)
-                y = sp * d0 + sigma * z
-            errors[k] = _detect_errors(y, sp * big_r0[:, None], pts, u)
+                y = sp * reconstruct(h, 1.0, theta) + sigma * z
+            w = y / (sp * big_r0)
+            errors[k] = np.count_nonzero(decide(w.real, w.imag) != u)
         return errors, np.zeros(len(err_vars))
 
     errors, _ = _reduce_chunks(cfg, one_chunk, len(err_vars))
@@ -305,19 +328,6 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 # Variable rate
 
 
-def _rate_thresholds(sizes, target_ser, noise_power) -> np.ndarray:
-    """Required R * d_min per size from the union-bound constraint."""
-    out = []
-    for n in sizes:
-        tail = target_ser / (n - 1)
-        if tail >= 0.5:
-            out.append(0.0)
-        else:
-            out.append(math.sqrt(2.0 * noise_power) * math.sqrt(2.0)
-                       * erfcinv(2.0 * tail))
-    return np.asarray(out)
-
-
 def select_rate(inner: float, outer: float, noise_power: float,
                 target_ser: float, sizes, dmin_lookup):
     """Largest size meeting the union-bound target; 1 means no transmission.
@@ -328,10 +338,8 @@ def select_rate(inner: float, outer: float, noise_power: float,
     ratio = inner / outer if outer > 0 else 1.0
     for n in sorted(sizes, reverse=True):
         d = dmin_lookup(n, ratio)
-        if d <= 0:
-            continue
-        bound = (n - 1) * qfunc(outer * d / math.sqrt(2.0 * noise_power))
-        if bound <= target_ser:
+        if d > 0 and ser_union_bound(n, d, outer, noise_power,
+                                     clamp=False) <= target_ser:
             return n
     return 1
 
@@ -342,15 +350,15 @@ def apsk_dmin_lookup(tables: dict[int, RegionTable]):
     return lookup
 
 
+def _qam_limits(n: int) -> tuple[float, float]:
+    """(largest feasible annulus ratio, MED) of the size-n QAM benchmark."""
+    pts = qam_family(n)
+    return modulus_ratio(pts), med(pts).med
+
+
 def qam_dmin_lookup():
-    cache = {}
     def lookup(n, ratio):
-        if n not in cache:
-            pts = qam_family(n)
-            diff = np.abs(pts[:, None] - pts[None, :])
-            diff[np.diag_indices(n)] = np.inf
-            cache[n] = (modulus_ratio(pts), float(diff.min()))
-        feas_ratio, dmin = cache[n]
+        feas_ratio, dmin = _qam_limits(n)
         return dmin if ratio <= feas_ratio else 0.0
     return lookup
 
@@ -366,17 +374,13 @@ def run_variable_rate(cfg: SimConfig,
     powers = cfg.powers()
     sizes = np.asarray(sorted(cfg.sizes))
     bits = np.log2(sizes)
-    thresholds = _rate_thresholds(sizes, cfg.target_ser, cfg.noise_power)
+    # required R * d_min per size from the union-bound constraint
+    tails = [cfg.target_ser / (n - 1) for n in sizes]
+    thresholds = np.asarray([0.0 if q >= 0.5 else math.sqrt(2.0 * cfg.noise_power)
+                             * math.sqrt(2.0) * erfcinv(2.0 * q) for q in tails])
     sid = 2  # shared between variable-rate schemes (common random numbers)
     if cfg.scheme == "variable-qam":
-        feas_ratio = np.empty(sizes.size)
-        qam_dmin = np.empty(sizes.size)
-        for j, n in enumerate(sizes):
-            pts = qam_family(int(n))
-            diff = np.abs(pts[:, None] - pts[None, :])
-            diff[np.diag_indices(int(n))] = np.inf
-            feas_ratio[j] = modulus_ratio(pts)
-            qam_dmin[j] = float(diff.min())
+        feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
@@ -391,8 +395,7 @@ def run_variable_rate(cfg: SimConfig,
             else:
                 x[:, j] = np.where(ratio <= feas_ratio[j],
                                    big_r0 * qam_dmin[j], 0.0)
-        bit_sum = np.zeros(powers.size)
-        no_tx = np.zeros(powers.size, dtype=np.int64)
+        bit_sum, no_tx = np.zeros(powers.size), np.zeros(powers.size, dtype=np.int64)
         for k, p in enumerate(powers):
             ok = math.sqrt(p) * x >= thresholds[None, :]
             best_bits = np.where(ok.any(axis=1),
@@ -413,27 +416,24 @@ def run_variable_rate(cfg: SimConfig,
 # Curve post-processing
 
 
+def _crossing(snr_db, values, target: float, what: str) -> float:
+    """SNR (dB) where `values` first reaches the target, linearly interpolated."""
+    for i in range(len(values) - 1):
+        a, b = values[i], values[i + 1]
+        if (a - target) * (b - target) <= 0 and a != b:
+            frac = (target - a) / (b - a)
+            return float(snr_db[i] + frac * (snr_db[i + 1] - snr_db[i]))
+    raise ValueError(f"curve never {what}")
+
+
 def snr_at_ser(curve: SerCurve, target: float) -> float:
     """SNR (dB) where the curve crosses the target SER, by log-linear
     interpolation between grid points."""
-    ser = np.maximum(curve.ser, 1e-300)
-    logs = np.log10(ser)
-    lt = math.log10(target)
-    for i in range(len(logs) - 1):
-        a, b = logs[i], logs[i + 1]
-        if (a - lt) * (b - lt) <= 0 and a != b:
-            frac = (a - lt) / (a - b)
-            return float(curve.snr_db[i]
-                         + frac * (curve.snr_db[i + 1] - curve.snr_db[i]))
-    raise ValueError(f"curve never crosses SER {target:g}")
+    return _crossing(curve.snr_db, np.log10(np.maximum(curve.ser, 1e-300)),
+                     math.log10(target), f"crosses SER {target:g}")
 
 
 def snr_at_bits(curve: RateCurve, target: float) -> float:
     """SNR (dB) where average spectral efficiency reaches the target."""
-    b = curve.avg_bits
-    for i in range(len(b) - 1):
-        if (b[i] - target) * (b[i + 1] - target) <= 0 and b[i] != b[i + 1]:
-            frac = (target - b[i]) / (b[i + 1] - b[i])
-            return float(curve.snr_db[i]
-                         + frac * (curve.snr_db[i + 1] - curve.snr_db[i]))
-    raise ValueError(f"curve never reaches {target:g} bits")
+    return _crossing(curve.snr_db, curve.avg_bits, target,
+                     f"reaches {target:g} bits")

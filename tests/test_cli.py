@@ -134,3 +134,44 @@ def test_rate_run(tmp_path):
     lines = (tmp_path / "rate_variable-qam_m2.csv").read_text().strip().splitlines()
     assert lines[0] == "snr_db,avg_bits,no_tx_fraction"
     assert len(lines) == 4
+
+
+def test_config_without_path(capsys):
+    assert main(["--config"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --config needs a path"]
+
+
+@pytest.mark.parametrize("flag,value", [("--m", "0"), ("--threads", "0")])
+def test_ser_rejects_counts_below_one(flag, value, tmp_path, capsys):
+    assert main(["ser", "--scheme", "fixed-qam16", flag, value,
+                 "--snr", "20", "--trials", "1e3",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ser_manifest_replays_grid_step(tmp_path, capsys):
+    args = ["ser", "--scheme", "proposed-optimal", "--m", "2",
+            "--snr", "20:24:2", "--trials", "2e4", "--grid-step", "5e-5",
+            "--out-dir", str(tmp_path / "a")]
+    assert main(args) == 0
+    name = "ser_proposed-optimal_m2"
+    manifest = tmp_path / "a" / f"{name}.manifest.json"
+    assert json.loads(manifest.read_text())["parameters"]["grid_step"] == 5e-5
+    assert main(["--config", str(manifest), "ser",
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    # the replay built its table at the recorded step, not the default
+    assert [p.name for p in (tmp_path / "b" / "cache").iterdir()] == [
+        p.name for p in (tmp_path / "a" / "cache").iterdir()]
+    assert "step5e-05" in next((tmp_path / "b" / "cache").iterdir()).name
+    assert ((tmp_path / "a" / f"{name}.csv").read_bytes()
+            == (tmp_path / "b" / f"{name}.csv").read_bytes())
+
+
+def test_rate_manifest_records_grid_step(tmp_path, capsys):
+    assert main(["rate", "--scheme", "variable-qam", "--snr", "10",
+                 "--trials", "1e3", "--grid-step", "5e-5",
+                 "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads(
+        (tmp_path / "rate_variable-qam_m2.manifest.json").read_text())
+    assert manifest["parameters"]["grid_step"] == 5e-5
