@@ -283,8 +283,10 @@ def _apply_config_file(argv):
     path = argv[i + 1]
     with open(path) as f:
         conf = json.load(f)
-    if "parameters" in conf:
+    if isinstance(conf, dict) and "parameters" in conf:
         conf = conf["parameters"]
+    if not isinstance(conf, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     rest = argv[:i] + argv[i + 2:]
     extra = []
     for key, val in conf.items():
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_ARGS
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as e:  # a fault in the command: one line, no traceback
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

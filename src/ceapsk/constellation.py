@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ def qfunc(x):
 def ser_union_bound(n: int, d_min, outer_radius, noise_power, clamp: bool = True):
     """(N-1) Q(R d_min / (sigma sqrt 2)); raw value unless clamp is set.
 
-    The raw (unclamped) value is what rate selection compares against its
-    target, so monotonicity in the argument is preserved.
+    The raw (unclamped) value is strictly decreasing in R d_min, which is
+    what lets union_bound_threshold invert it.
     """
     if n < 2:
         raise ValueError("need N >= 2")
@@ -186,6 +186,19 @@ def ser_union_bound(n: int, d_min, outer_radius, noise_power, clamp: bool = True
         bound = np.minimum(bound, 1.0)
     out = np.asarray(bound)
     return float(out) if out.ndim == 0 else out
+
+
+def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> float:
+    """Least R d_min whose raw union bound (N-1) Q(R d_min / (sigma sqrt 2))
+    meets target_ser; 0 when target_ser / (N-1) >= 1/2.
+
+    Rate selection deems size N feasible iff R d_min is positive and at
+    least this threshold.
+    """
+    tail = target_ser / (n - 1)
+    if tail >= 0.5:
+        return 0.0
+    return math.sqrt(2.0 * noise_power) * math.sqrt(2.0) * erfcinv(2.0 * tail)
 
 
 def write_points_csv(path, points: np.ndarray) -> None:

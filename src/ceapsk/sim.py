@@ -19,10 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .channel import annulus_arrays
-from .constellation import med, modulus_ratio, qam_family, ser_union_bound
+from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
+                            union_bound_threshold)
 from .optimizer import RegionTable
 from .precoder import phases_for_targets, reconstruct
 from .rng import stream
@@ -64,6 +64,8 @@ class SimConfig:
         if not (0.0 < self.target_ser < 1.0):
             raise ValueError("target_ser must lie in (0, 1)")
         snrs = tuple(float(s) for s in self.snr_db)
+        if not all(map(math.isfinite, snrs)):
+            raise ValueError("snr_db must be finite")
         if any(b <= a for a, b in zip(snrs, snrs[1:])) is True:
             raise ValueError("snr_db must be strictly increasing")
         object.__setattr__(self, "snr_db", snrs)
@@ -179,6 +181,14 @@ def _draw_channel(rng, m: int, t: int, path_loss: float) -> np.ndarray:
     return np.sqrt(path_loss / 2.0) * (re + 1j * im)
 
 
+def _annulus(h):
+    """(r, R, r/R) at unit power.  A zero-norm channel (R = 0) reaches only
+    the origin; its R is returned as 0 and its ratio as 0, with no 0/0."""
+    r0, big_r0 = annulus_arrays(h, 1.0)
+    live = big_r0 > 0
+    return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Fixed-rate SER
 
@@ -201,8 +211,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
         u = rng.integers(0, cfg.n, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
-        r0, big_r0 = annulus_arrays(h, 1.0)
-        ratio = r0 / big_r0
+        r0, big_r0, ratio = _annulus(h)
         dmin_trial = None
         if rings is not None:
             idx, _, _, rho2 = table.params_at(ratio)
@@ -229,15 +238,19 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
                         np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
                     raise RuntimeError("precoder output left the annulus")
-        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point
-        a, b = d0 / big_r0, z / big_r0
+        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
+        # a zero-norm channel receives only noise: an error at every point
+        live = big_r0 > 0
+        scale = np.where(live, big_r0, 1.0)
+        a, b = d0 / scale, z / scale
+        sent = np.where(live, u, -1)
         ar, ai, br, bi = (np.ascontiguousarray(x)
                           for x in (a.real, a.imag, b.real, b.imag))
         errors, bound = np.zeros(powers.size, dtype=np.int64), np.zeros(powers.size)
         for k, p in enumerate(powers):
             sp = math.sqrt(p)
             c = sigma / sp
-            errors[k] = np.count_nonzero(decide(ar + c * br, ai + c * bi) != u)
+            errors[k] = np.count_nonzero(decide(ar + c * br, ai + c * bi) != sent)
             if dmin_trial is not None:
                 bound[k] = ser_union_bound(cfg.n, dmin_trial, sp * big_r0,
                                            cfg.noise_power).sum()
@@ -303,8 +316,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         errors = np.zeros(len(err_vars), dtype=np.int64)
         for k, var in enumerate(err_vars):
             h_hat = h - math.sqrt(var) * dh_unit
-            r0, big_r0 = annulus_arrays(h_hat, 1.0)
-            ratio = np.where(big_r0 > 0, r0 / np.where(big_r0 > 0, big_r0, 1.0), 0.0)
+            _, big_r0, ratio = _annulus(h_hat)
             if rings is None:  # egt-qam16
                 y = (np.sqrt(p / cfg.m) * np.sum(h * np.exp(-1j * np.angle(h_hat)),
                                                  axis=1) * qam16[u] + sigma * z)
@@ -314,8 +326,10 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
                 s, decide = rings.for_trials(idx, rho2, u)
                 theta = phases_for_targets(h_hat, 1.0, big_r0 * s)
                 y = sp * reconstruct(h, 1.0, theta) + sigma * z
-            w = y / (sp * big_r0)
-            errors[k] = np.count_nonzero(decide(w.real, w.imag) != u)
+            # a zero-norm estimate leaves nothing to scale by: an error
+            live = big_r0 > 0
+            w = y / (sp * np.where(live, big_r0, 1.0))
+            errors[k] = np.count_nonzero((decide(w.real, w.imag) != u) | ~live)
         return errors, np.zeros(len(err_vars))
 
     errors, _ = _reduce_chunks(cfg, one_chunk, len(err_vars))
@@ -333,13 +347,13 @@ def select_rate(inner: float, outer: float, noise_power: float,
     """Largest size meeting the union-bound target; 1 means no transmission.
 
     dmin_lookup(n, ratio) returns the constellation MED for size n at the
-    given annulus ratio, or 0 when the size is infeasible.
+    given annulus ratio, or 0 when the size is infeasible.  Size n meets the
+    target iff outer * MED is positive and at least union_bound_threshold.
     """
     ratio = inner / outer if outer > 0 else 1.0
     for n in sorted(sizes, reverse=True):
-        d = dmin_lookup(n, ratio)
-        if d > 0 and ser_union_bound(n, d, outer, noise_power,
-                                     clamp=False) <= target_ser:
+        x = outer * dmin_lookup(n, ratio)
+        if x > 0 and x >= union_bound_threshold(n, target_ser, noise_power):
             return n
     return 1
 
@@ -363,9 +377,60 @@ def qam_dmin_lookup():
     return lookup
 
 
+def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(K, J) array of the least float x > 0 with sqrt_p[k] * x >= thresholds[j]
+    as evaluated in floating point; inf where no such x exists.
+
+    Floating-point multiplication is monotone in each factor, so the test
+    `x > 0 and sqrt_p[k] * x >= thresholds[j]` is exactly `x >= least[k, j]`,
+    and least[k, j] is non-increasing in k for a non-decreasing sqrt_p.
+    """
+    sp, thr = sqrt_p[:, None], thresholds[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.fmax(thr / sp, np.nextafter(0.0, 1.0))
+        # the rounded quotient lies within an ulp or two of the answer
+        while (up := sp * x < thr).any():
+            x = np.where(up, np.nextafter(x, np.inf), x)
+        while True:
+            below = np.nextafter(x, 0.0)
+            down = (below > 0) & (sp * below >= thr)
+            if not down.any():
+                return x
+            x = np.where(down, below, x)
+
+
+def _rate_counts(xs, t: int, least: np.ndarray, step: np.ndarray):
+    """(no-tx count, bit sum) at each SNR point over t trials.
+
+    xs yields, for each size j in ascending order, the trials' R * d_min
+    (0 when infeasible); least comes from _least_feasible, and step[j] is
+    the bits size j adds over the next smaller one.
+    """
+    k_pts = least.shape[0]
+    # first[j, i]: first SNR index at which size j is feasible (k_pts: none),
+    # i.e. k_pts less the number of points k with x_j[i] >= least[k, j]
+    first = np.empty((step.size, t), dtype=np.intp)
+    for j, (cuts, x) in enumerate(zip(least[::-1].T, xs)):
+        first[j] = np.searchsorted(cuts, x, side="right")
+    np.subtract(k_pts, first, out=first)
+    # now the first index at which the largest feasible size is j or larger
+    for j in range(len(first) - 2, -1, -1):
+        np.minimum(first[j], first[j + 1], out=first[j])
+    at_least = np.cumsum([np.bincount(f, minlength=k_pts + 1)[:k_pts]
+                          for f in first], axis=1)
+    return t - at_least[0], step @ at_least
+
+
 def run_variable_rate(cfg: SimConfig,
                       tables: dict[int, RegionTable] | None) -> RateCurve:
-    """Average spectral efficiency of the variable-rate scheme."""
+    """Average spectral efficiency of the variable-rate scheme.
+
+    Each trial sends the largest size whose R * d_min is positive and meets
+    its union-bound threshold at that SNR point, or nothing.  Feasibility is
+    monotone in SNR, so one pass per chunk finds, for every trial and size,
+    the first SNR point at which that size or a larger one is feasible; a
+    histogram of those indices gives every point's bit and no-tx counts.
+    """
     if cfg.scheme == "variable-apsk":
         if tables is None or any(n not in tables for n in cfg.sizes):
             raise ValueError("variable-apsk needs a region table per size")
@@ -373,11 +438,11 @@ def run_variable_rate(cfg: SimConfig,
         raise ValueError(f"not a variable-rate scheme: {cfg.scheme!r}")
     powers = cfg.powers()
     sizes = np.asarray(sorted(cfg.sizes))
-    bits = np.log2(sizes)
-    # required R * d_min per size from the union-bound constraint
-    tails = [cfg.target_ser / (n - 1) for n in sizes]
-    thresholds = np.asarray([0.0 if q >= 0.5 else math.sqrt(2.0 * cfg.noise_power)
-                             * math.sqrt(2.0) * erfcinv(2.0 * q) for q in tails])
+    # bits gained by each size over the next smaller one
+    step = np.diff(np.log2(sizes), prepend=0.0)
+    thresholds = np.array([union_bound_threshold(n, cfg.target_ser,
+                                                 cfg.noise_power) for n in sizes])
+    least = _least_feasible(np.sqrt(powers), thresholds)
     sid = 2  # shared between variable-rate schemes (common random numbers)
     if cfg.scheme == "variable-qam":
         feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
@@ -385,25 +450,14 @@ def run_variable_rate(cfg: SimConfig,
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
         h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
-        r0, big_r0 = annulus_arrays(h, 1.0)
-        ratio = r0 / big_r0
-        # per-trial R*d_min for every candidate size (0 = infeasible)
-        x = np.empty((t, sizes.size))
-        for j, n in enumerate(sizes):
-            if cfg.scheme == "variable-apsk":
-                x[:, j] = big_r0 * tables[int(n)].d_min_at(ratio)
-            else:
-                x[:, j] = np.where(ratio <= feas_ratio[j],
-                                   big_r0 * qam_dmin[j], 0.0)
-        bit_sum, no_tx = np.zeros(powers.size), np.zeros(powers.size, dtype=np.int64)
-        for k, p in enumerate(powers):
-            ok = math.sqrt(p) * x >= thresholds[None, :]
-            best_bits = np.where(ok.any(axis=1),
-                                 bits[np.where(ok, np.arange(sizes.size),
-                                               -1).max(axis=1)], 0.0)
-            bit_sum[k] = best_bits.sum()
-            no_tx[k] = np.count_nonzero(~ok.any(axis=1))
-        return no_tx, bit_sum
+        _, big_r0, ratio = _annulus(h)
+        # per-trial R*d_min for each candidate size in turn (0 = infeasible)
+        if cfg.scheme == "variable-apsk":
+            xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
+        else:
+            xs = (np.where(ratio <= fr, big_r0 * d, 0.0)
+                  for fr, d in zip(feas_ratio, qam_dmin))
+        return _rate_counts(xs, t, least, step)
 
     no_tx, bit_sum = _reduce_chunks(cfg, one_chunk, powers.size)
     return RateCurve(snr_db=np.asarray(cfg.snr_db, dtype=float),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ceapsk import cli
 from ceapsk.cli import main, parse_range
 
 
@@ -175,3 +176,31 @@ def test_rate_manifest_records_grid_step(tmp_path, capsys):
     manifest = json.loads(
         (tmp_path / "rate_variable-qam_m2.manifest.json").read_text())
     assert manifest["parameters"]["grid_step"] == 5e-5
+
+
+@pytest.mark.parametrize("conf", [[1, 2], "rate", {"parameters": [1, 2]}])
+def test_config_not_an_object(conf, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(conf))
+    assert main(["--config", str(path), "rate", "--scheme", "variable-qam",
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config file {path} must hold a JSON object"]
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                 AttributeError("no attribute 'items'")])
+def test_command_fault_exits_runtime(exc, monkeypatch, tmp_path, capsys):
+    def fault(cfg, tables):
+        raise exc
+    monkeypatch.setattr(cli, "run_variable_rate", fault)
+    assert main(["rate", "--scheme", "variable-qam", "--snr", "10",
+                 "--trials", "1e3", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {type(exc).__name__}: {exc}"]
+
+
+def test_rate_rejects_non_finite_snr(tmp_path, capsys):
+    assert main(["rate", "--scheme", "variable-qam", "--snr", "nan",
+                 "--trials", "1e3", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == "error: snr_db must be finite"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ceapsk
-from ceapsk.constellation import qam_family
+import ceapsk.sim as sim
+from ceapsk.constellation import (qam_family, ser_union_bound,
+                                  union_bound_threshold)
 from ceapsk.optimizer import build_region_table, build_suboptimal_table
-from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _psk_decide,
-                        _qam16_decide, _RingTables, apsk_dmin_lookup,
-                        qam_dmin_lookup, run_csit_sweep, run_fixed_rate_ser,
-                        run_variable_rate, select_rate, snr_at_bits,
-                        snr_at_ser)
+from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
+                        _psk_decide, _qam16_decide, _rate_counts, _RingTables,
+                        apsk_dmin_lookup, qam_dmin_lookup, run_csit_sweep,
+                        run_fixed_rate_ser, run_variable_rate, select_rate,
+                        snr_at_bits, snr_at_ser)
 
 
 @pytest.fixture(scope="module")
@@ -364,3 +367,188 @@ def test_csit_sweep_error_counts_pinned(scheme):
                     seed=5, chunk_size=8_000)
     curve = run_csit_sweep(cfg, _scheme_table(scheme), (0.0, 10.0, 20.0))
     assert curve.errors.tolist() == _PINNED_CSIT[scheme]
+
+
+# ---------------------------------------------------------------------------
+# Rate selection against the per-SNR-point oracle
+
+
+def _brute_force_rate(x, sqrt_p, thresholds, bits):
+    """The O(T J K) selection: at each SNR point, the largest size j with
+    x[j] > 0 and sqrt(p) x[j] >= thresholds[j], else no transmission."""
+    x = x.T
+    no_tx = np.zeros(sqrt_p.size, dtype=np.int64)
+    bit_sum = np.zeros(sqrt_p.size)
+    for k, sp in enumerate(sqrt_p):
+        ok = (sp * x >= thresholds[None, :]) & (x > 0)
+        best_bits = np.where(ok.any(axis=1),
+                             bits[np.where(ok, np.arange(bits.size),
+                                           -1).max(axis=1)], 0.0)
+        bit_sum[k] = best_bits.sum()
+        no_tx[k] = np.count_nonzero(~ok.any(axis=1))
+    return no_tx, bit_sum
+
+
+@pytest.mark.parametrize("k_pts", [1, 2, 31])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       target_ser=st.sampled_from([1e-3, 0.2, 0.6]),
+       n_sizes=st.integers(1, 6))
+def test_rate_selection_matches_brute_force(k_pts, seed, target_ser, n_sizes):
+    rng = np.random.default_rng(seed)
+    snr = np.sort(rng.choice(np.arange(-10.0, 41.0, 0.5), k_pts, replace=False))
+    if k_pts > 1:  # two grid points a hair apart, so sqrt(p) may repeat
+        snr[1] = np.nextafter(snr[0], np.inf)
+    cfg = SimConfig(m=2, snr_db=tuple(snr), trials=1000,
+                    scheme="variable-qam", target_ser=target_ser)
+    sqrt_p = np.sqrt(cfg.powers())
+    sizes = np.sort(rng.choice([2, 4, 8, 16, 32, 64], n_sizes, replace=False))
+    bits = np.log2(sizes)
+    thresholds = np.array([union_bound_threshold(n, target_ser,
+                                                 cfg.noise_power)
+                           for n in sizes])
+    least = _least_feasible(sqrt_p, thresholds)
+    # least[k, j] is exactly the smallest x passing the test at (k, j)
+    below = np.nextafter(least, 0.0)
+    assert np.all(sqrt_p[:, None] * least >= thresholds)
+    assert not np.any((below > 0) & (sqrt_p[:, None] * below >= thresholds))
+    # per size: x exactly on thr / sqrt(p_k), one and two ulps either side,
+    # zero, and random values around the thresholds
+    pools = []
+    for thr in thresholds:
+        on = thr / sqrt_p
+        near = [on, np.nextafter(on, 0.0), np.nextafter(on, np.inf),
+                np.nextafter(np.nextafter(on, 0.0), 0.0),
+                np.nextafter(np.nextafter(on, np.inf), np.inf)]
+        scale = thr if thr > 0 else 1e-6
+        pools.append(np.concatenate(
+            near + [[0.0, np.nextafter(0.0, 1.0)],
+                    scale * rng.uniform(0.0, 2.0, 50) / rng.choice(sqrt_p, 50)]))
+    x = np.stack([rng.choice(pool, 400) for pool in pools])
+    no_tx, bit_sum = _rate_counts(x, x.shape[1], least,
+                                  np.diff(bits, prepend=0.0))
+    want_no_tx, want_bits = _brute_force_rate(x, sqrt_p, thresholds, bits)
+    np.testing.assert_array_equal(no_tx, want_no_tx)
+    np.testing.assert_array_equal(bit_sum, want_bits)
+
+
+def test_least_feasible_degenerate_powers():
+    # zero power: no positive x passes a positive threshold, any x > 0
+    # passes a zero one; neither case warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        least = _least_feasible(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    assert least[0, 0] == np.nextafter(0.0, 1.0)
+    assert least[0, 1] == np.inf
+    assert least[1].tolist() == [np.nextafter(0.0, 1.0), 2.0]
+
+
+def test_union_bound_threshold_round_trip():
+    sigma2 = sim.DEFAULT_NOISE_POWER
+    for n in (2, 3, 4, 8, 16, 32, 64, 256):
+        thr = union_bound_threshold(n, 1e-3, sigma2)
+        above = ser_union_bound(n, 1.0, thr * (1 + 1e-9), sigma2, clamp=False)
+        below = ser_union_bound(n, 1.0, thr * (1 - 1e-9), sigma2, clamp=False)
+        assert above < 1e-3 < below
+    assert union_bound_threshold(2, 0.5, sigma2) == 0.0
+    assert union_bound_threshold(3, 0.5, sigma2) > 0.0
+
+
+def test_select_rate_shares_the_array_rule():
+    # at outer * d exactly on the threshold the size is chosen, one ulp
+    # below it is not; a zero distance never is, even with a zero threshold
+    def lookup(n, ratio):
+        return 1.0 if n == 16 else 0.0
+    thr = union_bound_threshold(16, 1e-3, 1.0)
+    assert select_rate(0.0, thr, 1.0, 1e-3, (2, 16), lookup) == 16
+    assert select_rate(0.0, np.nextafter(thr, 0.0), 1.0, 1e-3, (2, 16),
+                       lookup) == 1
+    assert select_rate(0.0, 0.0, 1.0, 0.6, (2,), lambda n, r: 1.0) == 1
+
+
+# avg_bits and no_tx_fraction of the per-SNR-point selection, recorded
+# before the one-pass selection replaced it (seed 5, 2e4 trials in chunks
+# of 8000, SNR 0:30:5 dB).
+_PINNED_RATE = {
+    ("variable-apsk", 2): (
+        [0.0315, 0.5781, 1.5856, 2.616, 3.70715, 4.7167, 5.57945],
+        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
+    ("variable-apsk", 4): (
+        [0.1837, 1.24735, 2.34025, 3.42585, 4.46115, 5.3683, 5.95175],
+        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
+    ("variable-qam", 2): (
+        [0.0315, 0.57805, 1.53985, 2.3746, 3.1937, 3.7807, 4.06195],
+        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
+    ("variable-qam", 4): (
+        [0.1837, 1.2456, 2.1097, 3.15635, 4.5093, 5.5499, 5.9432],
+        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
+}
+
+
+def _rate_tables():
+    return {n: _table(n) for n in (2, 4, 8, 16, 32, 64)}
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
+def test_variable_rate_pinned(scheme, m):
+    kw = dict(m=m, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+              trials=20_000, scheme=scheme, seed=5, chunk_size=8_000)
+    curve = run_variable_rate(SimConfig(**kw), _rate_tables())
+    assert (curve.avg_bits.tolist(), curve.no_tx_fraction.tolist()) == \
+        _PINNED_RATE[scheme, m]
+    two = run_variable_rate(SimConfig(threads=2, **kw), _rate_tables())
+    np.testing.assert_array_equal(two.avg_bits, curve.avg_bits)
+    np.testing.assert_array_equal(two.no_tx_fraction, curve.no_tx_fraction)
+
+
+# ---------------------------------------------------------------------------
+# Zero-norm channels
+
+
+def _zero_some_rows(monkeypatch, every=97):
+    draw = sim._draw_channel
+
+    def patched(rng, m, t, path_loss):
+        h = draw(rng, m, t, path_loss)
+        h[::every] = 0.0
+        return h
+    monkeypatch.setattr(sim, "_draw_channel", patched)
+    return len(range(0, 2000, every))  # zeroed rows in a 2000-trial chunk
+
+
+@pytest.mark.parametrize("scheme", ["proposed-optimal", "proposed-suboptimal",
+                                    "fixed-qam16", "adaptive-qam-psk",
+                                    "egt-qam16"])
+def test_zero_norm_channel_is_an_error(scheme, monkeypatch):
+    kw = dict(m=2, snr_db=(20.0, 120.0), trials=2000, scheme=scheme)
+    plain = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
+    zeroed = _zero_some_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
+        if scheme in ("proposed-optimal", "egt-qam16"):
+            # the perfect-CSIT point designs from the zero channels
+            sweep = run_csit_sweep(SimConfig(**{**kw, "snr_db": (120.0,)}),
+                                   _scheme_table(scheme), (30.0,))
+            assert sweep.errors[-1] >= zeroed
+    assert np.all(curve.errors >= zeroed)
+    assert np.all(curve.errors <= plain.errors + zeroed)
+    if plain.errors[1] == 0:  # noise-free: exactly the zero-norm trials fail
+        assert curve.errors[1] == zeroed
+
+
+@pytest.mark.parametrize("scheme", ["variable-apsk", "variable-qam"])
+@pytest.mark.parametrize("target_ser", [1e-3, 0.6])
+def test_zero_norm_channel_sends_nothing(scheme, target_ser, monkeypatch):
+    kw = dict(m=2, snr_db=(0.0, 20.0, 200.0), trials=2000, scheme=scheme,
+              target_ser=target_ser)
+    plain = run_variable_rate(SimConfig(**kw), _rate_tables())
+    zeroed = _zero_some_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = run_variable_rate(SimConfig(**kw), _rate_tables())
+    no_tx = np.rint(curve.no_tx_fraction * 2000).astype(int)
+    assert np.all(no_tx >= zeroed)
+    assert plain.no_tx_fraction[-1] == 0.0
+    assert no_tx[-1] == zeroed
+    assert np.all(curve.avg_bits <= plain.avg_bits)
