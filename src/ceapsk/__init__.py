@@ -4,8 +4,8 @@ The transmitter sends one symbol per channel use with unit-modulus
 per-antenna weights; the set of reachable noise-free receive points is an
 annulus determined by the channel.  This package designs MED-optimal
 two-ring APSK constellations fitting that annulus, synthesizes the
-per-antenna phases realizing each point, and simulates the resulting link
-over Rayleigh fading.
+constant-envelope transmit signal realizing each point, and simulates the
+resulting link over Rayleigh fading.
 """
 
 __version__ = "1.0.0"
@@ -21,7 +21,7 @@ from .optimizer import (DesignResult, Region, RegionTable,
                         region_probabilities, solve_p2, solve_p21)
 from .precoder import (InfeasibleTargetError, PhaseSolution, egt_transmit,
                        map_point_to_phases, phases_for_targets, realize_symbol,
-                       reconstruct)
+                       reconstruct, transmit)
 from .sim import (SCHEMES, RateCurve, SerCurve, SimConfig, run_csit_sweep,
                   run_fixed_rate_ser, run_variable_rate, select_rate,
                   snr_at_bits, snr_at_ser)
@@ -37,7 +37,7 @@ __all__ = [
     "build_suboptimal_table", "region_probabilities", "solve_p2", "solve_p21",
     "InfeasibleTargetError", "PhaseSolution", "egt_transmit",
     "map_point_to_phases", "phases_for_targets", "realize_symbol",
-    "reconstruct",
+    "reconstruct", "transmit",
     "SCHEMES", "RateCurve", "SerCurve", "SimConfig", "run_csit_sweep",
     "run_fixed_rate_ser", "run_variable_rate", "select_rate", "snr_at_bits",
     "snr_at_ser",

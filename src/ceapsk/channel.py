@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,14 +98,19 @@ def compute_annulus(h: ChannelRealization, total_power: float) -> Annulus:
     return Annulus(inner=float(inner), outer=float(outer), degenerate=outer == 0.0)
 
 
-def annulus_arrays(h: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (r, R) for a batch of channels, shape (trials, M)."""
-    mags = np.abs(h)
-    scale = np.sqrt(total_power / h.shape[-1])
-    l1 = mags.sum(axis=-1)
-    outer = scale * l1
-    inner = scale * np.maximum(2.0 * mags.max(axis=-1) - l1, 0.0)
-    return inner, outer
+def annulus_arrays(h: np.ndarray, total_power: float, *,
+                   mags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (r, R) for a batch of channels, shape (trials, M).
+
+    mags, when given, is |h|.  Norms are summed antenna by antenna.
+    """
+    mags = np.abs(h) if mags is None else mags
+    l1, top = np.array(mags[..., 0]), np.array(mags[..., 0])
+    for col in np.moveaxis(mags, -1, 0)[1:]:
+        l1 += col
+        np.maximum(top, col, out=top)
+    scale = np.sqrt(total_power / mags.shape[-1])
+    return scale * np.maximum(2.0 * top - l1, 0.0), scale * l1
 
 
 def sample_rayleigh(num_antennas: int, path_loss: float, rng_seed: int,

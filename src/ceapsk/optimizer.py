@@ -15,7 +15,8 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -284,34 +285,44 @@ class RegionTable:
                 return reg
         return self.regions[-1]
 
+    @cached_property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Per-region columns, built once per table."""
+        regs = self.regions
+        return {
+            # region j + 1 starts at upper[j]; regions are in ascending lo
+            "upper": np.array([reg.lo for reg in regs[1:]]),
+            "n2": np.array([reg.n2 for reg in regs]),
+            "omega2": np.array([reg.omega2 for reg in regs]),
+            "rho2": np.array([np.nan if reg.rho2 is None else reg.rho2
+                              for reg in regs]),
+            "track": np.array([reg.rho2_rule == "track_ratio" for reg in regs]),
+            "c12x2": np.array([2.0 * reg.c12 for reg in regs]),
+            "d_min": np.array([np.nan if reg.d_min is None else reg.d_min
+                               for reg in regs]),
+            "const": np.array([reg.d_min_rule == "constant" for reg in regs]),
+        }
+
+    def index(self, ratios) -> np.ndarray:
+        """Region index per ratio: the last region whose lo <= ratio (the
+        first region for a ratio below every lo)."""
+        return np.searchsorted(self._arrays["upper"], ratios, side="right")
+
     def d_min_at(self, ratios) -> np.ndarray:
         """Vectorized optimal MED as a function of r/R."""
         ratios = np.asarray(ratios, dtype=float)
-        lows = np.array([reg.lo for reg in self.regions])
-        idx = np.clip(np.searchsorted(lows, ratios, side="right") - 1,
-                      0, len(self.regions) - 1)
-        const = np.array([reg.d_min if reg.d_min is not None else np.nan
-                          for reg in self.regions])[idx]
-        c12 = np.array([reg.c12 for reg in self.regions])[idx]
-        formula = np.sqrt(np.maximum(ratios ** 2 - 2.0 * ratios * c12 + 1.0, 0.0))
-        is_const = np.array([reg.d_min_rule == "constant"
-                             for reg in self.regions])[idx]
-        return np.where(is_const, const, formula)
+        col, idx = self._arrays, self.index(ratios)
+        # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
+        formula = np.sqrt(np.maximum(
+            ratios ** 2 - ratios * col["c12x2"][idx] + 1.0, 0.0))
+        return np.where(col["const"][idx], col["d_min"][idx], formula)
 
     def params_at(self, ratios):
         """Vectorized (region index, n2, omega2, rho2) per ratio."""
         ratios = np.asarray(ratios, dtype=float)
-        lows = np.array([reg.lo for reg in self.regions])
-        idx = np.clip(np.searchsorted(lows, ratios, side="right") - 1,
-                      0, len(self.regions) - 1)
-        n2 = np.array([reg.n2 for reg in self.regions])[idx]
-        om = np.array([reg.omega2 for reg in self.regions])[idx]
-        rho_c = np.array([reg.rho2 if reg.rho2 is not None else np.nan
-                          for reg in self.regions])[idx]
-        track = np.array([reg.rho2_rule == "track_ratio"
-                          for reg in self.regions])[idx]
-        rho2 = np.where(track, ratios, rho_c)
-        return idx, n2, om, rho2
+        col, idx = self._arrays, self.index(ratios)
+        rho2 = np.where(col["track"][idx], ratios, col["rho2"][idx])
+        return idx, col["n2"][idx], col["omega2"][idx], rho2
 
     def to_json(self) -> str:
         return json.dumps({
@@ -429,8 +440,5 @@ def region_probabilities(table: RegionTable, num_antennas: int, trials: int,
     h = sample_rayleigh(num_antennas, 1.0, rng_seed, trials=trials)
     inner, outer = annulus_arrays(h, 1.0)
     ratio = inner / outer
-    lows = np.array([reg.lo for reg in table.regions])
-    idx = np.clip(np.searchsorted(lows, ratio, side="right") - 1,
-                  0, len(table.regions) - 1)
-    counts = np.bincount(idx, minlength=len(table.regions))
+    counts = np.bincount(table.index(ratio), minlength=len(table.regions))
     return counts / trials

@@ -6,12 +6,12 @@ processed in descending gain magnitude, each step shrinking the residual
 target as far as the annulus reachable by the remaining antennas allows.
 The final two antennas close the residual exactly via the two-circle
 intersection.  Everything is written on arrays so a million targets
-vectorize cleanly.
+vectorize cleanly, and in real arithmetic: each step's phasor comes from
+the step's cosine and sine, never from an angle.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .channel import ChannelRealization, compute_annulus
 
 FEAS_SLACK = 1e-12  # absolute slack (times R) on annulus membership checks
+_BLOCK = 8192       # rows per block: each 1-D float temporary is 64 KB
 
 
 @dataclass(frozen=True)
@@ -36,53 +37,108 @@ class InfeasibleTargetError(ValueError):
         self.annulus = annulus
 
 
-def _angles_for_targets(amp: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Phasor angles psi with sum_i amp_i * exp(j psi_i) = d.
+def _unit_phasors(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Unit phasors u, shape (M, b), with sum_k a[k] * u[k] = d.
 
-    amp: (T, M) nonnegative, d: (T,) complex.  Assumes each row's target is
-    inside its annulus.  Angles for a row are assigned in descending-amp
-    order; the returned array is in the original antenna order.
+    a: (M, b) amplitudes, each column sorted in descending order; d: (b,)
+    targets inside their annuli.  Step k turns the residual's direction by
+    delta_k, the greedy shrink angle (k < M - 2) or the two-circle closure
+    (k = M - 2), as the phasor cos(delta) + j sin(delta); the last phasor
+    points along what remains.  A zero residual has direction 1.
     """
-    T, M = amp.shape
-    order = np.argsort(-amp, axis=1, kind="stable")
-    a = np.take_along_axis(amp, order, axis=1)
-    psi_sorted = np.zeros((T, M))
-    if M == 1:
-        psi_sorted[:, 0] = np.angle(d)
-    else:
-        # suffix sums: outer radius reachable by antennas k..M-1
-        suffix = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-        res = d.astype(complex).copy()
-        for i in range(M - 2):
-            big = suffix[:, i + 1]                 # sum of remaining amps
-            r_rem = np.maximum(2.0 * a[:, i + 1] - big, 0.0)
-            t = np.abs(res)
-            lower = np.maximum(np.abs(t - a[:, i]), r_rem)
-            upper = np.minimum(t + a[:, i], big)
-            rho = np.minimum(lower, upper)         # greedy: shrink residual
-            denom = 2.0 * t * a[:, i]
-            cosd = np.where(denom > 0,
-                            (t * t + a[:, i] ** 2 - rho * rho)
-                            / np.where(denom > 0, denom, 1.0), -1.0)
-            delta = np.arccos(np.clip(cosd, -1.0, 1.0))
-            base = np.where(t > 0, np.angle(res), 0.0)
-            psi_sorted[:, i] = base + delta
-            res = res - a[:, i] * np.exp(1j * psi_sorted[:, i])
-        # exact two-circle closure on the last pair
+    m, b = a.shape
+    u = np.empty((m, b), dtype=complex)
+    # big[k]: outer radius reachable by amplitudes k..M-1
+    big = [None] * m
+    big[m - 1] = a[m - 1]
+    for k in range(m - 2, 0, -1):
+        big[k] = big[k + 1] + a[k]
+    res = d.copy()
+    rr, ri = res.real, res.imag
+    for k in range(m):
         t = np.abs(res)
-        a1, a2 = a[:, M - 2], a[:, M - 1]
-        denom = 2.0 * t * a1
-        cosd = np.where(denom > 0,
-                        (t * t + a1 * a1 - a2 * a2)
-                        / np.where(denom > 0, denom, 1.0), 1.0)
-        delta = np.arccos(np.clip(cosd, -1.0, 1.0))
-        base = np.where(t > 0, np.angle(res), 0.0)
-        psi_sorted[:, M - 2] = base + delta
-        res = res - a1 * np.exp(1j * psi_sorted[:, M - 2])
-        psi_sorted[:, M - 1] = np.where(np.abs(res) > 0, np.angle(res), 0.0)
-    psi = np.empty_like(psi_sorted)
-    np.put_along_axis(psi, order, psi_sorted, axis=1)
-    return psi
+        er, ei = rr / t, ri / t
+        if not t.all():
+            zero = t == 0
+            er[zero], ei[zero] = 1.0, 0.0
+        if k == m - 1:
+            u[k].real, u[k].imag = er, ei
+            break
+        ak = a[k]
+        diff, total = t - ak, t + ak
+        if k < m - 2:  # greedy: shrink the residual as far as allowed
+            r_rem = np.maximum(2.0 * a[k + 1] - big[k + 1], 0.0)
+            rho = np.minimum(np.maximum(np.abs(diff), r_rem),
+                             np.minimum(total, big[k + 1]))
+            fallback = -1.0
+        else:          # closure: what remains must have modulus a[M-1]
+            rho, fallback = a[m - 1], 1.0
+        # The new residual has modulus rho.  2 t a_k (1 -+ cos delta) in
+        # factored form, clipped at 0 (cos delta clipped to [-1, 1]): a
+        # tangent step, rho = |t -+ a_k|, gets sin delta = 0 exactly.
+        minus = np.maximum((rho - diff) * (rho + diff), 0.0)
+        plus = np.maximum((total - rho) * (total + rho), 0.0)
+        inv = 1.0 / (plus + minus)
+        c = (plus - minus) * inv
+        s = 2.0 * np.sqrt(plus * minus) * inv
+        if not (t.all() and ak.all()):
+            zero = (t == 0) | (ak == 0)
+            c[zero], s[zero] = fallback, 0.0
+        ur, ui = u[k].real, u[k].imag
+        np.subtract(er * c, ei * s, out=ur)
+        np.add(er * s, ei * c, out=ui)
+        rr -= ak * ur
+        ri -= ak * ui
+    return u
+
+
+def _transmit_block(h, mags, scale, d, out) -> None:
+    """transmit() on one block of rows, written into out."""
+    b, m = h.shape
+    amp = scale * mags
+    # stable descending rank of each antenna's amplitude within its row
+    rank = [np.zeros(b, dtype=np.min_scalar_type(m)) for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            ahead = amp[:, j] > amp[:, i]
+            rank[i] += ahead
+            rank[j] += ~ahead
+    # where antenna i of each row sits in the (M, b) sorted layout
+    pos = np.stack(rank, axis=1) * np.intp(b) + np.arange(b)[:, None]
+    a = np.empty(m * b)
+    a[pos] = amp
+    u = _unit_phasors(a.reshape(m, b), d).reshape(-1)
+    # x_i = sqrt(P/M) u_i conj(h_i) / |h_i|: the antenna's own phase removed
+    np.take(u, pos, out=out)
+    out *= h.conj()
+    w = scale / mags
+    out.real *= w
+    out.imag *= w
+    if not mags.all():  # a zero gain keeps its phasor as is
+        zero = mags == 0
+        out[zero] = scale * u[pos[zero]]
+
+
+def transmit(h: np.ndarray, total_power: float, d: np.ndarray, *,
+             mags: np.ndarray | None = None) -> np.ndarray:
+    """Constant-envelope transmit signal x, shape (T, M), for targets d (T,).
+
+    Every |x_i| is sqrt(P/M), and sum_i h_i x_i reconstructs each row's
+    target, which is assumed feasible.  Antennas are taken in descending
+    gain order (ties in antenna order); all phasors are carried as real
+    cosine/sine pairs, with no trigonometric function, and rows are done in
+    blocks of _BLOCK so temporaries stay small.  mags, when given, is |h|.
+    """
+    h = np.atleast_2d(np.asarray(h, dtype=complex))
+    d = np.broadcast_to(np.asarray(d, dtype=complex), h.shape[:1])
+    scale = np.sqrt(total_power / h.shape[1])
+    x = np.empty(h.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, h.shape[0], _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            _transmit_block(h[rows], np.abs(h[rows]) if mags is None
+                            else mags[rows], scale, d[rows], x[rows])
+    return x
 
 
 def phases_for_targets(h: np.ndarray, total_power: float,
@@ -92,11 +148,7 @@ def phases_for_targets(h: np.ndarray, total_power: float,
     The weighted phasor sum sqrt(P/M) sum_i h_i exp(j theta_i) reconstructs
     each row's target.  Targets are assumed feasible.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    d = np.atleast_1d(np.asarray(d, dtype=complex))
-    amp = np.sqrt(total_power / h.shape[1]) * np.abs(h)
-    psi = _angles_for_targets(amp, d)
-    return np.mod(psi - np.angle(h), 2.0 * np.pi)
+    return np.mod(np.angle(transmit(h, total_power, d)), 2.0 * np.pi)
 
 
 def reconstruct(h: np.ndarray, total_power: float,
@@ -146,13 +198,3 @@ def egt_transmit(h: ChannelRealization, total_power: float, s: complex) -> compl
     x = scale * np.exp(-1j * np.angle(g)) * s
     return complex(np.sum(g * x))
 
-
-def dump_phase_debug_csv(path, targets, phases, residuals) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        m = np.asarray(phases).shape[1]
-        w.writerow(["target_re", "target_im", "residual"]
-                   + [f"theta_{i}" for i in range(m)])
-        for t, ph, r in zip(targets, phases, residuals):
-            w.writerow([f"{t.real:.12g}", f"{t.imag:.12g}", f"{r:.3e}"]
-                       + [f"{p:.12g}" for p in ph])

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import annulus_arrays
+from .channel import CsitModel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable
-from .precoder import phases_for_targets, reconstruct
+from .precoder import _BLOCK, transmit
 from .rng import stream
 
 SCHEMES = ("proposed-optimal", "proposed-suboptimal", "fixed-qam16",
@@ -181,12 +181,23 @@ def _draw_channel(rng, m: int, t: int, path_loss: float) -> np.ndarray:
     return np.sqrt(path_loss / 2.0) * (re + 1j * im)
 
 
-def _annulus(h):
-    """(r, R, r/R) at unit power.  A zero-norm channel (R = 0) reaches only
-    the origin; its R is returned as 0 and its ratio as 0, with no 0/0."""
-    r0, big_r0 = annulus_arrays(h, 1.0)
+def _annulus(h, mags=None):
+    """(r, R, r/R) at unit power; mags, when given, is |h|.  A zero-norm
+    channel (R = 0) reaches only the origin; its R is returned as 0 and its
+    ratio as 0, with no 0/0."""
+    r0, big_r0 = annulus_arrays(h, 1.0, mags=mags)
     live = big_r0 > 0
     return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
+
+
+def _receive(h, x):
+    """Noise-free receive points sum_i h_i x_i, added antenna by antenna.
+    The products are formed in x, which the caller must not need again."""
+    np.multiply(h, x, out=x)
+    total = x[:, 0].copy()
+    for col in x.T[1:]:
+        total += col
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +243,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         if cfg.scheme == "egt-qam16":
             d0 = target  # linear precoding reaches R*s exactly
         else:
-            d0 = reconstruct(h, 1.0, phases_for_targets(h, 1.0, target))
+            d0 = _receive(h, transmit(h, 1.0, target))
             if cfg.debug_checks:
                 mods = np.abs(d0)
                 if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
@@ -302,9 +313,29 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(cfg.noise_power), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
-    err_vars = [cfg.path_loss / (1.0 + 10.0 ** (s / 10.0))
-                for s in training_snr_db] + [0.0] * include_perfect
+    axis = list(training_snr_db) + ([math.inf] if include_perfect else [])
+    err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), cfg.path_loss).error_variance)
+              for s in axis]
     qam16 = qam_family(16)
+
+    def one_point(h, dh_unit, u, noise, sd):
+        """Errors at one training point over one block of trials."""
+        h_hat = h - sd * dh_unit
+        mags = np.abs(h_hat)
+        _, big_r0, ratio = _annulus(h_hat, mags)
+        if rings is None:  # egt-qam16
+            y = (np.sqrt(p / cfg.m) * np.sum(h * np.exp(-1j * np.angle(h_hat)),
+                                             axis=1) * qam16[u] + noise)
+            decide = _qam16_decide
+        else:
+            idx, _, _, rho2 = table.params_at(ratio)
+            s, decide = rings.for_trials(idx, rho2, u)
+            x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
+            y = sp * _receive(h, x) + noise
+        # a zero-norm estimate leaves nothing to scale by: an error
+        live = big_r0 > 0
+        w = y / (sp * np.where(live, big_r0, 1.0))
+        return np.count_nonzero((decide(w.real, w.imag) != u) | ~live)
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
@@ -313,29 +344,19 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         dh_unit = (rng.standard_normal((t, cfg.m))
                    + 1j * rng.standard_normal((t, cfg.m))) / np.sqrt(2.0)
-        errors = np.zeros(len(err_vars), dtype=np.int64)
-        for k, var in enumerate(err_vars):
-            h_hat = h - math.sqrt(var) * dh_unit
-            _, big_r0, ratio = _annulus(h_hat)
-            if rings is None:  # egt-qam16
-                y = (np.sqrt(p / cfg.m) * np.sum(h * np.exp(-1j * np.angle(h_hat)),
-                                                 axis=1) * qam16[u] + sigma * z)
-                decide = _qam16_decide
-            else:
-                idx, _, _, rho2 = table.params_at(ratio)
-                s, decide = rings.for_trials(idx, rho2, u)
-                theta = phases_for_targets(h_hat, 1.0, big_r0 * s)
-                y = sp * reconstruct(h, 1.0, theta) + sigma * z
-            # a zero-norm estimate leaves nothing to scale by: an error
-            live = big_r0 > 0
-            w = y / (sp * np.where(live, big_r0, 1.0))
-            errors[k] = np.count_nonzero((decide(w.real, w.imag) != u) | ~live)
-        return errors, np.zeros(len(err_vars))
+        noise = sigma * z
+        errors = np.zeros(len(err_sd), dtype=np.int64)
+        # each block of trials stays in cache across all training points
+        for lo in range(0, t, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            for k, sd in enumerate(err_sd):
+                errors[k] += one_point(h[rows], dh_unit[rows], u[rows],
+                                       noise[rows], sd)
+        return errors, np.zeros(len(err_sd))
 
-    errors, _ = _reduce_chunks(cfg, one_chunk, len(err_vars))
-    axis = list(training_snr_db) + ([math.inf] if include_perfect else [])
+    errors, _ = _reduce_chunks(cfg, one_chunk, len(err_sd))
     return SerCurve(snr_db=np.asarray(axis, dtype=float), errors=errors,
-                    trials=np.full(len(err_vars), cfg.trials, dtype=np.int64))
+                    trials=np.full(len(err_sd), cfg.trials, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,10 @@ def test_debug_feasibility_checks(table16):
         from ceapsk.optimizer import build_region_table
         if sys.flags.optimize != 1:
             sys.exit(3)
-        sim.reconstruct = lambda h, amp, theta: (
-            2.0 * sim.annulus_arrays(h, amp)[1] + 0j)
+        # a fake precoder whose receive point is 2 R: every h_i x_i real,
+        # positive and twice the constant-envelope amplitude
+        sim.transmit = lambda h, p, d, **kw: (
+            2.0 * (p / h.shape[1]) ** 0.5 * h.conj() / abs(h))
         cfg = sim.SimConfig(m=2, snr_db=(20.0,), trials=2000,
                             scheme="proposed-optimal", debug_checks=True)
         try:
