@@ -10,35 +10,27 @@ resulting link over Rayleigh fading.
 
 __version__ = "1.0.0"
 
-from .channel import (Annulus, ChannelRealization, CsitModel, LinkBudget,
-                      annulus_arrays, compute_annulus, mmse_estimate,
-                      ratio_cdf_m2, sample_rayleigh)
+from .channel import (CsitModel, annulus_arrays, ratio_cdf_m2,
+                      sample_rayleigh)
 from .constellation import (ApskConstellation, MedReport, Ring, apsk_points,
-                            is_feasible, med, modulus_ratio, qam_family,
-                            qfunc, ser_union_bound)
+                            med, modulus_ratio, qam_family, qfunc,
+                            ser_union_bound)
 from .optimizer import (DesignResult, Region, RegionTable,
                         build_region_table, build_suboptimal_table,
                         region_probabilities, solve_p2, solve_p21)
-from .precoder import (InfeasibleTargetError, PhaseSolution, egt_transmit,
-                       map_point_to_phases, phases_for_targets, realize_symbol,
-                       reconstruct, transmit)
+from .precoder import phases_for_targets, reconstruct, transmit
 from .sim import (SCHEMES, RateCurve, SerCurve, SimConfig, run_csit_sweep,
-                  run_fixed_rate_ser, run_variable_rate, select_rate,
-                  snr_at_bits, snr_at_ser)
+                  run_fixed_rate_ser, run_variable_rate, snr_at_bits,
+                  snr_at_ser)
 
 __all__ = [
     "__version__",
-    "Annulus", "ChannelRealization", "CsitModel", "LinkBudget",
-    "annulus_arrays", "compute_annulus", "mmse_estimate", "ratio_cdf_m2",
-    "sample_rayleigh",
-    "ApskConstellation", "MedReport", "Ring", "apsk_points", "is_feasible",
-    "med", "modulus_ratio", "qam_family", "qfunc", "ser_union_bound",
+    "CsitModel", "annulus_arrays", "ratio_cdf_m2", "sample_rayleigh",
+    "ApskConstellation", "MedReport", "Ring", "apsk_points", "med",
+    "modulus_ratio", "qam_family", "qfunc", "ser_union_bound",
     "DesignResult", "Region", "RegionTable", "build_region_table",
     "build_suboptimal_table", "region_probabilities", "solve_p2", "solve_p21",
-    "InfeasibleTargetError", "PhaseSolution", "egt_transmit",
-    "map_point_to_phases", "phases_for_targets", "realize_symbol",
-    "reconstruct", "transmit",
+    "phases_for_targets", "reconstruct", "transmit",
     "SCHEMES", "RateCurve", "SerCurve", "SimConfig", "run_csit_sweep",
-    "run_fixed_rate_ser", "run_variable_rate", "select_rate", "snr_at_bits",
-    "snr_at_ser",
+    "run_fixed_rate_ser", "run_variable_rate", "snr_at_bits", "snr_at_ser",
 ]

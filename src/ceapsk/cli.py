@@ -20,19 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ratio_cdf_m2, sample_rayleigh, annulus_arrays
-from .constellation import apsk_points
+from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .optimizer import (TABLE_ALGO_VERSION, RegionTable, build_region_table,
-                        build_suboptimal_table)
+                        build_suboptimal_table, solve_p2)
 from .sim import (SCHEMES, SimConfig, run_csit_sweep, run_fixed_rate_ser,
                   run_variable_rate)
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
 
-FIXED_RATE_SCHEMES = ("proposed-optimal", "proposed-suboptimal",
-                      "fixed-qam16", "adaptive-qam-psk", "egt-qam16")
-VARIABLE_RATE_SCHEMES = ("variable-apsk", "variable-qam")
+
+def _schemes_of(command: str) -> tuple[str, ...]:
+    """The schemes a subcommand ("ser" or "rate") runs."""
+    return tuple(s for s, (cmd, _) in SCHEMES.items() if cmd == command)
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -64,13 +64,9 @@ def write_manifest(path: Path, command: str, params: dict, outputs: list,
     path.write_text(json.dumps(manifest, indent=2))
 
 
-def table_cache_path(cache_dir: Path, n: int, grid_step: float) -> Path:
-    return cache_dir / f"regions_n{n}_step{grid_step:g}_v{TABLE_ALGO_VERSION}.json"
-
-
 def load_or_build_table(n: int, grid_step: float, cache_dir: Path) -> RegionTable:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = table_cache_path(cache_dir, n, grid_step)
+    path = cache_dir / f"regions_n{n}_step{grid_step:g}_v{TABLE_ALGO_VERSION}.json"
     if path.exists():
         return RegionTable.from_json(path.read_text())
     table = build_region_table(n, grid_step)
@@ -83,7 +79,6 @@ def load_or_build_table(n: int, grid_step: float, cache_dir: Path) -> RegionTabl
 
 
 def cmd_design(args) -> int:
-    from .optimizer import solve_p2
     res = solve_p2(args.n, args.ratio)
     out = {
         "constellation": json.loads(res.constellation.to_json()),
@@ -101,17 +96,15 @@ def cmd_table(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     table = load_or_build_table(args.n, args.grid_step, outdir / "cache")
-    outputs = []
-    base = outdir / f"table_n{args.n}"
-    (base.with_suffix(".json")).write_text(table.to_json())
-    table.write_csv(base.with_suffix(".csv"))
-    outputs += [base.with_suffix(".json"), base.with_suffix(".csv")]
+    written = {f"table_n{args.n}": table}
     if args.suboptimal:
-        sub = build_suboptimal_table(table)
-        sbase = outdir / f"table_n{args.n}_suboptimal"
-        sbase.with_suffix(".json").write_text(sub.to_json())
-        sub.write_csv(sbase.with_suffix(".csv"))
-        outputs += [sbase.with_suffix(".json"), sbase.with_suffix(".csv")]
+        written[f"table_n{args.n}_suboptimal"] = build_suboptimal_table(table)
+    outputs = []
+    for name, tab in written.items():
+        base = outdir / name
+        base.with_suffix(".json").write_text(tab.to_json())
+        tab.write_csv(base.with_suffix(".csv"))
+        outputs += [base.with_suffix(".json"), base.with_suffix(".csv")]
     write_manifest(outdir / f"table_n{args.n}.manifest.json", "table",
                    {"n": args.n, "grid_step": args.grid_step,
                     "suboptimal": args.suboptimal,
@@ -121,26 +114,34 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _sim_config(args, scheme_group) -> SimConfig:
-    if args.scheme not in scheme_group:
+def _sim_config(args) -> SimConfig:
+    group = _schemes_of(args.cmd)
+    if args.scheme not in group:
         raise ValueError(f"unknown scheme {args.scheme!r}; "
-                         f"valid: {', '.join(scheme_group)}")
+                         f"valid: {', '.join(group)}")
     return SimConfig(m=args.m, snr_db=parse_range(args.snr),
                      trials=int(float(args.trials)), scheme=args.scheme,
                      target_ser=args.pe, seed=args.seed, threads=args.threads)
 
 
+def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
+    """The region table(s) SCHEMES says cfg.scheme needs, or None."""
+    need = SCHEMES[cfg.scheme][1]
+    if need == "per-size":
+        return {n: load_or_build_table(n, grid_step, cache_dir)
+                for n in cfg.sizes}
+    if need is None:
+        return None
+    table = load_or_build_table(cfg.n, grid_step, cache_dir)
+    return build_suboptimal_table(table) if need == "suboptimal" else table
+
+
 def cmd_ser(args) -> int:
-    cfg = _sim_config(args, FIXED_RATE_SCHEMES)
+    cfg = _sim_config(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    table = None
-    if cfg.scheme == "proposed-optimal":
-        table = load_or_build_table(16, args.grid_step, outdir / "cache")
-    elif cfg.scheme == "proposed-suboptimal":
-        table = build_suboptimal_table(
-            load_or_build_table(16, args.grid_step, outdir / "cache"))
+    table = _scheme_tables(cfg, args.grid_step, outdir / "cache")
     if args.csit_sweep:
         tr_grid = parse_range(args.csit_sweep)
         curve = run_csit_sweep(cfg, table, tr_grid)
@@ -161,15 +162,12 @@ def cmd_ser(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    cfg = _sim_config(args, VARIABLE_RATE_SCHEMES)
+    cfg = _sim_config(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    tables = None
-    if cfg.scheme == "variable-apsk":
-        tables = {n: load_or_build_table(n, args.grid_step, outdir / "cache")
-                  for n in cfg.sizes}
-    curve = run_variable_rate(cfg, tables)
+    curve = run_variable_rate(cfg, _scheme_tables(cfg, args.grid_step,
+                                                  outdir / "cache"))
     name = f"rate_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ser", help="fixed-rate SER sweep (or CSIT sweep)",
                        formatter_class=argparse.RawTextHelpFormatter)
     s.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(FIXED_RATE_SCHEMES))
+                   help="one of:\n" + "\n".join(_schemes_of("ser")))
     s.add_argument("--m", type=int, default=2)
     s.add_argument("--snr", default="10:40:1", help="dB range lo:hi:step")
     s.add_argument("--trials", default="1e6")
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rate", help="variable-rate spectral efficiency sweep",
                        formatter_class=argparse.RawTextHelpFormatter)
     r.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(VARIABLE_RATE_SCHEMES))
+                   help="one of:\n" + "\n".join(_schemes_of("rate")))
     r.add_argument("--m", type=int, default=2)
     r.add_argument("--snr", default="0:30:1")
     r.add_argument("--trials", default="1e6")
@@ -274,24 +272,26 @@ def _apply_config_file(argv):
 
     A run manifest is also accepted as a config file (its "parameters"
     block is used), so any command can be replayed from its manifest.
+    Both `--config PATH` and `--config=PATH` are accepted.
     """
+    argv = [part for tok in argv for part in (
+        tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 == len(argv):
         raise ValueError("--config needs a path")
-    path = argv[i + 1]
+    path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
     with open(path) as f:
         conf = json.load(f)
     if isinstance(conf, dict) and "parameters" in conf:
         conf = conf["parameters"]
     if not isinstance(conf, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    rest = argv[:i] + argv[i + 2:]
     extra = []
     for key, val in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag in rest or val is None:
+        if val is None or any(t == flag or t.startswith(flag + "=") for t in rest):
             continue
         if isinstance(val, bool):
             if val:

@@ -6,7 +6,6 @@ an annulus with radius ratio q iff its min/max modulus ratio is >= q.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -74,36 +73,6 @@ def apsk_points(c: ApskConstellation) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def intra_ring_med(count: int, radius: float):
-    """MED between points on one ring; None when the ring has a single point.
-
-    The single-point case acts as an absent constraint (conceptually an
-    infinite distance); returning None keeps it out of min-reductions.
-    """
-    if count < 1 or radius <= 0:
-        raise ValueError("count >= 1 and radius > 0 required")
-    if count == 1:
-        return None
-    return radius * math.sqrt(2.0 * (1.0 - math.cos(2.0 * np.pi / count)))
-
-
-def max_inter_ring_cosine(n_l: int, n_h: int, omega_l: float, omega_h: float) -> float:
-    """max over point pairs of cos(2 pi n/N_l + omega_l - omega_h - 2 pi m/N_h)."""
-    n = np.arange(n_l)[:, None]
-    m = np.arange(n_h)[None, :]
-    ang = 2.0 * np.pi * n / n_l + omega_l - omega_h - 2.0 * np.pi * m / n_h
-    return float(np.cos(ang).max())
-
-
-def inter_ring_med(n_l: int, n_h: int, omega_l: float, omega_h: float,
-                   rho_l: float, rho_h: float) -> float:
-    """MED between two rings via the cosine rule."""
-    if rho_l <= 0 or rho_h <= 0:
-        raise ValueError("ring radii must be positive")
-    c = max_inter_ring_cosine(n_l, n_h, omega_l, omega_h)
-    return math.sqrt(max(rho_l ** 2 + rho_h ** 2 - 2.0 * rho_l * rho_h * c, 0.0))
-
-
 @dataclass(frozen=True)
 class MedReport:
     med: float
@@ -120,16 +89,6 @@ def med(points: np.ndarray) -> MedReport:
     diff[np.diag_indices(n)] = np.inf
     idx = np.unravel_index(np.argmin(diff), diff.shape)
     return MedReport(med=float(diff[idx]), argmin_pair=(int(idx[0]), int(idx[1])))
-
-
-def is_feasible(points: np.ndarray, ratio: float) -> bool:
-    """True iff the normalized set fits an annulus with radius ratio `ratio`.
-
-    A 1e-12 slack absorbs rounding in |exp(j phi)| so that e.g. PSK at
-    ratio 1.0 tests feasible.
-    """
-    mags = np.abs(np.asarray(points))
-    return bool(mags.min() / mags.max() >= ratio - 1e-12)
 
 
 def modulus_ratio(points: np.ndarray) -> float:
@@ -172,19 +131,12 @@ def qfunc(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def ser_union_bound(n: int, d_min, outer_radius, noise_power, clamp: bool = True):
-    """(N-1) Q(R d_min / (sigma sqrt 2)); raw value unless clamp is set.
-
-    The raw (unclamped) value is strictly decreasing in R d_min, which is
-    what lets union_bound_threshold invert it.
-    """
+def ser_union_bound(n: int, d_min, outer_radius, noise_power):
+    """min(1, (N-1) Q(R d_min / (sigma sqrt 2)))."""
     if n < 2:
         raise ValueError("need N >= 2")
     arg = np.asarray(outer_radius) * np.asarray(d_min) / np.sqrt(2.0 * noise_power)
-    bound = (n - 1) * qfunc(arg)
-    if clamp:
-        bound = np.minimum(bound, 1.0)
-    out = np.asarray(bound)
+    out = np.asarray(np.minimum((n - 1) * qfunc(arg), 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -200,10 +152,3 @@ def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> floa
         return 0.0
     return math.sqrt(2.0 * noise_power) * math.sqrt(2.0) * erfcinv(2.0 * tail)
 
-
-def write_points_csv(path, points: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["re", "im"])
-        for p in np.asarray(points):
-            w.writerow([f"{p.real:.12g}", f"{p.imag:.12g}"])

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ratio_cdf_m2, sample_rayleigh, annulus_arrays
+from .channel import annulus_arrays, sample_rayleigh
 from .constellation import ApskConstellation, Ring
 
 TABLE_ALGO_VERSION = 1
@@ -68,15 +68,16 @@ def solve_p21(n: int, n2: int) -> PhaseOffsetSolution:
 
 
 # ---------------------------------------------------------------------------
-# Inner radius subproblem (region-I local optimum)
+# Inner radius subproblem and the full design
 
 
 @dataclass(frozen=True)
-class RadiusSolution:
-    rho2_star: float
-    d_min_star: float
-    case_tag: str
-    rho_bar: float | None = None
+class DesignResult:
+    constellation: ApskConstellation
+    d_min: float
+    n2: int
+    omega2: float
+    rho2: float
 
 
 def _b_coeff(count: int):
@@ -94,86 +95,72 @@ def _rho_bar(b2: float, c12: float) -> float:
     return (c12 - math.sqrt(disc)) / (1.0 - 2.0 * b2)
 
 
-def find_rho2_region1(b1: float, b2, c12: float, ratio: float) -> RadiusSolution:
-    """Local optimum of the radius subproblem on rho2 in [ratio, C*].
-
-    Requires C* > ratio (otherwise the whole range is the non-decreasing
-    branch and the caller must use the rho2 = 1 solution).  b2 may be None
-    for a single-point inner ring, which removes its intra-ring constraint.
-    """
-    if c12 <= ratio:
-        raise ValueError("region-I analysis needs C* > r/R")
-    f_at_ratio = math.sqrt(max(ratio * ratio + 1.0 - 2.0 * ratio * c12, 0.0))
-    d1 = math.sqrt(2.0 * b1)
-    rho_cross = c12 - math.sqrt(max(c12 * c12 - 1.0 + 2.0 * b1, 0.0))
-    if b2 is not None:
-        rho_bar = _rho_bar(b2, c12)
-        if ratio <= rho_bar <= c12:
-            if rho_bar <= math.sqrt(b1 / b2):
-                return RadiusSolution(rho_bar, math.sqrt(2.0 * b2) * rho_bar,
-                                      "I-i", rho_bar)
-            return RadiusSolution(rho_cross, d1, "I-ii", rho_bar)
-    else:
-        rho_bar = None
-    if d1 >= f_at_ratio:
-        return RadiusSolution(ratio, f_at_ratio, "I-iii", rho_bar)
-    return RadiusSolution(rho_cross, d1, "I-iv", rho_bar)
-
-
-# ---------------------------------------------------------------------------
-# Full design for one (N, ratio)
-
-
-@dataclass(frozen=True)
-class DesignResult:
-    constellation: ApskConstellation
-    d_min: float
-    n2: int
-    omega2: float
-    rho2: float
-    c12: float
-    case_tag: str
-
-
-def _min3(a, b, c) -> float:
-    """min of up to three terms, where a/b may be None (absent)."""
-    vals = [v for v in (a, b, c) if v is not None]
-    return min(vals)
-
-
-def _solve_fixed_n2(n: int, n2: int, ratio: float,
-                    pos: PhaseOffsetSolution) -> tuple[float, float, str]:
-    """Best (d_min, rho2, case tag) for a fixed inner-ring count."""
-    n1 = n - n2
-    b1 = _b_coeff(n1)
-    b2 = _b_coeff(n2)
-    c12 = pos.c12_star
-    d1 = math.sqrt(2.0 * b1) if b1 is not None else None
-    d2_at1 = math.sqrt(2.0 * b2) if b2 is not None else None
-    d_at1 = _min3(d1, d2_at1, math.sqrt(max(2.0 - 2.0 * c12, 0.0)))
-    if c12 <= ratio:
-        return d_at1, 1.0, "Case1"
-    # Case 2: compare the region-I local optimum against rho2 = 1.
-    if b1 is None:
-        # single-point outer ring only occurs for n = 2 via n2 = 1, where
-        # c12 = -1 <= ratio; defensive fallback
-        return d_at1, 1.0, "Case1"
-    loc = find_rho2_region1(b1, b2, c12, ratio)
-    if loc.d_min_star >= d_at1:
-        return loc.d_min_star, loc.rho2_star, loc.case_tag
-    return d_at1, 1.0, "II"
-
-
 def _offset_cache(n: int) -> list[PhaseOffsetSolution]:
     """Phase-offset solutions for n2 = 1 .. n//2 (index n2 - 1)."""
     return [solve_p21(n, n2) for n2 in range(1, n // 2 + 1)]
+
+
+def _solve_n2(n: int, n2: int, ratios: np.ndarray, pos: PhaseOffsetSolution):
+    """Best (d_min, rho2, tracking) arrays over a ratio grid for a fixed
+    inner-ring count.
+
+    Where C* > r/R the region-I local optimum on rho2 in [r/R, C*] (case i:
+    rho_bar, ii and iv: the outer-ring crossing, iii: rho2 = r/R) competes
+    with rho2 = 1; elsewhere rho2 = 1.  `tracking` flags case iii winning.
+    """
+    c12 = pos.c12_star
+    b1, b2 = _b_coeff(n - n2), _b_coeff(n2)
+    d1 = math.sqrt(2.0 * b1) if b1 is not None else np.inf
+    d2_at1 = math.sqrt(2.0 * b2) if b2 is not None else np.inf
+    d_at1 = min(d1, d2_at1, math.sqrt(max(2.0 - 2.0 * c12, 0.0)))
+    if b1 is None:  # single-point outer ring: n = 2, where c12 = -1
+        return (np.full(ratios.shape, d_at1), np.ones(ratios.shape),
+                np.zeros(ratios.shape, dtype=bool))
+    f_at_ratio = np.sqrt(np.maximum(ratios ** 2 + 1.0 - 2.0 * ratios * c12, 0.0))
+    rho_cross = c12 - math.sqrt(max(c12 * c12 - 1.0 + 2.0 * b1, 0.0))
+    if b2 is not None:
+        rho_bar = _rho_bar(b2, c12)
+        in_bar = (ratios <= rho_bar) & (rho_bar <= c12)
+        case_i = in_bar & (rho_bar <= math.sqrt(b1 / b2))
+        case_ii = in_bar & ~case_i
+    else:
+        case_i = np.zeros(ratios.shape, dtype=bool)
+        case_ii = case_i
+        rho_bar = 0.0
+    case_iii = ~(case_i | case_ii) & (d1 >= f_at_ratio)
+    d_loc = np.where(case_i, math.sqrt(2.0 * b2) * rho_bar if b2 is not None else 0.0,
+                     np.where(case_iii, f_at_ratio, d1))
+    rho_loc = np.where(case_i, rho_bar,
+                       np.where(case_iii, ratios, rho_cross))
+    use_loc = (c12 > ratios) & (d_loc >= d_at1)
+    return (np.where(use_loc, d_loc, d_at1), np.where(use_loc, rho_loc, 1.0),
+            use_loc & case_iii)
+
+
+def _solve_grid(n: int, ratios: np.ndarray,
+                offsets: list[PhaseOffsetSolution]):
+    """Vectorized design over a ratio grid.
+
+    Returns (d_min, n2, rho2, tracking) arrays; `tracking` flags grid
+    points where the optimum pins the inner ring to the annulus boundary
+    (rho2 = r/R), which is what distinguishes formula-type regions.  Ties
+    in d_min go to the smaller inner-ring count.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    d_all, rho_all, track_all = (np.array(rows) for rows in zip(*(
+        _solve_n2(n, n2, ratios, offsets[n2 - 1])
+        for n2 in range(1, n // 2 + 1))))
+    best = np.argmax(d_all, axis=0)  # first max -> smaller n2 on ties
+    cols = np.arange(ratios.size)
+    return (d_all[best, cols], best + 1, rho_all[best, cols],
+            track_all[best, cols])
 
 
 def solve_p2(n: int, ratio: float) -> DesignResult:
     """Optimal feasible two-ring N-APSK for annulus ratio r/R.
 
     Searches inner-ring counts 1 .. N/2 (more inner than outer points is
-    never better); ties in the final argmax prefer the smaller count.
+    never better); ties prefer the smaller count.
     """
     if n < 2:
         raise ValueError("need N >= 2")
@@ -185,75 +172,14 @@ def solve_p2(n: int, ratio: float) -> DesignResult:
         warnings.warn(f"N={n} is not a power of two; design is best-effort",
                       stacklevel=2)
     offsets = _offset_cache(n)
-    best = None
-    for n2 in range(1, n // 2 + 1):
-        pos = offsets[n2 - 1]
-        d, rho2, tag = _solve_fixed_n2(n, n2, ratio, pos)
-        if best is None or d > best[0]:
-            best = (d, n2, rho2, tag, pos)
-    d, n2, rho2, tag, pos = best
-    rho2 = max(rho2, ratio)  # feasibility: inner ring never below r/R
+    d, n2, rho2, _ = _solve_grid(n, np.array([ratio]), offsets)
+    d, n2 = float(d[0]), int(n2[0])
+    rho2 = max(float(rho2[0]), ratio)  # feasibility: inner ring never below r/R
+    omega2 = offsets[n2 - 1].omega2_star
     cons = ApskConstellation((Ring(n - n2, 1.0, 0.0),
-                              Ring(n2, rho2, pos.omega2_star % (2.0 * np.pi))))
-    return DesignResult(constellation=cons, d_min=d, n2=n2,
-                        omega2=pos.omega2_star, rho2=rho2,
-                        c12=pos.c12_star, case_tag=tag)
-
-
-def _solve_grid(n: int, ratios: np.ndarray,
-                offsets: list[PhaseOffsetSolution]):
-    """Vectorized design over a ratio grid.
-
-    Returns (d_min, n2, rho2, tracking) arrays; `tracking` flags grid
-    points where the optimum pins the inner ring to the annulus boundary
-    (rho2 = r/R), which is what distinguishes formula-type regions.
-    """
-    ratios = np.asarray(ratios, dtype=float)
-    n2_max = n // 2
-    d_all = np.empty((n2_max, ratios.size))
-    rho_all = np.empty_like(d_all)
-    track_all = np.zeros(d_all.shape, dtype=bool)
-    for n2 in range(1, n2_max + 1):
-        pos = offsets[n2 - 1]
-        c12 = pos.c12_star
-        n1 = n - n2
-        b1 = _b_coeff(n1)
-        b2 = _b_coeff(n2)
-        d1 = math.sqrt(2.0 * b1) if b1 is not None else np.inf
-        d2_at1 = math.sqrt(2.0 * b2) if b2 is not None else np.inf
-        d_at1 = min(d1, d2_at1, math.sqrt(max(2.0 - 2.0 * c12, 0.0)))
-        if b1 is None:
-            d_all[n2 - 1] = d_at1
-            rho_all[n2 - 1] = 1.0
-            continue
-        f_at_ratio = np.sqrt(np.maximum(ratios ** 2 + 1.0 - 2.0 * ratios * c12, 0.0))
-        rho_cross = c12 - math.sqrt(max(c12 * c12 - 1.0 + 2.0 * b1, 0.0))
-        if b2 is not None:
-            rho_bar = _rho_bar(b2, c12)
-            in_bar = (ratios <= rho_bar) & (rho_bar <= c12)
-            case_i = in_bar & (rho_bar <= math.sqrt(b1 / b2))
-            case_ii = in_bar & ~case_i
-        else:
-            case_i = np.zeros(ratios.shape, dtype=bool)
-            case_ii = case_i
-            rho_bar = 0.0
-        case_iii = ~(case_i | case_ii) & (d1 >= f_at_ratio)
-        case_iv = ~(case_i | case_ii | case_iii)
-        d_loc = np.where(case_i, math.sqrt(2.0 * b2) * rho_bar if b2 is not None else 0.0,
-                         np.where(case_iii, f_at_ratio, d1))
-        rho_loc = np.where(case_i, rho_bar,
-                           np.where(case_iii, ratios, rho_cross))
-        use_loc = d_loc >= d_at1
-        case2 = c12 > ratios
-        d = np.where(case2 & use_loc, d_loc, d_at1)
-        rho = np.where(case2 & use_loc, rho_loc, 1.0)
-        d_all[n2 - 1] = d
-        rho_all[n2 - 1] = rho
-        track_all[n2 - 1] = case2 & use_loc & case_iii
-    best = np.argmax(d_all, axis=0)  # first max -> smaller n2 on ties
-    cols = np.arange(ratios.size)
-    return (d_all[best, cols], best + 1, rho_all[best, cols],
-            track_all[best, cols])
+                              Ring(n2, rho2, omega2 % (2.0 * np.pi))))
+    return DesignResult(constellation=cons, d_min=d, n2=n2, omega2=omega2,
+                        rho2=rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +204,6 @@ class RegionTable:
     size: int
     regions: tuple[Region, ...]
     grid_step: float
-
-    def lookup(self, ratio: float) -> Region:
-        for reg in self.regions:
-            if reg.lo <= ratio < reg.hi:
-                return reg
-        return self.regions[-1]
 
     @cached_property
     def _arrays(self) -> dict[str, np.ndarray]:
@@ -357,11 +277,6 @@ class RegionTable:
                             f"{reg.omega2 / np.pi:.6f}", reg.d_min_rule, dmin])
 
 
-def _structural_key(n, ratio, offsets):
-    d, n2, rho, track = _solve_grid(n, np.array([ratio]), offsets)
-    return (int(n2[0]), bool(track[0]))
-
-
 def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
     """Partition r/R in [0, 1] into regions of constant design structure.
 
@@ -390,7 +305,8 @@ def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
             ka = keys[i - 1]
             while hi - lo > 1e-6:
                 mid = 0.5 * (lo + hi)
-                if _structural_key(n, mid, offsets) == ka:
+                _, n2_mid, _, track_mid = _solve_grid(n, np.array([mid]), offsets)
+                if (int(n2_mid[0]), bool(track_mid[0])) == ka:
                     lo = mid
                 else:
                     hi = mid
@@ -404,14 +320,10 @@ def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
         pos = offsets[n2_j - 1]
         probe = min(lo + grid_step, 0.5 * (lo + hi))
         dj, _, rhoj, _ = _solve_grid(n, np.array([probe]), offsets)
-        if tracking:
-            regions.append(Region(lo, hi, n2_j, pos.omega2_star % (2 * np.pi),
-                                  pos.c12_star, "track_ratio", None,
-                                  "formula", None))
-        else:
-            regions.append(Region(lo, hi, n2_j, pos.omega2_star % (2 * np.pi),
-                                  pos.c12_star, "constant", float(rhoj[0]),
-                                  "constant", float(dj[0])))
+        rules = (("track_ratio", None, "formula", None) if tracking else
+                 ("constant", float(rhoj[0]), "constant", float(dj[0])))
+        regions.append(Region(lo, hi, n2_j, pos.omega2_star % (2 * np.pi),
+                              pos.c12_star, *rules))
     return RegionTable(size=n, regions=tuple(regions), grid_step=grid_step)
 
 

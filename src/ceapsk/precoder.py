@@ -12,29 +12,9 @@ the step's cosine and sine, never from an angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelRealization, compute_annulus
-
-FEAS_SLACK = 1e-12  # absolute slack (times R) on annulus membership checks
-_BLOCK = 8192       # rows per block: each 1-D float temporary is 64 KB
-
-
-@dataclass(frozen=True)
-class PhaseSolution:
-    phases: np.ndarray
-    target: complex
-    residual_error: float
-
-
-class InfeasibleTargetError(ValueError):
-    def __init__(self, target, annulus):
-        super().__init__(
-            f"target modulus {abs(target):.6g} outside annulus "
-            f"[{annulus.inner:.6g}, {annulus.outer:.6g}]")
-        self.annulus = annulus
+_BLOCK = 8192  # rows per block: each 1-D float temporary is 64 KB
 
 
 def _unit_phasors(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -157,44 +137,4 @@ def reconstruct(h: np.ndarray, total_power: float,
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     scale = np.sqrt(total_power / h.shape[1])
     return scale * np.sum(h * np.exp(1j * np.asarray(theta)), axis=1)
-
-
-def map_point_to_phases(h: ChannelRealization, total_power: float,
-                        d: complex) -> PhaseSolution:
-    """Transmit phases realizing the noise-free receive point d."""
-    ann = compute_annulus(h, total_power)
-    slack = FEAS_SLACK * ann.outer
-    if not (ann.inner - slack <= abs(d) <= ann.outer + slack):
-        raise InfeasibleTargetError(d, ann)
-    theta = phases_for_targets(h.gains[None, :], total_power,
-                               np.array([d]))[0]
-    got = reconstruct(h.gains[None, :], total_power, theta[None, :])[0]
-    return PhaseSolution(phases=theta, target=complex(d),
-                         residual_error=float(abs(got - d)))
-
-
-def realize_symbol(h: ChannelRealization, total_power: float, s: complex,
-                   alpha: float, clip: bool = False) -> PhaseSolution:
-    """Phases for the scaled constellation point alpha*s.
-
-    With clip enabled (fixed-constellation benchmark mode), an infeasible
-    target is projected radially onto the nearest annulus boundary first.
-    """
-    target = alpha * s
-    if clip:
-        ann = compute_annulus(h, total_power)
-        mod = abs(target)
-        if mod > 0:
-            target = target / mod * min(max(mod, ann.inner), ann.outer)
-        elif ann.inner > 0:
-            target = ann.inner + 0j
-    return map_point_to_phases(h, total_power, target)
-
-
-def egt_transmit(h: ChannelRealization, total_power: float, s: complex) -> complex:
-    """Equal gain transmission (non-CE baseline): noise-free receive R*s."""
-    g = h.gains
-    scale = np.sqrt(total_power / h.num_antennas)
-    x = scale * np.exp(-1j * np.angle(g)) * s
-    return complex(np.sum(g * x))
 

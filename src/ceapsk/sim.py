@@ -20,16 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsitModel, annulus_arrays
+from .channel import CsitModel, _draw_channel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable
 from .precoder import _BLOCK, transmit
 from .rng import stream
 
-SCHEMES = ("proposed-optimal", "proposed-suboptimal", "fixed-qam16",
-           "adaptive-qam-psk", "egt-qam16", "variable-apsk", "variable-qam")
-_QAM16_SCHEMES = ("fixed-qam16", "adaptive-qam-psk", "egt-qam16")
+# scheme -> (CLI command that runs it, region table it needs: the optimal
+# or two-region table of size n, one optimal table per size, or none)
+SCHEMES = {
+    "proposed-optimal": ("ser", "optimal"),
+    "proposed-suboptimal": ("ser", "suboptimal"),
+    "fixed-qam16": ("ser", None),
+    "adaptive-qam-psk": ("ser", None),
+    "egt-qam16": ("ser", None),
+    "variable-apsk": ("rate", "per-size"),
+    "variable-qam": ("rate", None),
+}
+# the fixed-rate schemes without a region table send 16-QAM
+_QAM16_SCHEMES = tuple(s for s, (cmd, table) in SCHEMES.items()
+                       if cmd == "ser" and table is None)
 
 DEFAULT_PATH_LOSS = 1e-9          # -90 dB
 DEFAULT_NOISE_POWER = 10 ** (-12.4)  # -94 dBm in watts
@@ -53,7 +64,8 @@ class SimConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; "
+                             f"valid: {tuple(SCHEMES)}")
         for name in ("m", "threads", "chunk_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -176,11 +188,6 @@ def _psk_decide(wr, wi, n: int) -> np.ndarray:
     return np.rint(np.arctan2(wi, wr) * (n / (2.0 * np.pi))).astype(np.intp) % n
 
 
-def _draw_channel(rng, m: int, t: int, path_loss: float) -> np.ndarray:
-    re, im = rng.standard_normal((t, m)), rng.standard_normal((t, m))
-    return np.sqrt(path_loss / 2.0) * (re + 1j * im)
-
-
 def _annulus(h, mags=None):
     """(r, R, r/R) at unit power; mags, when given, is |h|.  A zero-norm
     channel (R = 0) reaches only the origin; its R is returned as 0 and its
@@ -206,9 +213,9 @@ def _receive(h, x):
 
 def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     """Average SER over the SNR grid for one fixed-rate scheme."""
-    if cfg.scheme.startswith("variable"):
+    if SCHEMES[cfg.scheme][0] != "ser":
         raise ValueError("use run_variable_rate for variable-rate schemes")
-    rings = _RingTables(cfg, table) if cfg.scheme.startswith("proposed") else None
+    rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
     powers = cfg.powers()
     sigma = math.sqrt(cfg.noise_power)
     # all fixed-rate schemes share one stream key: common random numbers
@@ -294,9 +301,9 @@ def _reduce_chunks(cfg: SimConfig, one_chunk, width: int):
 
 
 def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
-                   training_snr_db: tuple[float, ...],
-                   include_perfect: bool = True) -> SerCurve:
-    """Average SER versus training SNR at a fixed data SNR (cfg.snr_db[0]).
+                   training_snr_db: tuple[float, ...]) -> SerCurve:
+    """Average SER versus training SNR at a fixed data SNR (cfg.snr_db[0]),
+    with perfect CSIT (training SNR inf) as the last point.
 
     The transmitter designs everything (annulus, constellation choice,
     phases, scale) from its channel estimate; the true channel produces the
@@ -309,11 +316,11 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         raise ValueError("csit sweep uses a single data SNR")
     if cfg.scheme not in ("proposed-optimal", "proposed-suboptimal", "egt-qam16"):
         raise ValueError(f"csit sweep not defined for scheme {cfg.scheme!r}")
-    rings = _RingTables(cfg, table) if cfg.scheme.startswith("proposed") else None
+    rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(cfg.noise_power), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
-    axis = list(training_snr_db) + ([math.inf] if include_perfect else [])
+    axis = list(training_snr_db) + [math.inf]
     err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), cfg.path_loss).error_variance)
               for s in axis]
     qam16 = qam_family(16)
@@ -363,39 +370,10 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 # Variable rate
 
 
-def select_rate(inner: float, outer: float, noise_power: float,
-                target_ser: float, sizes, dmin_lookup):
-    """Largest size meeting the union-bound target; 1 means no transmission.
-
-    dmin_lookup(n, ratio) returns the constellation MED for size n at the
-    given annulus ratio, or 0 when the size is infeasible.  Size n meets the
-    target iff outer * MED is positive and at least union_bound_threshold.
-    """
-    ratio = inner / outer if outer > 0 else 1.0
-    for n in sorted(sizes, reverse=True):
-        x = outer * dmin_lookup(n, ratio)
-        if x > 0 and x >= union_bound_threshold(n, target_ser, noise_power):
-            return n
-    return 1
-
-
-def apsk_dmin_lookup(tables: dict[int, RegionTable]):
-    def lookup(n, ratio):
-        return float(tables[n].d_min_at(np.array([ratio]))[0])
-    return lookup
-
-
 def _qam_limits(n: int) -> tuple[float, float]:
     """(largest feasible annulus ratio, MED) of the size-n QAM benchmark."""
     pts = qam_family(n)
     return modulus_ratio(pts), med(pts).med
-
-
-def qam_dmin_lookup():
-    def lookup(n, ratio):
-        feas_ratio, dmin = _qam_limits(n)
-        return dmin if ratio <= feas_ratio else 0.0
-    return lookup
 
 
 def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -452,11 +430,11 @@ def run_variable_rate(cfg: SimConfig,
     the first SNR point at which that size or a larger one is feasible; a
     histogram of those indices gives every point's bit and no-tx counts.
     """
-    if cfg.scheme == "variable-apsk":
-        if tables is None or any(n not in tables for n in cfg.sizes):
-            raise ValueError("variable-apsk needs a region table per size")
-    elif cfg.scheme != "variable-qam":
+    if SCHEMES[cfg.scheme][0] != "rate":
         raise ValueError(f"not a variable-rate scheme: {cfg.scheme!r}")
+    if SCHEMES[cfg.scheme][1] and (tables is None
+                                   or any(n not in tables for n in cfg.sizes)):
+        raise ValueError(f"{cfg.scheme} needs a region table per size")
     powers = cfg.powers()
     sizes = np.asarray(sorted(cfg.sizes))
     # bits gained by each size over the next smaller one

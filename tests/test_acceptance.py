@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from ceapsk.channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
-from ceapsk.optimizer import (_solve_fixed_n2, build_region_table,
+from ceapsk.optimizer import (_solve_n2, build_region_table,
                               build_suboptimal_table, region_probabilities,
                               solve_p2, solve_p21)
 from ceapsk.precoder import phases_for_targets, reconstruct
@@ -345,7 +345,8 @@ def test_criterion_06_proposition1():
                 ratio = float(ratio)
                 heavy = _grid_best_dmin(n, n2, ratio)
                 light_grid = _grid_best_dmin(n, mirror, ratio)
-                light_exact = _solve_fixed_n2(n, mirror, ratio, pos)[0]
+                light_exact = float(_solve_n2(n, mirror, np.array([ratio]),
+                                              pos)[0][0])
                 # grid values undershoot their true optima by O(1/grid),
                 # hence the 2e-3 slack on the grid-vs-grid comparison
                 if heavy > light_exact + 1e-9 or heavy > light_grid + 2e-3:

@@ -1,47 +1,43 @@
 import numpy as np
 import pytest
 
-from ceapsk.channel import (Annulus, ChannelRealization, CsitModel, LinkBudget,
-                            annulus_arrays, compute_annulus, load_channels_csv,
-                            load_channels_json, mmse_estimate, ratio_cdf_m2,
-                            sample_rayleigh, write_annulus_stats_csv)
+from ceapsk.channel import (CsitModel, annulus_arrays, ratio_cdf_m2,
+                            sample_rayleigh)
+from ceapsk.optimizer import build_region_table
+from ceapsk.sim import SimConfig, run_csit_sweep
+
+
+def _annulus(gains, power):
+    inner, outer = annulus_arrays(np.array([gains], dtype=complex), power)
+    return inner[0], outer[0]
 
 
 def test_annulus_equal_gains():
-    ann = compute_annulus(ChannelRealization(np.array([1.0, 1.0])), 2.0)
-    assert ann.inner == 0.0
-    assert ann.outer == pytest.approx(2.0)
+    assert _annulus([1.0, 1.0], 2.0) == (0.0, pytest.approx(2.0))
 
 
 def test_annulus_unequal_gains():
-    ann = compute_annulus(ChannelRealization(np.array([3.0, 1.0])), 2.0)
-    assert ann.inner == pytest.approx(2.0)
-    assert ann.outer == pytest.approx(4.0)
-    assert ann.ratio == pytest.approx(0.5)
+    inner, outer = _annulus([3.0, 1.0], 2.0)
+    assert (inner, outer) == (pytest.approx(2.0), pytest.approx(4.0))
+    assert inner / outer == pytest.approx(0.5)
 
 
 def test_annulus_single_antenna():
-    ann = compute_annulus(ChannelRealization(np.array([1.0])), 1.0)
-    assert ann.inner == pytest.approx(1.0)
-    assert ann.outer == pytest.approx(1.0)
-    assert ann.ratio == pytest.approx(1.0)
+    assert _annulus([1.0], 1.0) == (pytest.approx(1.0), pytest.approx(1.0))
 
 
 def test_annulus_zero_channel_degenerate():
-    ann = compute_annulus(ChannelRealization(np.array([0.0, 0.0])), 1.0)
-    assert ann.degenerate
-    assert ann.outer == 0.0
-    assert ann.ratio == 0.0
+    assert _annulus([0.0, 0.0], 1.0) == (0.0, 0.0)
 
 
 def test_annulus_scale_covariance():
     rng = np.random.default_rng(7)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    a = compute_annulus(ChannelRealization(h), 1.0)
-    b = compute_annulus(ChannelRealization(3.0 * h), 1.0)
-    assert b.outer == pytest.approx(3.0 * a.outer)
-    assert b.inner == pytest.approx(3.0 * a.inner)
-    assert b.ratio == pytest.approx(a.ratio)
+    inner, outer = _annulus(h, 1.0)
+    inner3, outer3 = _annulus(3.0 * h, 1.0)
+    assert outer3 == pytest.approx(3.0 * outer)
+    assert inner3 == pytest.approx(3.0 * inner)
+    assert inner3 / outer3 == pytest.approx(inner / outer)
 
 
 def test_annulus_invariants_random():
@@ -90,59 +86,34 @@ def test_ratio_cdf_ks_distance():
     assert np.abs(emp - ratio_cdf_m2(grid)).max() < 0.005
 
 
-def test_mmse_estimate_high_training_snr():
-    h = sample_rayleigh(2, 1.0, 1, trials=100)
-    hh = mmse_estimate(h, CsitModel(training_snr=1e14, path_loss=1.0), 9)
-    assert np.max(np.abs(hh - h) / np.abs(h)) < 1e-5
+# The CSIT sweep estimates h_hat = h - dh, dh ~ CN(0, CsitModel.error_variance)
+
+
+@pytest.fixture(scope="module")
+def table16():
+    return build_region_table(16, 1e-4)
+
+
+def test_mmse_estimate_high_training_snr(table16):
+    # at 140 dB of training the estimate is the channel: same errors as
+    # the perfect-CSIT point
+    cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
+                    scheme="proposed-optimal", seed=3)
+    curve = run_csit_sweep(cfg, table16, (140.0,))
+    assert curve.errors[0] == curve.errors[1] > 0
 
 
 def test_mmse_estimate_error_variance():
-    h = sample_rayleigh(2, 1.0, 1, trials=10 ** 6)
     csit = CsitModel(training_snr=1.0, path_loss=1.0)
     assert csit.error_variance == pytest.approx(0.5)
-    hh = mmse_estimate(h, csit, 9)
-    assert np.mean(np.abs(h - hh) ** 2) == pytest.approx(0.5, rel=0.01)
-
-
-def test_mmse_estimate_reproducible():
-    h = sample_rayleigh(2, 1.0, 1, trials=10)
-    csit = CsitModel(training_snr=10.0, path_loss=1.0)
-    np.testing.assert_array_equal(mmse_estimate(h, csit, 4),
-                                  mmse_estimate(h, csit, 4))
-
-
-def test_link_budget_snr():
-    lb = LinkBudget(total_power=2.0, path_loss=1e-9, noise_power=1e-12)
-    assert lb.snr == pytest.approx(2000.0)
+    assert CsitModel(training_snr=0.0, path_loss=2.0).error_variance == 2.0
     with pytest.raises(ValueError):
-        LinkBudget(total_power=0.0, path_loss=1.0, noise_power=1.0)
+        CsitModel(training_snr=-1.0, path_loss=1.0)
 
 
-def test_annulus_type_validation():
-    with pytest.raises(ValueError):
-        Annulus(inner=2.0, outer=1.0)
-
-
-def test_channel_file_roundtrip(tmp_path):
-    h = sample_rayleigh(3, 1.0, 2, trials=5)
-    csv_path = tmp_path / "h.csv"
-    with open(csv_path, "w") as f:
-        for row in h:
-            f.write(",".join(f"{v.real},{v.imag}" for v in row) + "\n")
-    loaded = load_channels_csv(csv_path)
-    np.testing.assert_allclose(loaded, h, rtol=1e-12)
-
-    json_path = tmp_path / "h.json"
-    import json
-    rows = [[x for v in row for x in (v.real, v.imag)] for row in h]
-    json_path.write_text(json.dumps(rows))
-    np.testing.assert_allclose(load_channels_json(json_path), h, rtol=1e-12)
-
-
-def test_annulus_stats_csv(tmp_path):
-    h = sample_rayleigh(2, 1.0, 2, trials=4)
-    path = tmp_path / "ann.csv"
-    write_annulus_stats_csv(path, h, 1.0)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "ratio,r,R"
-    assert len(lines) == 5
+def test_mmse_estimate_reproducible(table16):
+    cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
+                    scheme="proposed-optimal", seed=4)
+    a = run_csit_sweep(cfg, table16, (0.0, 10.0))
+    b = run_csit_sweep(cfg, table16, (0.0, 10.0))
+    np.testing.assert_array_equal(a.errors, b.errors)

@@ -114,10 +114,30 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert main(["--config", str(conf), "design"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["n2"] == 5
-    # explicit flag overrides the config value
-    assert main(["--config", str(conf), "design", "--ratio", "0.9"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["n2"] == 8
+    # explicit flag overrides the config value, in either flag form
+    for flags in (["--config", str(conf)], [f"--config={conf}"]):
+        for ratio in (["--ratio", "0.9"], ["--ratio=0.9"]):
+            assert main(flags + ["design"] + ratio) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["n2"] == 8
+
+
+def test_config_equals_form(tmp_path, capsys):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"m": 3, "trials": 2e3}))
+    name = "ser_fixed-qam16_m3"
+    runs = {}
+    for form, flags in (("split", ["--config", str(conf)]),
+                        ("equals", [f"--config={conf}"])):
+        out = tmp_path / form
+        assert main(flags + ["ser", "--scheme", "fixed-qam16", "--snr", "20:22:2",
+                             "--out-dir", str(out)]) == 0
+        params = json.loads((out / f"{name}.manifest.json").read_text())[
+            "parameters"]
+        assert (params.pop("out_dir"), params["m"], params["trials"]) == (
+            str(out), 3, 2000)
+        runs[form] = ((out / f"{name}.csv").read_bytes(), params)
+    assert runs["split"] == runs["equals"]
 
 
 def test_cdf_output(tmp_path, capsys):

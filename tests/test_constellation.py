@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ceapsk.constellation import (ApskConstellation, Ring, apsk_points,
-                                  inter_ring_med, intra_ring_med, is_feasible,
-                                  max_inter_ring_cosine, med, modulus_ratio,
-                                  qam_family, qfunc, ser_union_bound,
-                                  write_points_csv)
+from ceapsk.constellation import (ApskConstellation, Ring, apsk_points, med,
+                                  modulus_ratio, qam_family, qfunc,
+                                  ser_union_bound)
 
 
 def test_apsk_points_qpsk():
@@ -46,32 +44,27 @@ def test_ring_validation():
 
 
 def test_intra_ring_med():
-    assert intra_ring_med(4, 1.0) == pytest.approx(math.sqrt(2.0))
-    assert intra_ring_med(16, 1.0) == pytest.approx(2 * math.sin(np.pi / 16))
-    assert intra_ring_med(16, 1.0) == pytest.approx(0.3902, abs=5e-5)
-    assert intra_ring_med(1, 1.0) is None  # absent-constraint sentinel
+    # the MED of one ring of N points is 2 sin(pi / N) times its radius
+    psk4 = apsk_points(ApskConstellation((Ring(4, 1.0, 0.0),)))
+    psk16 = apsk_points(ApskConstellation((Ring(16, 1.0, 0.0),)))
+    assert med(psk4).med == pytest.approx(math.sqrt(2.0))
+    assert med(psk16).med == pytest.approx(2 * math.sin(np.pi / 16))
+    assert med(0.5 * psk16).med == pytest.approx(0.3902 / 2, abs=5e-5)
 
 
 def test_inter_ring_med_colinear():
-    assert inter_ring_med(1, 1, 0.0, 0.0, 1.0, 0.5) == pytest.approx(0.5)
+    c = ApskConstellation((Ring(1, 1.0, 0.0), Ring(1, 0.5, 0.0)))
+    assert med(apsk_points(c)).med == pytest.approx(0.5)
 
 
 def test_inter_ring_med_region1():
-    d = inter_ring_med(11, 5, 0.0, 0.0182 * np.pi, 1.0, 0.4603)
-    assert d == pytest.approx(0.5411, abs=5e-5)
-
-
-def test_inter_ring_med_matches_brute_force():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        nl, nh = rng.integers(1, 12, size=2)
-        wl, wh = rng.uniform(0, 2 * np.pi, size=2)
-        rl, rh = rng.uniform(0.1, 1.0, size=2)
-        analytic = inter_ring_med(nl, nh, wl, wh, rl, rh)
-        a = rl * np.exp(1j * (2 * np.pi * np.arange(nl) / nl + wl))
-        b = rh * np.exp(1j * (2 * np.pi * np.arange(nh) / nh + wh))
-        brute = np.abs(a[:, None] - b[None, :]).min()
-        assert analytic == pytest.approx(brute, abs=1e-12)
+    # region-1 16-APSK: the inter-ring distance is the MED
+    c = ApskConstellation((Ring(11, 1.0, 0.0),
+                           Ring(5, 0.4603, 0.0182 * np.pi)))
+    pts = apsk_points(c)
+    assert np.abs(pts[:11, None] - pts[None, 11:]).min() == pytest.approx(
+        0.5411, abs=5e-5)
+    assert med(pts).med == pytest.approx(0.5411, abs=5e-5)
 
 
 def test_med_qam_values():
@@ -86,7 +79,9 @@ def test_med_errors_on_single_point():
 
 
 def test_analytic_vs_exhaustive_med():
-    # Eq-style analytic MEDs must agree with O(N^2) brute force
+    # Eq-style analytic MEDs must agree with O(N^2) brute force: the
+    # intra-ring terms 2 rho sin(pi / N_l) (absent for a single point) and
+    # the inter-ring term by the cosine rule on the worst angle difference
     rng = np.random.default_rng(1)
     for _ in range(30):
         n1 = int(rng.integers(2, 16))
@@ -95,25 +90,31 @@ def test_analytic_vs_exhaustive_med():
         om = float(rng.uniform(0, 2 * np.pi))
         c = ApskConstellation((Ring(n1, 1.0, 0.0), Ring(n2, rho2, om)))
         pts = apsk_points(c)
-        terms = [inter_ring_med(n1, n2, 0.0, om, 1.0, rho2)]
-        d1 = intra_ring_med(n1, 1.0)
-        d2 = intra_ring_med(n2, rho2)
-        terms += [d for d in (d1, d2) if d is not None]
+        ang = (2 * np.pi * np.arange(n1)[:, None] / n1 - om
+               - 2 * np.pi * np.arange(n2)[None, :] / n2)
+        cmax = np.cos(ang).max()
+        terms = [math.sqrt(max(1 + rho2 ** 2 - 2 * rho2 * cmax, 0.0)),
+                 2 * math.sin(np.pi / n1)]
+        if n2 > 1:
+            terms.append(2 * rho2 * math.sin(np.pi / n2))
         assert min(terms) == pytest.approx(med(pts).med, abs=1e-12)
+
+
+# A set fits the annulus of ratio q iff modulus_ratio(set) >= q
 
 
 def test_is_feasible():
     q16 = qam_family(16)
-    assert is_feasible(q16, 0.3)
-    assert not is_feasible(q16, 0.4)
+    assert modulus_ratio(q16) >= 0.3
+    assert not modulus_ratio(q16) >= 0.4
     psk = np.exp(2j * np.pi * np.arange(8) / 8)
-    assert is_feasible(psk, 1.0)
+    assert modulus_ratio(psk) >= 1.0 - 1e-12  # |exp(j phi)| rounds
 
 
 def test_is_feasible_monotone():
     pts = qam_family(32)
     ratios = np.linspace(0, 1, 21)
-    flags = [is_feasible(pts, q) for q in ratios]
+    flags = [modulus_ratio(pts) >= q for q in ratios]
     # once infeasible, stays infeasible
     assert flags == sorted(flags, reverse=True)
 
@@ -146,19 +147,9 @@ def test_union_bound_values():
     assert ser_union_bound(16, 0.5, 1.0, 1e-30) == 0.0
 
 
-def test_union_bound_raw_unclamped():
-    raw = ser_union_bound(16, 0.0, 1.0, 1.0, clamp=False)
-    assert raw == pytest.approx(7.5)
-
-
 def test_qfunc():
     assert qfunc(0.0) == pytest.approx(0.5)
     assert qfunc(3.0) == pytest.approx(1.3499e-3, rel=1e-3)
-
-
-def test_max_inter_ring_cosine_bounds():
-    c = max_inter_ring_cosine(11, 5, 0.0, 0.0182 * np.pi)
-    assert -1.0 <= c <= 1.0
 
 
 def test_json_roundtrip():
@@ -166,10 +157,3 @@ def test_json_roundtrip():
     c2 = ApskConstellation.from_json(c.to_json())
     assert c2 == c
 
-
-def test_points_csv(tmp_path):
-    path = tmp_path / "pts.csv"
-    write_points_csv(path, qam_family(4))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im"
-    assert len(lines) == 5

@@ -3,35 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceapsk.channel import (ChannelRealization, annulus_arrays,
-                            compute_annulus, sample_rayleigh)
-from ceapsk.precoder import (_BLOCK, InfeasibleTargetError, egt_transmit,
-                             map_point_to_phases, phases_for_targets,
-                             realize_symbol, reconstruct, transmit)
+from ceapsk.channel import annulus_arrays, sample_rayleigh
+from ceapsk.precoder import (_BLOCK, phases_for_targets, reconstruct,
+                             transmit)
+
+
+def _one(h, power, d):
+    """transmit() for one channel and target: (x, receive point, r, R)."""
+    h = np.atleast_2d(np.asarray(h, dtype=complex))
+    x = transmit(h, power, np.array([d]))
+    inner, outer = annulus_arrays(h, power)
+    return x[0], np.sum(h * x), inner[0], outer[0]
 
 
 def test_coherent_alignment_reaches_outer():
-    h = ChannelRealization(np.array([1.0, 1.0]))
-    sol = map_point_to_phases(h, 2.0, 2.0 + 0j)
-    np.testing.assert_allclose(sol.phases, [0.0, 0.0], atol=1e-12)
-    assert sol.residual_error < 1e-12
+    x, got, _, _ = _one([1.0, 1.0], 2.0, 2.0 + 0j)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
+    assert abs(got - 2.0) < 1e-12
 
 
 def test_symmetric_two_phasor_split():
-    h = ChannelRealization(np.array([1.0, 1.0]))
-    sol = map_point_to_phases(h, 2.0, np.sqrt(2.0) + 0j)
-    got = set(np.round(np.sort(sol.phases), 9))
+    x, got, _, _ = _one([1.0, 1.0], 2.0, np.sqrt(2.0) + 0j)
+    got_phases = set(np.round(np.sort(np.angle(x) % (2 * np.pi)), 9))
     want = set(np.round(np.sort([np.pi / 4, 2 * np.pi - np.pi / 4]), 9))
-    assert got == want
-    assert sol.residual_error < 1e-12
-
-
-def test_infeasible_target_error():
-    h = ChannelRealization(np.array([3.0, 1.0]))
-    ann = compute_annulus(h, 2.0)
-    with pytest.raises(InfeasibleTargetError) as exc:
-        map_point_to_phases(h, 2.0, 0.1 + 0j)  # below inner radius 2
-    assert exc.value.annulus == ann
+    assert got_phases == want
+    assert abs(got - np.sqrt(2.0)) < 1e-12
 
 
 def test_m4_random_targets():
@@ -53,68 +49,35 @@ def test_boundary_targets():
     rng = np.random.default_rng(4)
     for m in (2, 3, 5):
         h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        ch = ChannelRealization(h)
-        ann = compute_annulus(ch, 1.0)
+        _, _, inner, outer = _one(h, 1.0, 0j)
         # outer boundary: all phasors aligned with the target direction
-        sol = map_point_to_phases(ch, 1.0, ann.outer * np.exp(0.3j))
-        assert sol.residual_error < 1e-9 * ann.outer
-        phasors = np.abs(h) * np.exp(1j * (sol.phases + np.angle(h)))
-        np.testing.assert_allclose(np.angle(phasors), 0.3, atol=1e-6)
+        x, got, _, _ = _one(h, 1.0, outer * np.exp(0.3j))
+        assert abs(got - outer * np.exp(0.3j)) < 1e-9 * outer
+        np.testing.assert_allclose(np.angle(h * x), 0.3, atol=1e-6)
         # inner boundary
-        if ann.inner > 0:
-            sol = map_point_to_phases(ch, 1.0, ann.inner * np.exp(0.3j))
-            assert sol.residual_error < 1e-9 * ann.outer
+        if inner > 0:
+            _, got, _, _ = _one(h, 1.0, inner * np.exp(0.3j))
+            assert abs(got - inner * np.exp(0.3j)) < 1e-9 * outer
 
 
 def test_rotation_consistency():
     rng = np.random.default_rng(5)
-    h = ChannelRealization(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    ann = compute_annulus(h, 1.0)
-    d = 0.7 * ann.outer + 0j
+    h = (rng.standard_normal(4) + 1j * rng.standard_normal(4))[None, :]
+    _, outer = annulus_arrays(h, 1.0)
+    d = 0.7 * outer[0] + 0j
     for phi in (0.0, 0.4, 1.9, np.pi):
-        sol = map_point_to_phases(h, 1.0, d * np.exp(1j * phi))
-        got = reconstruct(h.gains[None, :], 1.0, sol.phases[None, :])[0]
-        assert abs(got - d * np.exp(1j * phi)) < 1e-9 * ann.outer
+        theta = phases_for_targets(h, 1.0, np.array([d * np.exp(1j * phi)]))
+        got = reconstruct(h, 1.0, theta)[0]
+        assert abs(got - d * np.exp(1j * phi)) < 1e-9 * outer[0]
 
 
 def test_phases_in_range():
     rng = np.random.default_rng(6)
-    h = ChannelRealization(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    ann = compute_annulus(h, 1.0)
-    sol = map_point_to_phases(h, 1.0, 0.5 * ann.outer + 0j)
-    assert np.all(sol.phases >= 0)
-    assert np.all(sol.phases < 2 * np.pi)
-
-
-def test_realize_symbol_outer_point():
-    rng = np.random.default_rng(7)
-    h = ChannelRealization(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    ann = compute_annulus(h, 1.0)
-    sol = realize_symbol(h, 1.0, np.exp(0.5j), ann.outer)
-    assert abs(abs(sol.target) - ann.outer) < 1e-12 * ann.outer
-
-
-def test_realize_symbol_clipping():
-    # |h1|/|h2| = 7/3 gives ratio exactly 0.4
-    h = ChannelRealization(np.array([7.0, 3.0]))
-    ann = compute_annulus(h, 1.0)
-    assert ann.ratio == pytest.approx(0.4)
-    s = (1 + 1j) / (3 * np.sqrt(2))  # 16-QAM inner point, |s| = 1/3
-    with pytest.raises(InfeasibleTargetError):
-        realize_symbol(h, 1.0, s, ann.outer)
-    sol = realize_symbol(h, 1.0, s, ann.outer, clip=True)
-    assert abs(sol.target) == pytest.approx(0.4 * ann.outer)
-    assert sol.residual_error < 1e-9 * ann.outer
-
-
-def test_egt_transmit():
-    rng = np.random.default_rng(8)
-    h = ChannelRealization(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    ann = compute_annulus(h, 1.0)
-    assert egt_transmit(h, 1.0, 1.0) == pytest.approx(ann.outer)
-    assert egt_transmit(h, 1.0, 0.0) == 0.0
-    s = 0.3 - 0.8j
-    assert egt_transmit(h, 1.0, s) == pytest.approx(ann.outer * s)
+    h = (rng.standard_normal(3) + 1j * rng.standard_normal(3))[None, :]
+    _, outer = annulus_arrays(h, 1.0)
+    theta = phases_for_targets(h, 1.0, np.array([0.5 * outer[0] + 0j]))
+    assert np.all(theta >= 0)
+    assert np.all(theta < 2 * np.pi)
 
 
 # ---------------------------------------------------------------------------

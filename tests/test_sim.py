@@ -17,10 +17,9 @@ from ceapsk.constellation import (qam_family, ser_union_bound,
                                   union_bound_threshold)
 from ceapsk.optimizer import build_region_table, build_suboptimal_table
 from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
-                        _psk_decide, _qam16_decide, _rate_counts, _RingTables,
-                        apsk_dmin_lookup, qam_dmin_lookup, run_csit_sweep,
-                        run_fixed_rate_ser, run_variable_rate, select_rate,
-                        snr_at_bits, snr_at_ser)
+                        _psk_decide, _qam16_decide, _qam_limits, _rate_counts,
+                        _RingTables, run_csit_sweep, run_fixed_rate_ser,
+                        run_variable_rate, snr_at_bits, snr_at_ser)
 
 
 @pytest.fixture(scope="module")
@@ -73,24 +72,23 @@ def test_powers():
     assert cfg.powers()[0] == pytest.approx(1e-3)
 
 
-def test_select_rate_limits(table16):
-    sizes = (2, 4, 8, 16, 32, 64)
-    tables = {n: build_region_table(n, 1e-4) for n in sizes}
-    lookup = apsk_dmin_lookup(tables)
-    assert select_rate(0.0, 1e12, 1.0, 1e-3, sizes, lookup) == 64
-    assert select_rate(0.0, 1e-12, 1.0, 1e-3, sizes, lookup) == 1
+def test_select_rate_limits():
+    # at a vast SNR every trial sends the largest APSK size, at a tiny one
+    # none sends
+    cfg = SimConfig(m=2, snr_db=(-200.0, 300.0), trials=2000,
+                    scheme="variable-apsk")
+    curve = run_variable_rate(cfg, _rate_tables())
+    assert curve.avg_bits.tolist() == [0.0, 6.0]
+    assert curve.no_tx_fraction.tolist() == [1.0, 0.0]
 
 
 def test_select_rate_qam_feasibility():
-    sizes = (2, 4, 8, 16, 32, 64)
-    lookup = qam_dmin_lookup()
     # at ratio 0.4 only N in {2,4,8} are feasible for the QAM family
-    assert lookup(16, 0.4) == 0.0
-    assert lookup(32, 0.4) == 0.0
-    assert lookup(64, 0.4) == 0.0
-    assert lookup(8, 0.4) > 0.0
-    outer = 1e6
-    assert select_rate(0.4 * outer, outer, 1.0, 1e-3, sizes, lookup) == 8
+    for n in (2, 4, 8):
+        assert _qam_limits(n)[0] >= 0.4
+    for n in (16, 32, 64):
+        assert _qam_limits(n)[0] < 0.4
+    assert _qam_limits(8)[1] > 0.0
 
 
 def test_zero_noise_zero_errors(table16):
@@ -449,23 +447,24 @@ def test_union_bound_threshold_round_trip():
     sigma2 = sim.DEFAULT_NOISE_POWER
     for n in (2, 3, 4, 8, 16, 32, 64, 256):
         thr = union_bound_threshold(n, 1e-3, sigma2)
-        above = ser_union_bound(n, 1.0, thr * (1 + 1e-9), sigma2, clamp=False)
-        below = ser_union_bound(n, 1.0, thr * (1 - 1e-9), sigma2, clamp=False)
+        above = ser_union_bound(n, 1.0, thr * (1 + 1e-9), sigma2)
+        below = ser_union_bound(n, 1.0, thr * (1 - 1e-9), sigma2)
         assert above < 1e-3 < below
     assert union_bound_threshold(2, 0.5, sigma2) == 0.0
     assert union_bound_threshold(3, 0.5, sigma2) > 0.0
 
 
 def test_select_rate_shares_the_array_rule():
-    # at outer * d exactly on the threshold the size is chosen, one ulp
-    # below it is not; a zero distance never is, even with a zero threshold
-    def lookup(n, ratio):
-        return 1.0 if n == 16 else 0.0
+    # at R d_min exactly on the threshold the size is chosen, one ulp below
+    # it is not; a zero distance never is, even with a zero threshold
+    sqrt_p, step = np.array([1.0]), np.array([1.0, 3.0])  # sizes 2 and 16
     thr = union_bound_threshold(16, 1e-3, 1.0)
-    assert select_rate(0.0, thr, 1.0, 1e-3, (2, 16), lookup) == 16
-    assert select_rate(0.0, np.nextafter(thr, 0.0), 1.0, 1e-3, (2, 16),
-                       lookup) == 1
-    assert select_rate(0.0, 0.0, 1.0, 0.6, (2,), lambda n, r: 1.0) == 1
+    least = _least_feasible(sqrt_p, np.array([np.inf, thr]))
+    x = np.array([[0.0, 0.0], [thr, np.nextafter(thr, 0.0)]])
+    assert [c.tolist() for c in _rate_counts(x, 2, least, step)] == [[1], [4.0]]
+    least = _least_feasible(sqrt_p, np.array([0.0, np.inf]))
+    x = np.array([[0.0], [0.0]])
+    assert [c.tolist() for c in _rate_counts(x, 1, least, step)] == [[1], [0.0]]
 
 
 # avg_bits and no_tx_fraction of the per-SNR-point selection, recorded
