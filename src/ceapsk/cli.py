@@ -270,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv):
     """Config-file values become defaults; explicit flags win.
 
+    The config's flags go right after the subcommand, ahead of the explicit
+    ones, so argparse's last-one-wins rule lets an explicit flag override
+    them in any form it accepts: full, `--flag=value` or a unique prefix.
     A run manifest is also accepted as a config file (its "parameters"
     block is used), so any command can be replayed from its manifest.
     Both `--config PATH` and `--config=PATH` are accepted.
@@ -291,15 +294,14 @@ def _apply_config_file(argv):
     extra = []
     for key, val in conf.items():
         flag = "--" + key.replace("_", "-")
-        if val is None or any(t == flag or t.startswith(flag + "=") for t in rest):
-            continue
-        if isinstance(val, bool):
-            if val:
-                extra.append(flag)
-        else:
-            extra += [flag, str(val)]
-    # flags must follow the subcommand
-    return rest + extra
+        if val is True:
+            extra.append(flag)
+        elif val is not None and val is not False:
+            # one token, so a value such as "-5:10:1" is not read as a flag
+            extra.append(f"{flag}={val}")
+    cmd = next((i for i, tok in enumerate(rest) if not tok.startswith("-")),
+               len(rest) - 1)
+    return rest[:cmd + 1] + extra + rest[cmd + 1:]
 
 
 def main(argv=None) -> int:

@@ -122,6 +122,26 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
             assert out["n2"] == 8
 
 
+@pytest.mark.parametrize("ratio", [["--rat", "0.9"], ["--rat=0.9"],
+                                   ["--ra", "0.9"]])
+def test_config_loses_to_abbreviated_flag(ratio, tmp_path, capsys):
+    # argparse accepts a unique prefix of a flag; it must win as well
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"n": 16, "ratio": 0.4}))
+    assert main(["--config", str(conf), "design"] + ratio) == 0
+    assert json.loads(capsys.readouterr().out)["n2"] == 8
+
+
+def test_config_value_starting_with_dash(tmp_path, capsys):
+    # a replayed manifest may hold a grid such as -4:0:2
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"snr": "-4:0:2", "trials": 1000}))
+    assert main(["--config", str(conf), "ser", "--scheme", "fixed-qam16",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "ser_fixed-qam16_m2.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines[1:]] == ["-4", "-2", "0"]
+
+
 def test_config_equals_form(tmp_path, capsys):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({"m": 3, "trials": 2e3}))

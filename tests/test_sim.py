@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import ceapsk.sim as sim
 from ceapsk.constellation import (qam_family, ser_union_bound,
                                   union_bound_threshold)
 from ceapsk.optimizer import build_region_table, build_suboptimal_table
+from ceapsk.rng import stream
 from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
                         _psk_decide, _qam16_decide, _qam_limits, _rate_counts,
                         _RingTables, run_csit_sweep, run_fixed_rate_ser,
@@ -293,7 +295,8 @@ def test_two_ring_detector_matches_brute_force(n, suboptimal, region, frac,
                     n=n)
     u = rng.integers(0, n, size=w.size)
     t_idx, t_rho2 = np.full(w.size, region), np.full(w.size, rho2)
-    s, decide = _RingTables(cfg, table).for_trials(t_idx, t_rho2, u)
+    rings = _RingTables(cfg, table)
+    s, decide = rings.symbols(t_idx, t_rho2, u), rings.detector(t_idx, t_rho2)
     # symbols are bit-identical to the defined points
     np.testing.assert_array_equal(s, pts[u])
     clear = _assert_ml(decide(w.real, w.imag), w, pts)
@@ -359,6 +362,32 @@ def test_fixed_rate_error_counts_pinned(scheme, m):
                     scheme=scheme, seed=5, chunk_size=8_000)
     curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
     assert curve.errors.tolist() == _PINNED_FIXED[scheme, m]
+
+
+# Union-bound column summed over whole chunks, recorded before the sum was
+# blocked over rows (seed 5, 2e4 trials at SNR 12/18/24 dB); chunks of 2e4
+# span several row blocks.
+_PINNED_BOUND = {
+    ("proposed-optimal", 2, 8_000): [0.5566091187751877, 0.10817040551260773,
+                                     0.010432154769629021],
+    ("proposed-optimal", 3, 8_000): [0.31251220016166065, 0.020841142434121305,
+                                     0.0005446710221898022],
+    ("proposed-suboptimal", 2, 8_000): [0.5920086297370848, 0.13352974209150117,
+                                        0.014253322030944642],
+    ("proposed-suboptimal", 3, 8_000): [0.31580880263043726, 0.02288912985358386,
+                                        0.0006458411139390354],
+    ("proposed-optimal", 2, 20_000): [0.5510581380512877, 0.10609725330465894,
+                                      0.009740541458086557],
+}
+
+
+@pytest.mark.parametrize("scheme,m,chunk", sorted(_PINNED_BOUND))
+def test_union_bound_pinned(scheme, m, chunk):
+    cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
+                    scheme=scheme, seed=5, chunk_size=chunk)
+    curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
+    assert curve.union_bound.tolist() == pytest.approx(
+        _PINNED_BOUND[scheme, m, chunk], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
@@ -553,3 +582,105 @@ def test_zero_norm_channel_sends_nothing(scheme, target_ser, monkeypatch):
     assert plain.no_tx_fraction[-1] == 0.0
     assert no_tx[-1] == zeroed
     assert np.all(curve.avg_bits <= plain.avg_bits)
+
+
+# ---------------------------------------------------------------------------
+# Skipping the (trial, point) pairs that cannot err
+
+
+def _detect_every_pair(cfg, table):
+    """Error counts of the fixed-rate engine's chunks with ML detection run
+    on every (trial, SNR point) pair."""
+    rings = _RingTables(cfg, table) if table is not None else None
+    qam16 = qam_family(16)
+    psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
+    sigma = math.sqrt(cfg.noise_power)
+    errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
+    for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        t = min(cfg.chunk_size, cfg.trials - lo)
+        rng = stream(cfg.seed, 1, chunk)
+        h = sim._draw_channel(rng, cfg.m, t, cfg.path_loss)
+        u = rng.integers(0, cfg.n, size=t)
+        z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
+        _, big_r0, ratio = sim._annulus(h)
+        if rings is not None:
+            idx, _, _, rho2 = table.params_at(ratio)
+            s, decide = rings.symbols(idx, rho2, u), rings.detector(idx, rho2)
+        elif cfg.scheme == "adaptive-qam-psk":
+            feas = ratio <= 1.0 / 3.0
+            s = np.where(feas, qam16[u], psk16[u])
+            def decide(wr, wi):
+                return np.where(feas, _qam16_decide(wr, wi),
+                                _psk_decide(wr, wi, 16))
+        else:
+            s, decide = qam16[u], _qam16_decide
+        if cfg.scheme == "fixed-qam16":
+            mod = np.abs(s)
+            s = s / mod * np.clip(mod, ratio, 1.0)
+        d0 = (big_r0 * s if cfg.scheme == "egt-qam16" else
+              sim._receive(h, sim.transmit(h, 1.0, big_r0 * s)))
+        live = big_r0 > 0
+        scale = np.where(live, big_r0, 1.0)
+        a, b = d0 / scale, z / scale
+        sent = np.where(live, u, -1)
+        for k, p in enumerate(cfg.powers()):
+            c = sigma / math.sqrt(p)
+            errors[k] += np.count_nonzero(
+                decide(a.real + c * b.real, a.imag + c * b.imag) != sent)
+    return errors
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("scheme", [s for s, (cmd, _) in sim.SCHEMES.items()
+                                    if cmd == "ser"])
+def test_skipped_pairs_never_err(scheme, m, seed, monkeypatch):
+    zeroed = _zero_some_rows(monkeypatch)
+    cfg = SimConfig(m=m, snr_db=tuple(float(s) for s in range(0, 39, 2)),
+                    trials=20_000, scheme=scheme, seed=seed, chunk_size=8_000)
+    curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
+    np.testing.assert_array_equal(curve.errors,
+                                  _detect_every_pair(cfg, _scheme_table(scheme)))
+    assert curve.errors[-1] >= zeroed
+
+
+@pytest.mark.parametrize("suboptimal", [False, True])
+def test_safe_radius_inside_every_cell(suboptimal):
+    # the skip rests on SAFE_RADIUS * d_min_at(ratio) < med / 2 for the
+    # points the engine assembles, on a dense sweep and at every region edge
+    table = _table(16, suboptimal)
+    lo = np.array([reg.lo for reg in table.regions])
+    ratios = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001), lo,
+                                     np.nextafter(lo, -1.0),
+                                     np.nextafter(lo, 2.0)]), 0.0, 1.0)
+    idx, _, _, rho2 = table.params_at(ratios)
+    cfg = SimConfig(m=2, snr_db=(0.0,), trials=1000, scheme="proposed-optimal")
+    pts = _RingTables(cfg, table).symbols(
+        np.repeat(idx, 16), np.repeat(rho2, 16),
+        np.tile(np.arange(16), ratios.size)).reshape(-1, 16)
+    dist = np.abs(pts[:, :, None] - pts[:, None, :])
+    dist[:, np.arange(16), np.arange(16)] = np.inf
+    true_med = dist.min(axis=(1, 2))
+    d_min = table.d_min_at(ratios)
+    assert np.all(sim._SAFE_RADIUS * d_min < 0.5 * true_med)
+    assert np.all(d_min <= true_med * (1.0 + 1e-6))
+
+
+def test_detection_work_is_bounded(monkeypatch):
+    # ser-apsk16-m2's configuration: about 14.5% of the (trial, point) pairs
+    # can err at all, and only those reach the detector
+    seen = []
+    build = _RingTables.detector
+
+    def counting(self, idx, rho2):
+        decide = build(self, idx, rho2)
+
+        def counted(wr, wi):
+            seen.append(wr.size)
+            return decide(wr, wi)
+        return counted
+    monkeypatch.setattr(_RingTables, "detector", counting)
+    cfg = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
+                    trials=200_000, scheme="proposed-optimal")
+    run_fixed_rate_ser(cfg, _table(16))
+    assert 0 < sum(seen) <= 0.2 * cfg.trials * len(cfg.snr_db)
