@@ -49,9 +49,13 @@ def annulus_arrays(h: np.ndarray, total_power: float, *,
 
 def _draw_channel(rng: np.random.Generator, m: int, t: int,
                   path_loss: float) -> np.ndarray:
-    """t i.i.d. CN(0, beta) channels of m antennas from rng, shape (t, m)."""
-    re, im = rng.standard_normal((t, m)), rng.standard_normal((t, m))
-    return np.sqrt(path_loss / 2.0) * (re + 1j * im)
+    """t i.i.d. CN(0, beta) channels of m antennas from rng, shape (t, m).
+    Built in place, with the same bits as sqrt(beta / 2) (re + 1j im)."""
+    h = np.empty((t, m), dtype=complex)
+    h.real = rng.standard_normal((t, m))
+    h.imag = rng.standard_normal((t, m))
+    h *= np.sqrt(path_loss / 2.0)
+    return h
 
 
 def sample_rayleigh(num_antennas: int, path_loss: float, rng_seed: int,

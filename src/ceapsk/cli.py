@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -44,10 +45,21 @@ def parse_range(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}; expected lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"bad range {text!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     n = int(round((hi - lo) / step))
     return tuple(lo + i * step for i in range(n + 1))
+
+
+def parse_trials(text: str) -> int:
+    """Parse a trial count such as 1e6."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 1):
+        raise ValueError(f"bad trial count {text!r}; expected a finite "
+                         "number >= 1")
+    return int(value)
 
 
 def write_manifest(path: Path, command: str, params: dict, outputs: list,
@@ -120,7 +132,7 @@ def _sim_config(args) -> SimConfig:
         raise ValueError(f"unknown scheme {args.scheme!r}; "
                          f"valid: {', '.join(group)}")
     return SimConfig(m=args.m, snr_db=parse_range(args.snr),
-                     trials=int(float(args.trials)), scheme=args.scheme,
+                     trials=parse_trials(args.trials), scheme=args.scheme,
                      target_ser=args.pe, seed=args.seed, threads=args.threads)
 
 
@@ -138,12 +150,12 @@ def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
 
 def cmd_ser(args) -> int:
     cfg = _sim_config(args)
+    tr_grid = parse_range(args.csit_sweep) if args.csit_sweep else None
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     table = _scheme_tables(cfg, args.grid_step, outdir / "cache")
-    if args.csit_sweep:
-        tr_grid = parse_range(args.csit_sweep)
+    if tr_grid is not None:
         curve = run_csit_sweep(cfg, table, tr_grid)
         name = f"ser_{cfg.scheme}_m{cfg.m}_csit"
     else:
@@ -182,10 +194,13 @@ def cmd_rate(args) -> int:
 
 
 def cmd_cdf(args) -> int:
+    trials = parse_trials(args.trials)
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    h = sample_rayleigh(2, 1.0, args.seed, trials=int(float(args.trials)))
+    h = sample_rayleigh(2, 1.0, args.seed, trials=trials)
     inner, outer = annulus_arrays(h, 1.0)
     ratio = np.sort(inner / outer)
     grid = np.linspace(0.0, 1.0, args.points)
@@ -198,7 +213,7 @@ def cmd_cdf(args) -> int:
         for x, e, a in zip(grid, emp, ana):
             w.writerow([f"{x:.6f}", f"{e:.8f}", f"{a:.8f}"])
     write_manifest(outdir / "ratio_cdf_m2.manifest.json", "cdf",
-                   {"trials": int(float(args.trials)), "points": args.points,
+                   {"trials": trials, "points": args.points,
                     "seed": args.seed, "out_dir": args.out_dir}, [out], started)
     print(f"wrote {out}; max deviation "
           f"{np.abs(emp - ana).max():.5f}")

@@ -228,19 +228,23 @@ class RegionTable:
         first region for a ratio below every lo)."""
         return np.searchsorted(self._arrays["upper"], ratios, side="right")
 
-    def d_min_at(self, ratios) -> np.ndarray:
-        """Vectorized optimal MED as a function of r/R."""
+    def d_min_at(self, ratios, idx=None) -> np.ndarray:
+        """Vectorized optimal MED as a function of r/R.  idx, when given,
+        is self.index(ratios)."""
         ratios = np.asarray(ratios, dtype=float)
-        col, idx = self._arrays, self.index(ratios)
+        col = self._arrays
+        idx = self.index(ratios) if idx is None else idx
         # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
         formula = np.sqrt(np.maximum(
             ratios ** 2 - ratios * col["c12x2"][idx] + 1.0, 0.0))
         return np.where(col["const"][idx], col["d_min"][idx], formula)
 
-    def params_at(self, ratios):
-        """Vectorized (region index, n2, omega2, rho2) per ratio."""
+    def params_at(self, ratios, idx=None):
+        """Vectorized (region index, n2, omega2, rho2) per ratio.  idx, when
+        given, is self.index(ratios)."""
         ratios = np.asarray(ratios, dtype=float)
-        col, idx = self._arrays, self.index(ratios)
+        col = self._arrays
+        idx = self.index(ratios) if idx is None else idx
         rho2 = np.where(col["track"][idx], ratios, col["rho2"][idx])
         return idx, col["n2"][idx], col["omega2"][idx], rho2
 
@@ -284,8 +288,8 @@ def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
     refined by bisection to 1e-6.  Regions where rho2 tracks r/R carry the
     formula d_min rule; all others carry a constant d_min.
     """
-    if grid_step > 1e-4:
-        raise ValueError("grid_step must be <= 1e-4")
+    if not 0.0 < grid_step <= 1e-4:
+        raise ValueError("grid_step must lie in (0, 1e-4]")
     if n < 2 or n % 2 != 0:
         raise ValueError("N must be even and >= 2")
     if n & (n - 1) != 0:

@@ -164,10 +164,8 @@ class _RingTables:
 
     def symbols(self, idx, rho2, u):
         """Symbols u of the trials' regions, at unit outer radius."""
-        s = self.unit[idx, u]
-        inner = u >= self.n1[idx]
-        s[inner] = rho2[inner] * s[inner]
-        return s
+        s = self.unit.ravel()[idx * self.unit.shape[1] + u]
+        return s * np.where(u >= self.n1[idx], rho2, 1.0)
 
     def detector(self, idx, rho2):
         """ML detector of the trials' constellations.  It takes the receive
@@ -258,9 +256,10 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         r0, big_r0, ratio = _annulus(h)
         # detector(rows): the ML detector of the trials `rows`, in that order
         if rings is not None:
-            idx, _, _, rho2 = table.params_at(ratio)
+            idx = table.index(ratio)
+            _, _, _, rho2 = table.params_at(ratio, idx)
             s = rings.symbols(idx, rho2, u)
-            d_cell = table.d_min_at(ratio)
+            d_cell = table.d_min_at(ratio, idx)
             def detector(rows):
                 return rings.detector(idx[rows], rho2[rows])
         elif cfg.scheme == "adaptive-qam-psk":
@@ -365,54 +364,102 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     scaled constellation.  A shared unit estimation-error draw couples the
     sweep points, so the SER trend in training SNR is monotone up to
     binomial noise.
+
+    The precoder and the detector run only on the (trial, training point)
+    pairs that may err.  Write delta for the unit error draw, so that
+    h = h_hat + sd delta, and let s be the symbol at unit outer radius and
+    R the estimate's outer radius at unit power.  The precoder hits its
+    target, h_hat . x = R s, with every |x_i| = 1 / sqrt(M); so w - s =
+    (sd delta . x + n / sqrt(p)) / R and
+
+        |w - s| <= (sd |delta|_1 / sqrt(M) + |n| / sqrt(p)) / R.
+
+    A pair is skipped, with no transmit signal formed, when that bound is
+    below _SAFE_RADIUS d_cell (d_cell the MED of the trial's constellation):
+    then |w - s| < 0.45 d_cell < d_cell / 2 and the exact ML detectors
+    return the sent label, as in run_fixed_rate_ser.  On a skipped pair
+    |h|_1 <= (1 + 0.45 d_cell) |h_hat|_1 <= 1.9 |h_hat|_1, so float rounding
+    stays at ulp scale, far below the 0.05 d_cell margin.  The pairs left
+    go through the precoder, and on to the detector only if |w - s| >=
+    _SAFE_RADIUS d_cell.  A zero-norm estimate (R = 0) is an error, never
+    detected.  egt-qam16 takes the same test with the 16-QAM MED: its
+    w - q_u = (sd delta . e q_u / sqrt(M) + n / sqrt(p)) / R, with |e_i| = 1,
+    obeys the bound because |q_u| <= 1.
     """
     if len(cfg.snr_db) != 1:
         raise ValueError("csit sweep uses a single data SNR")
     if cfg.scheme not in ("proposed-optimal", "proposed-suboptimal", "egt-qam16"):
         raise ValueError(f"csit sweep not defined for scheme {cfg.scheme!r}")
+    training = tuple(float(s) for s in training_snr_db)
+    if not all(map(math.isfinite, training)):
+        raise ValueError("training SNRs must be finite")
     rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(cfg.noise_power), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
-    axis = list(training_snr_db) + [math.inf]
+    axis = list(training) + [math.inf]
     err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), cfg.path_loss).error_variance)
               for s in axis]
     qam16 = qam_family(16)
+    qam16_med = med(qam16).med
 
-    def one_point(h, dh_unit, u, noise, sd):
-        """Errors at one training point over one block of trials."""
+    def one_point(h, dh_unit, u, noise, spread, sd):
+        """Errors at one training point over one block of trials; spread is
+        the bound's (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
         h_hat = h - sd * dh_unit
         mags = np.abs(h_hat)
         _, big_r0, ratio = _annulus(h_hat, mags)
         if rings is None:  # egt-qam16
-            y = (np.sqrt(p / cfg.m) * np.sum(h * np.exp(-1j * np.angle(h_hat)),
-                                             axis=1) * qam16[u] + noise)
-            decide = _qam16_decide
+            d_cell = qam16_med
         else:
-            idx, _, _, rho2 = table.params_at(ratio)
-            s, decide = rings.symbols(idx, rho2, u), rings.detector(idx, rho2)
-            x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
-            y = sp * _receive(h, x) + noise
+            idx = table.index(ratio)
+            d_cell = table.d_min_at(ratio, idx)
         # a zero-norm estimate leaves nothing to scale by: an error
         live = big_r0 > 0
-        w = y / (sp * np.where(live, big_r0, 1.0))
-        return np.count_nonzero((decide(w.real, w.imag) != u) | ~live)
+        errors = big_r0.size - np.count_nonzero(live)
+        bound = sd * spread[0] + spread[1]
+        rows = np.flatnonzero((bound >= _SAFE_RADIUS * d_cell * big_r0) & live)
+        # the full-block arrays are dropped as their kept rows are taken
+        h_hat, mags, u, big_r0 = h_hat[rows], mags[rows], u[rows], big_r0[rows]
+        if rings is None:
+            s = qam16[u]
+            y = (np.sqrt(p / cfg.m)
+                 * np.sum(h[rows] * np.exp(-1j * np.angle(h_hat)), axis=1)
+                 * s + noise[rows])
+        else:
+            idx, d_cell = idx[rows], d_cell[rows]
+            _, _, _, rho2 = table.params_at(ratio[rows], idx)
+            s = rings.symbols(idx, rho2, u)
+            x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
+            y = sp * _receive(h[rows], x) + noise[rows]
+        w = y / (sp * big_r0)
+        far = np.flatnonzero(np.abs(w - s) >= _SAFE_RADIUS * d_cell)
+        decide = (_qam16_decide if rings is None
+                  else rings.detector(idx[far], rho2[far]))
+        return errors + np.count_nonzero(decide(w.real[far], w.imag[far])
+                                         != u[far])
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
         h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
         u = rng.integers(0, cfg.n, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
-        dh_unit = (rng.standard_normal((t, cfg.m))
-                   + 1j * rng.standard_normal((t, cfg.m))) / np.sqrt(2.0)
+        # built in place, as _draw_channel: the same bits as (re + 1j im) /
+        # sqrt(2) without its chunk-sized temporaries
+        dh_unit = np.empty((t, cfg.m), dtype=complex)
+        dh_unit.real = rng.standard_normal((t, cfg.m))
+        dh_unit.imag = rng.standard_normal((t, cfg.m))
+        dh_unit /= np.sqrt(2.0)
         noise = sigma * z
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
         for lo in range(0, t, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
+            hb, db, ub, nb = h[rows], dh_unit[rows], u[rows], noise[rows]
+            spread = (np.abs(db).sum(axis=1) / math.sqrt(cfg.m),
+                      np.abs(nb) / sp)
             for k, sd in enumerate(err_sd):
-                errors[k] += one_point(h[rows], dh_unit[rows], u[rows],
-                                       noise[rows], sd)
+                errors[k] += one_point(hb, db, ub, nb, spread, sd)
         return errors, np.zeros(len(err_sd))
 
     errors, _ = _reduce_chunks(cfg, one_chunk, len(err_sd))

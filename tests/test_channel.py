@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ceapsk.channel import (CsitModel, annulus_arrays, ratio_cdf_m2,
-                            sample_rayleigh)
+from ceapsk.channel import (CsitModel, _draw_channel, annulus_arrays,
+                            ratio_cdf_m2, sample_rayleigh)
 from ceapsk.optimizer import build_region_table
+from ceapsk.rng import stream
 from ceapsk.sim import SimConfig, run_csit_sweep
 
 
@@ -117,3 +118,14 @@ def test_mmse_estimate_reproducible(table16):
     a = run_csit_sweep(cfg, table16, (0.0, 10.0))
     b = run_csit_sweep(cfg, table16, (0.0, 10.0))
     np.testing.assert_array_equal(a.errors, b.errors)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_draw_channel_bits(m):
+    # the in-place draw keeps the bits of the textbook sum-then-scale form
+    rng, ref = stream(9, 1, 2), stream(9, 1, 2)
+    h = _draw_channel(rng, m, 5000, 1e-9)
+    want = np.sqrt(1e-9 / 2.0) * (ref.standard_normal((5000, m))
+                                  + 1j * ref.standard_normal((5000, m)))
+    assert h.shape == (5000, m)
+    np.testing.assert_array_equal(h.view(np.uint64), want.view(np.uint64))

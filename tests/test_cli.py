@@ -244,3 +244,29 @@ def test_rate_rejects_non_finite_snr(tmp_path, capsys):
     assert main(["rate", "--scheme", "variable-qam", "--snr", "nan",
                  "--trials", "1e3", "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.strip() == "error: snr_db must be finite"
+
+
+@pytest.mark.parametrize("args", [
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
+     "--csit-sweep", "nan"],
+    ["ser", "--scheme", "egt-qam16", "--snr", "20", "--trials", "1e3",
+     "--csit-sweep", "nan"],
+    ["ser", "--scheme", "fixed-qam16", "--snr", "20", "--trials", "inf"],
+    ["ser", "--scheme", "fixed-qam16", "--snr", "0:inf:1", "--trials", "1e3"],
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
+     "--csit-sweep", "0:inf:2"],
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
+     "--grid-step", "0"],
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
+     "--grid-step=-1e-4"],
+    ["table", "--n", "8", "--grid-step", "nan"],
+    ["cdf", "--trials", "0"],
+    ["cdf", "--trials", "1e3", "--points", "0"],
+], ids=["csit-nan-proposed", "csit-nan-egt", "trials-inf", "snr-range-inf",
+        "csit-range-inf", "grid-step-0", "grid-step-negative",
+        "table-grid-step-nan", "cdf-trials-0", "cdf-points-0"])
+def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not list(tmp_path.rglob("*.csv"))

@@ -1,5 +1,6 @@
-"""Static guards: no unused imports in the package, and every package name
-the benchmark harness in perfbench/ reaches still resolves."""
+"""Static guards: no unused imports or assert statements in the package,
+and every package name the benchmark harness in perfbench/ reaches still
+resolves."""
 
 import ast
 import importlib.util
@@ -36,6 +37,14 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_no_assert_statements():
+    # python -O strips asserts; package checks must raise instead
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def _resolve(dotted: str):

@@ -194,6 +194,12 @@ def test_grid_step_validation():
         build_region_table(16, 1e-3)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan])
+def test_grid_step_must_be_positive(step):
+    with pytest.raises(ValueError, match="grid_step"):
+        build_region_table(16, step)
+
+
 def test_suboptimal_table_n16():
     table = build_region_table(16, 1e-4)
     sub = build_suboptimal_table(table)
@@ -276,6 +282,11 @@ def test_region_lookup_at_edges(n, suboptimal, data):
     assert (n2[0], omega2[0]) == (reg.n2, reg.omega2)
     assert rho2[0] == (ratio if reg.rho2_rule == "track_ratio" else reg.rho2)
     d = table.d_min_at(np.array([ratio]))[0]
+    # a lookup done once and passed in gives the same values
+    shared = table.index(np.array([ratio]))
+    assert [a.tolist() for a in table.params_at(np.array([ratio]), shared)] == [
+        a.tolist() for a in (idx, n2, omega2, rho2)]
+    assert table.d_min_at(np.array([ratio]), shared)[0] == d
     if reg.d_min_rule == "constant":
         assert d == reg.d_min
     else:

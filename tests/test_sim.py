@@ -684,3 +684,97 @@ def test_detection_work_is_bounded(monkeypatch):
                     trials=200_000, scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, _table(16))
     assert 0 < sum(seen) <= 0.2 * cfg.trials * len(cfg.snr_db)
+
+
+# ---------------------------------------------------------------------------
+# CSIT sweep: skipping the (trial, training point) pairs that cannot err
+
+
+def _csit_every_pair(cfg, table, training_snr_db):
+    """Error counts of the CSIT sweep's chunks with the precoder and ML
+    detection run on every (trial, training point) pair, a whole chunk at a
+    time."""
+    rings = _RingTables(cfg, table) if table is not None else None
+    qam16 = qam_family(16)
+    p = float(cfg.powers()[0])
+    sp = math.sqrt(p)
+    err_sd = [math.sqrt(cfg.path_loss / (1.0 + 10.0 ** (s / 10.0)))
+              for s in training_snr_db] + [0.0]
+    errors = np.zeros(len(err_sd), dtype=np.int64)
+    for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        t = min(cfg.chunk_size, cfg.trials - lo)
+        rng = stream(cfg.seed, 3, chunk)
+        h = sim._draw_channel(rng, cfg.m, t, cfg.path_loss)
+        u = rng.integers(0, cfg.n, size=t)
+        z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
+        dh = (rng.standard_normal((t, cfg.m))
+              + 1j * rng.standard_normal((t, cfg.m))) / np.sqrt(2.0)
+        noise = math.sqrt(cfg.noise_power) * z
+        for k, sd in enumerate(err_sd):
+            h_hat = h - sd * dh
+            _, big_r0, ratio = sim._annulus(h_hat)
+            if rings is None:
+                y = (np.sqrt(p / cfg.m)
+                     * np.sum(h * np.exp(-1j * np.angle(h_hat)), axis=1)
+                     * qam16[u] + noise)
+                decide = _qam16_decide
+            else:
+                idx, _, _, rho2 = table.params_at(ratio)
+                s = rings.symbols(idx, rho2, u)
+                decide = rings.detector(idx, rho2)
+                x = sim.transmit(h_hat, 1.0, big_r0 * s)
+                y = sp * sim._receive(h, x) + noise
+            live = big_r0 > 0
+            w = y / (sp * np.where(live, big_r0, 1.0))
+            errors[k] += np.count_nonzero((decide(w.real, w.imag) != u) | ~live)
+    return errors
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
+def test_csit_skipped_pairs_never_err(scheme, m, seed, monkeypatch):
+    zeroed = _zero_some_rows(monkeypatch)
+    training = tuple(float(s) for s in range(-10, 41, 5))
+    for snr in (5.0, 20.0, 40.0):
+        cfg = SimConfig(m=m, snr_db=(snr,), trials=10_000, scheme=scheme,
+                        seed=seed, chunk_size=4_000)
+        curve = run_csit_sweep(cfg, _scheme_table(scheme), training)
+        np.testing.assert_array_equal(
+            curve.errors, _csit_every_pair(cfg, _scheme_table(scheme), training))
+    assert curve.errors[-1] >= zeroed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
+def test_csit_sweep_rejects_non_finite_training_snr(scheme, bad):
+    cfg = SimConfig(m=2, snr_db=(20.0,), trials=2000, scheme=scheme)
+    with pytest.raises(ValueError, match="finite"):
+        run_csit_sweep(cfg, _scheme_table(scheme), (0.0, bad))
+
+
+def test_csit_work_is_bounded(monkeypatch):
+    # csit-apsk16-m4's configuration: only the pairs the bound cannot clear
+    # reach the precoder, and only those still unclear reach the detector
+    precoded, detected = [], []
+    transmit, build = sim.transmit, _RingTables.detector
+
+    def counting_transmit(h, *args, **kw):
+        precoded.append(len(h))
+        return transmit(h, *args, **kw)
+
+    def counting_detector(self, idx, rho2):
+        decide = build(self, idx, rho2)
+
+        def counted(wr, wi):
+            detected.append(wr.size)
+            return decide(wr, wi)
+        return counted
+    monkeypatch.setattr(sim, "transmit", counting_transmit)
+    monkeypatch.setattr(_RingTables, "detector", counting_detector)
+    cfg = SimConfig(m=4, snr_db=(20.0,), trials=200_000,
+                    scheme="proposed-optimal")
+    curve = run_csit_sweep(cfg, _table(16), tuple(range(0, 31, 2)))
+    pairs = cfg.trials * curve.snr_db.size
+    assert 0 < sum(precoded) <= 0.5 * pairs
+    assert 0 < sum(detected) <= 0.25 * pairs
