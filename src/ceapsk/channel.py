@@ -47,13 +47,21 @@ def annulus_arrays(h: np.ndarray, total_power: float, *,
     return scale * np.maximum(2.0 * top - l1, 0.0), scale * l1
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """re + 1j im from two standard-normal draws of `shape`, real part
+    first.  Built in place, with the bits of the sum but none of its
+    temporaries; the caller scales it in place."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    return out
+
+
 def _draw_channel(rng: np.random.Generator, m: int, t: int,
                   path_loss: float) -> np.ndarray:
-    """t i.i.d. CN(0, beta) channels of m antennas from rng, shape (t, m).
-    Built in place, with the same bits as sqrt(beta / 2) (re + 1j im)."""
-    h = np.empty((t, m), dtype=complex)
-    h.real = rng.standard_normal((t, m))
-    h.imag = rng.standard_normal((t, m))
+    """t i.i.d. CN(0, beta) channels of m antennas from rng, shape (t, m),
+    with the bits of sqrt(beta / 2) (re + 1j im)."""
+    h = _complex_normal(rng, (t, m))
     h *= np.sqrt(path_loss / 2.0)
     return h
 

@@ -1,8 +1,8 @@
 """Command-line frontend: design | table | ser | rate | cdf.
 
-Every run writes its outputs plus a JSON manifest describing the exact
-parameters and seed; re-running with the same parameters reproduces the
-CSV outputs byte for byte regardless of --threads.
+Every run writes its outputs plus a JSON manifest whose parameters are the
+run's parsed flags; replaying it (--config MANIFEST) reproduces the outputs
+byte for byte regardless of --threads.
 
 Exit codes: 0 success, 2 bad arguments, 3 runtime failure.
 """
@@ -24,8 +24,8 @@ from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .optimizer import (TABLE_ALGO_VERSION, RegionTable, build_region_table,
                         build_suboptimal_table, solve_p2)
-from .sim import (SCHEMES, SimConfig, run_csit_sweep, run_fixed_rate_ser,
-                  run_variable_rate)
+from .sim import (SCHEMES, SIZES, SimConfig, run_csit_sweep,
+                  run_fixed_rate_ser, run_variable_rate)
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
@@ -49,7 +49,8 @@ def parse_range(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad range {text!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
-    n = int(round((hi - lo) / step))
+    # never past hi; 1e-9 keeps a hi that rounding puts a hair short (0:0.9:0.3)
+    n = math.floor((hi - lo) / step + 1e-9)
     return tuple(lo + i * step for i in range(n + 1))
 
 
@@ -62,10 +63,14 @@ def parse_trials(text: str) -> int:
     return int(value)
 
 
-def write_manifest(path: Path, command: str, params: dict, outputs: list,
-                   started: float) -> None:
+def write_manifest(path: Path, args, outputs: list, started: float) -> None:
+    """Record the run: its parameters are every parsed flag of its command."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("cmd", "func", "config")}
+    if "trials" in params:
+        params["trials"] = parse_trials(params["trials"])
     manifest = {
-        "command": command,
+        "command": args.cmd,
         "parameters": params,
         "seed": params.get("seed"),
         "tool_version": __version__,
@@ -78,7 +83,8 @@ def write_manifest(path: Path, command: str, params: dict, outputs: list,
 
 def load_or_build_table(n: int, grid_step: float, cache_dir: Path) -> RegionTable:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"regions_n{n}_step{grid_step:g}_v{TABLE_ALGO_VERSION}.json"
+    # repr keeps every digit of the step, so two steps never share a file
+    path = cache_dir / f"regions_n{n}_step{grid_step!r}_v{TABLE_ALGO_VERSION}.json"
     if path.exists():
         return RegionTable.from_json(path.read_text())
     table = build_region_table(n, grid_step)
@@ -117,23 +123,21 @@ def cmd_table(args) -> int:
         base.with_suffix(".json").write_text(tab.to_json())
         tab.write_csv(base.with_suffix(".csv"))
         outputs += [base.with_suffix(".json"), base.with_suffix(".csv")]
-    write_manifest(outdir / f"table_n{args.n}.manifest.json", "table",
-                   {"n": args.n, "grid_step": args.grid_step,
-                    "suboptimal": args.suboptimal,
-                    "out_dir": args.out_dir}, outputs, started)
+    write_manifest(outdir / f"table_n{args.n}.manifest.json", args, outputs,
+                   started)
     for o in outputs:
         print(f"wrote {o}")
     return 0
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args, **kw) -> SimConfig:
     group = _schemes_of(args.cmd)
     if args.scheme not in group:
         raise ValueError(f"unknown scheme {args.scheme!r}; "
                          f"valid: {', '.join(group)}")
     return SimConfig(m=args.m, snr_db=parse_range(args.snr),
                      trials=parse_trials(args.trials), scheme=args.scheme,
-                     target_ser=args.pe, seed=args.seed, threads=args.threads)
+                     seed=args.seed, threads=args.threads, **kw)
 
 
 def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
@@ -141,7 +145,7 @@ def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
     need = SCHEMES[cfg.scheme][1]
     if need == "per-size":
         return {n: load_or_build_table(n, grid_step, cache_dir)
-                for n in cfg.sizes}
+                for n in SIZES}
     if need is None:
         return None
     table = load_or_build_table(cfg.n, grid_step, cache_dir)
@@ -163,18 +167,13 @@ def cmd_ser(args) -> int:
         name = f"ser_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)
-    write_manifest(outdir / f"{name}.manifest.json", "ser",
-                   {"scheme": cfg.scheme, "m": cfg.m, "snr": args.snr,
-                    "trials": cfg.trials, "seed": cfg.seed,
-                    "csit_sweep": args.csit_sweep, "grid_step": args.grid_step,
-                    "threads": args.threads, "out_dir": args.out_dir},
-                   [out], started)
+    write_manifest(outdir / f"{name}.manifest.json", args, [out], started)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_rate(args) -> int:
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, target_ser=args.pe)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -183,12 +182,7 @@ def cmd_rate(args) -> int:
     name = f"rate_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)
-    write_manifest(outdir / f"{name}.manifest.json", "rate",
-                   {"scheme": cfg.scheme, "m": cfg.m, "snr": args.snr,
-                    "trials": cfg.trials, "pe": cfg.target_ser,
-                    "seed": cfg.seed, "grid_step": args.grid_step,
-                    "threads": args.threads, "out_dir": args.out_dir},
-                   [out], started)
+    write_manifest(outdir / f"{name}.manifest.json", args, [out], started)
     print(f"wrote {out}")
     return 0
 
@@ -212,9 +206,7 @@ def cmd_cdf(args) -> int:
         w.writerow(["x", "empirical_cdf", "analytic_cdf"])
         for x, e, a in zip(grid, emp, ana):
             w.writerow([f"{x:.6f}", f"{e:.8f}", f"{a:.8f}"])
-    write_manifest(outdir / "ratio_cdf_m2.manifest.json", "cdf",
-                   {"trials": trials, "points": args.points,
-                    "seed": args.seed, "out_dir": args.out_dir}, [out], started)
+    write_manifest(outdir / "ratio_cdf_m2.manifest.json", args, [out], started)
     print(f"wrote {out}; max deviation "
           f"{np.abs(emp - ana).max():.5f}")
     return 0
@@ -251,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--snr", default="10:40:1", help="dB range lo:hi:step")
     s.add_argument("--trials", default="1e6")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--pe", type=float, default=1e-3)
     s.add_argument("--csit-sweep", default=None,
                    help="training-SNR dB range; data SNR then comes from --snr")
     s.add_argument("--grid-step", type=float, default=1e-4)

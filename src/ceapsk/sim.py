@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsitModel, _draw_channel, annulus_arrays
+from .channel import CsitModel, _complex_normal, _draw_channel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable
@@ -42,8 +42,11 @@ SCHEMES = {
 _QAM16_SCHEMES = tuple(s for s, (cmd, table) in SCHEMES.items()
                        if cmd == "ser" and table is None)
 
-DEFAULT_PATH_LOSS = 1e-9          # -90 dB
-DEFAULT_NOISE_POWER = 10 ** (-12.4)  # -94 dBm in watts
+# Results depend on these only through SNR = P beta / sigma^2: powers() sets
+# P from the SNR, so beta and sigma^2 scale out of every curve.
+PATH_LOSS = 1e-9               # beta, -90 dB
+NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
+SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,10 @@ class SimConfig:
     trials: int
     scheme: str
     n: int = 16
-    sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
     target_ser: float = 1e-3
-    path_loss: float = DEFAULT_PATH_LOSS
-    noise_power: float = DEFAULT_NOISE_POWER
     seed: int = 0
     chunk_size: int = 100_000
     threads: int = 1
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -85,7 +84,7 @@ class SimConfig:
     def powers(self) -> np.ndarray:
         """Total transmit power per SNR grid point (SNR = P beta / sigma^2)."""
         snr_lin = 10.0 ** (np.asarray(self.snr_db) / 10.0)
-        return snr_lin * self.noise_power / self.path_loss
+        return snr_lin * NOISE_POWER / PATH_LOSS
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     if SCHEMES[cfg.scheme][0] != "ser":
         raise ValueError("use run_variable_rate for variable-rate schemes")
     rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
-    sigma = math.sqrt(cfg.noise_power)
+    sigma = math.sqrt(NOISE_POWER)
     sps = [math.sqrt(p) for p in cfg.powers()]
     cs = [sigma / sp for sp in sps]
     # all fixed-rate schemes share one stream key: common random numbers
@@ -250,9 +249,10 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
-        h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
+        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, cfg.n, size=t)
-        z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
+        z = _complex_normal(rng, t)
+        z /= np.sqrt(2.0)
         r0, big_r0, ratio = _annulus(h)
         # detector(rows): the ML detector of the trials `rows`, in that order
         if rings is not None:
@@ -285,10 +285,11 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
             d0 = target  # linear precoding reaches R*s exactly
         else:
             d0 = _receive(h, transmit(h, 1.0, target))
-            if cfg.debug_checks:
-                mods = np.abs(d0)
-                if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
-                        np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
+            for lo in range(0, t, _BLOCK):  # annulus check; no chunk-sized |d0|
+                rows = slice(lo, lo + _BLOCK)
+                mods, big_r = np.abs(d0[rows]), big_r0[rows]
+                if not (np.all(mods <= big_r * (1 + 1e-9)) and
+                        np.all(mods >= r0[rows] * (1 - 1e-9) - 1e-12 * big_r)):
                     raise RuntimeError("precoder output left the annulus")
         # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
         # a zero-norm channel receives only noise: an error at every point
@@ -324,7 +325,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 for k, sp in enumerate(sps):
                     bound[k] += ser_union_bound(cfg.n, d_cell[block],
                                                 sp * big_r0[block],
-                                                cfg.noise_power).sum()
+                                                NOISE_POWER).sum()
         return errors, bound
 
     errors, bound = _reduce_chunks(cfg, one_chunk, len(cs))
@@ -395,10 +396,10 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         raise ValueError("training SNRs must be finite")
     rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
     p = float(cfg.powers()[0])
-    sigma, sp = math.sqrt(cfg.noise_power), math.sqrt(p)
+    sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
     axis = list(training) + [math.inf]
-    err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), cfg.path_loss).error_variance)
+    err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), PATH_LOSS).error_variance)
               for s in axis]
     qam16 = qam_family(16)
     qam16_med = med(qam16).med
@@ -441,16 +442,13 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
-        h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
+        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, cfg.n, size=t)
-        z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
-        # built in place, as _draw_channel: the same bits as (re + 1j im) /
-        # sqrt(2) without its chunk-sized temporaries
-        dh_unit = np.empty((t, cfg.m), dtype=complex)
-        dh_unit.real = rng.standard_normal((t, cfg.m))
-        dh_unit.imag = rng.standard_normal((t, cfg.m))
+        noise = _complex_normal(rng, t)
+        noise /= np.sqrt(2.0)
+        noise *= sigma
+        dh_unit = _complex_normal(rng, (t, cfg.m))
         dh_unit /= np.sqrt(2.0)
-        noise = sigma * z
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
         for lo in range(0, t, _BLOCK):
@@ -534,14 +532,14 @@ def run_variable_rate(cfg: SimConfig,
     if SCHEMES[cfg.scheme][0] != "rate":
         raise ValueError(f"not a variable-rate scheme: {cfg.scheme!r}")
     if SCHEMES[cfg.scheme][1] and (tables is None
-                                   or any(n not in tables for n in cfg.sizes)):
+                                   or any(n not in tables for n in SIZES)):
         raise ValueError(f"{cfg.scheme} needs a region table per size")
     powers = cfg.powers()
-    sizes = np.asarray(sorted(cfg.sizes))
+    sizes = np.asarray(SIZES)
     # bits gained by each size over the next smaller one
     step = np.diff(np.log2(sizes), prepend=0.0)
     thresholds = np.array([union_bound_threshold(n, cfg.target_ser,
-                                                 cfg.noise_power) for n in sizes])
+                                                 NOISE_POWER) for n in sizes])
     least = _least_feasible(np.sqrt(powers), thresholds)
     sid = 2  # shared between variable-rate schemes (common random numbers)
     if cfg.scheme == "variable-qam":
@@ -549,7 +547,7 @@ def run_variable_rate(cfg: SimConfig,
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
-        h = _draw_channel(rng, cfg.m, t, cfg.path_loss)
+        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         _, big_r0, ratio = _annulus(h)
         # per-trial R*d_min for each candidate size in turn (0 = infeasible)
         if cfg.scheme == "variable-apsk":

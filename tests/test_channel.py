@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ceapsk.channel import (CsitModel, _draw_channel, annulus_arrays,
-                            ratio_cdf_m2, sample_rayleigh)
+from ceapsk.channel import (CsitModel, _complex_normal, _draw_channel,
+                            annulus_arrays, ratio_cdf_m2, sample_rayleigh)
 from ceapsk.optimizer import build_region_table
 from ceapsk.rng import stream
 from ceapsk.sim import SimConfig, run_csit_sweep
@@ -122,10 +122,18 @@ def test_mmse_estimate_reproducible(table16):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_draw_channel_bits(m):
-    # the in-place draw keeps the bits of the textbook sum-then-scale form
+    # the in-place draws keep the bits of the textbook sum-then-scale form:
+    # the channel, then the engines' unit noise z and unit CSIT error
     rng, ref = stream(9, 1, 2), stream(9, 1, 2)
     h = _draw_channel(rng, m, 5000, 1e-9)
     want = np.sqrt(1e-9 / 2.0) * (ref.standard_normal((5000, m))
                                   + 1j * ref.standard_normal((5000, m)))
     assert h.shape == (5000, m)
     np.testing.assert_array_equal(h.view(np.uint64), want.view(np.uint64))
+    for shape in (5000, (5000, m)):
+        z = _complex_normal(rng, shape)
+        z /= np.sqrt(2.0)
+        want = (ref.standard_normal(shape)
+                + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+        assert z.shape == want.shape
+        np.testing.assert_array_equal(z.view(np.uint64), want.view(np.uint64))

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from ceapsk import cli
-from ceapsk.cli import main, parse_range
+from ceapsk.cli import load_or_build_table, main, parse_range
 
 
 def test_parse_range():
@@ -13,6 +14,11 @@ def test_parse_range():
         parse_range("10:5:1")
     with pytest.raises(ValueError):
         parse_range("1:2:3:4")
+    # a span that is not a whole number of steps stops short of hi
+    assert parse_range("10:11:0.6") == (10.0, 10.6)
+    # (hi - lo) / step is 2.9999999999999996 here; hi is still reached
+    grid = parse_range("0:0.9:0.3")
+    assert len(grid) == 4 and grid[-1] == pytest.approx(0.9)
 
 
 def test_design_ok(capsys):
@@ -60,6 +66,13 @@ def test_table_cache_reused(tmp_path):
     stamp = cache[0].stat().st_mtime_ns
     assert main(["table", "--n", "8", "--out-dir", str(tmp_path)]) == 0
     assert cache[0].stat().st_mtime_ns == stamp
+
+
+def test_table_cache_keys_every_digit_of_step(tmp_path):
+    # the two steps agree to 6 significant digits; each gets its own table
+    for step in (5e-5, 5.000001e-5):
+        assert load_or_build_table(8, step, tmp_path).grid_step == step
+    assert len(list(tmp_path.glob("regions_n8_*.json"))) == 2
 
 
 def test_table_non_power_of_two_warns(tmp_path):
@@ -270,3 +283,47 @@ def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+# one run of each command; --threads 2 shows the replay keeps it too
+_RUNS = {
+    "ser": ["ser", "--scheme", "proposed-suboptimal", "--snr", "20:22:2",
+            "--trials", "2e3", "--seed", "3", "--threads", "2"],
+    "ser-csit": ["ser", "--scheme", "proposed-optimal", "--m", "4",
+                 "--snr", "20", "--csit-sweep", "0:10:5", "--trials", "2e3"],
+    "rate": ["rate", "--scheme", "variable-apsk", "--snr", "10:14:2",
+             "--trials", "2e3", "--pe", "1e-2"],
+    "table": ["table", "--n", "8", "--grid-step", "5e-5", "--suboptimal"],
+    "cdf": ["cdf", "--trials", "5e3", "--points", "11", "--seed", "3"],
+}
+
+
+def _run(run, out) -> dict:
+    """Run _RUNS[run] into out; its manifest's parameters."""
+    assert main(_RUNS[run] + ["--out-dir", str(out)]) == 0
+    (manifest,) = out.glob("*.manifest.json")
+    return json.loads(manifest.read_text())["parameters"]
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_manifest_parameters_are_the_flags(run, tmp_path, capsys):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[_RUNS[run][0]]._actions} - {"help"}
+    params = _run(run, tmp_path)
+    assert set(params) == dests
+    assert type(params.get("trials", 0)) is int
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_manifest_replays_every_output(run, tmp_path, capsys):
+    _run(run, tmp_path / "a")
+    (manifest,) = (tmp_path / "a").glob("*.manifest.json")
+    assert main(["--config", str(manifest), _RUNS[run][0],
+                 "--out-dir", str(tmp_path / "b")]) == 0
+
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.is_file() and p.name != manifest.name}
+    assert outputs(tmp_path / "a")
+    assert outputs(tmp_path / "a") == outputs(tmp_path / "b")

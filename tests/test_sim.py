@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -68,10 +69,20 @@ def test_engines_reject_table_of_other_size():
 
 
 def test_powers():
-    cfg = SimConfig(m=2, snr_db=(0.0,), trials=10 ** 4,
-                    scheme="proposed-optimal", path_loss=1e-9,
-                    noise_power=1e-12)
-    assert cfg.powers()[0] == pytest.approx(1e-3)
+    cfg = SimConfig(m=2, snr_db=(0.0, 10.0), trials=10 ** 4,
+                    scheme="proposed-optimal")
+    unit = sim.NOISE_POWER / sim.PATH_LOSS  # the power at 0 dB SNR
+    assert cfg.powers() == pytest.approx([unit, 10.0 * unit])
+    # the paper's -90 dB path loss and -94 dBm noise power
+    assert (sim.PATH_LOSS, sim.NOISE_POWER) == pytest.approx((1e-9, 10 ** -12.4))
+
+
+def test_config_fields():
+    # a run is set by these alone; link results depend on beta and sigma^2
+    # only through the SNR, so those are module constants
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "m", "snr_db", "trials", "scheme", "n", "target_ser", "seed",
+        "chunk_size", "threads"]
 
 
 def test_select_rate_limits():
@@ -135,7 +146,7 @@ def test_union_bound_present_for_proposed(table16):
 
 def test_debug_feasibility_checks(table16):
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
-                    scheme="proposed-optimal", debug_checks=True)
+                    scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, table16)  # the checks inside must not fire
     # under python -O the check still fires on a precoder output of 2 R
     script = textwrap.dedent("""
@@ -149,7 +160,7 @@ def test_debug_feasibility_checks(table16):
         sim.transmit = lambda h, p, d, **kw: (
             2.0 * (p / h.shape[1]) ** 0.5 * h.conj() / abs(h))
         cfg = sim.SimConfig(m=2, snr_db=(20.0,), trials=2000,
-                            scheme="proposed-optimal", debug_checks=True)
+                            scheme="proposed-optimal")
         try:
             sim.run_fixed_rate_ser(cfg, build_region_table(16))
         except RuntimeError:
@@ -434,7 +445,7 @@ def test_rate_selection_matches_brute_force(k_pts, seed, target_ser, n_sizes):
     sizes = np.sort(rng.choice([2, 4, 8, 16, 32, 64], n_sizes, replace=False))
     bits = np.log2(sizes)
     thresholds = np.array([union_bound_threshold(n, target_ser,
-                                                 cfg.noise_power)
+                                                 sim.NOISE_POWER)
                            for n in sizes])
     least = _least_feasible(sqrt_p, thresholds)
     # least[k, j] is exactly the smallest x passing the test at (k, j)
@@ -473,7 +484,7 @@ def test_least_feasible_degenerate_powers():
 
 
 def test_union_bound_threshold_round_trip():
-    sigma2 = sim.DEFAULT_NOISE_POWER
+    sigma2 = sim.NOISE_POWER
     for n in (2, 3, 4, 8, 16, 32, 64, 256):
         thr = union_bound_threshold(n, 1e-3, sigma2)
         above = ser_union_bound(n, 1.0, thr * (1 + 1e-9), sigma2)
@@ -594,12 +605,12 @@ def _detect_every_pair(cfg, table):
     rings = _RingTables(cfg, table) if table is not None else None
     qam16 = qam_family(16)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
-    sigma = math.sqrt(cfg.noise_power)
+    sigma = math.sqrt(sim.NOISE_POWER)
     errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
     for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
         t = min(cfg.chunk_size, cfg.trials - lo)
         rng = stream(cfg.seed, 1, chunk)
-        h = sim._draw_channel(rng, cfg.m, t, cfg.path_loss)
+        h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
         u = rng.integers(0, cfg.n, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         _, big_r0, ratio = sim._annulus(h)
@@ -698,18 +709,18 @@ def _csit_every_pair(cfg, table, training_snr_db):
     qam16 = qam_family(16)
     p = float(cfg.powers()[0])
     sp = math.sqrt(p)
-    err_sd = [math.sqrt(cfg.path_loss / (1.0 + 10.0 ** (s / 10.0)))
+    err_sd = [math.sqrt(sim.PATH_LOSS / (1.0 + 10.0 ** (s / 10.0)))
               for s in training_snr_db] + [0.0]
     errors = np.zeros(len(err_sd), dtype=np.int64)
     for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
         t = min(cfg.chunk_size, cfg.trials - lo)
         rng = stream(cfg.seed, 3, chunk)
-        h = sim._draw_channel(rng, cfg.m, t, cfg.path_loss)
+        h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
         u = rng.integers(0, cfg.n, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         dh = (rng.standard_normal((t, cfg.m))
               + 1j * rng.standard_normal((t, cfg.m))) / np.sqrt(2.0)
-        noise = math.sqrt(cfg.noise_power) * z
+        noise = math.sqrt(sim.NOISE_POWER) * z
         for k, sd in enumerate(err_sd):
             h_hat = h - sd * dh
             _, big_r0, ratio = sim._annulus(h_hat)
