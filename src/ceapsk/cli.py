@@ -57,8 +57,8 @@ def parse_range(text: str) -> tuple[float, ...]:
 def parse_trials(text: str) -> int:
     """Parse a trial count such as 1e6."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 1):
-        raise ValueError(f"bad trial count {text!r}; expected a finite "
+    if not (math.isfinite(value) and value >= 1 and value.is_integer()):
+        raise ValueError(f"bad trial count {text!r}; expected a whole "
                          "number >= 1")
     return int(value)
 

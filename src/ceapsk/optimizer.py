@@ -2,11 +2,11 @@
 
 For a given constellation size N and annulus radius ratio q = r/R, the
 design problem splits per inner-ring count N2 into a phase-offset
-subproblem (solved exactly by a gap search over the distinct inter-ring
-angle differences) and an inner-radius subproblem (piecewise analysis of
-the three distance terms).  The solution depends on the channel only
-through q, so the whole design collapses to a small table of regions over
-q in [0, 1] that can be built offline.
+subproblem (solved in closed form: half the step of the inter-ring angle
+lattice) and an inner-radius subproblem (piecewise analysis of the three
+distance terms).  The solution depends on the channel only through q, so
+the whole design collapses to a small table of regions over q in [0, 1]
+that can be built offline.
 """
 
 from __future__ import annotations
@@ -34,37 +34,22 @@ TABLE_ALGO_VERSION = 1
 class PhaseOffsetSolution:
     omega2_star: float
     c12_star: float
-    breakpoints: tuple[float, ...]
-    k_star: int
 
 
 def solve_p21(n: int, n2: int) -> PhaseOffsetSolution:
     """Minimize the worst inter-ring cosine over the inner-ring offset.
 
-    Candidate angles are the distinct values of 2 pi (n/N2 - m/N1) falling
-    in (-2 pi/N1, 0], plus -2 pi/N1 itself; the optimum offset is the
-    midpoint of the widest gap between consecutive candidates.  Ties are
-    broken toward the first (widest-equal) gap, i.e. the smallest offset.
+    Every inter-ring angle difference 2 pi (k/N2 - m/N1) is a multiple of
+    2 pi gcd(N1, N2) / (N1 N2) = 2 pi / lcm(N1, N2), and every multiple
+    occurs.  An offset w shifts that lattice, so the worst cosine is
+    cos(distance from w to the lattice), least at half a step:
+    w* = pi / lcm(N1, N2) and C* = cos(w*).
     """
     if not (1 <= n2 <= n - 1):
         raise ValueError(f"n2 must be in [1, {n - 1}]")
     n1 = n - n2
-    # integer grid: angle = 2 pi t / (n1 * n2), t = n*n1 - m*n2
-    ts = {-n2}
-    for m in range(n1):
-        for k in range(n2):
-            t = k * n1 - m * n2
-            if -n2 < t <= 0:
-                ts.add(t)
-    xs = sorted(ts, reverse=True)
-    x = [2.0 * np.pi * t / (n1 * n2) for t in xs]
-    # gaps compared on the exact integer grid so equal gaps tie cleanly
-    gaps = [xs[k + 1] - xs[k] for k in range(len(xs) - 1)]
-    k_star = int(np.argmin(gaps))
-    omega2 = -(x[k_star] + x[k_star + 1]) / 2.0
-    c12 = math.cos((x[k_star] - x[k_star + 1]) / 2.0)
-    return PhaseOffsetSolution(omega2_star=omega2, c12_star=c12,
-                               breakpoints=tuple(x), k_star=k_star)
+    omega2 = np.pi * math.gcd(n1, n2) / (n1 * n2)
+    return PhaseOffsetSolution(omega2_star=omega2, c12_star=math.cos(omega2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,7 @@ def solve_p2(n: int, ratio: float) -> DesignResult:
     rho2 = max(float(rho2[0]), ratio)  # feasibility: inner ring never below r/R
     omega2 = offsets[n2 - 1].omega2_star
     cons = ApskConstellation((Ring(n - n2, 1.0, 0.0),
-                              Ring(n2, rho2, omega2 % (2.0 * np.pi))))
+                              Ring(n2, rho2, omega2)))
     return DesignResult(constellation=cons, d_min=d, n2=n2, omega2=omega2,
                         rho2=rho2)
 
@@ -284,9 +269,10 @@ class RegionTable:
 def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
     """Partition r/R in [0, 1] into regions of constant design structure.
 
-    Grid points sharing (N2*, rho2 rule) are merged; each boundary is then
-    refined by bisection to 1e-6.  Regions where rho2 tracks r/R carry the
-    formula d_min rule; all others carry a constant d_min.
+    Grid points sharing (N2*, rho2 rule) are merged; all boundaries are then
+    bisected together, one array of midpoints per step, each to 1e-6.
+    Regions where rho2 tracks r/R carry the formula d_min rule; all others
+    carry a constant d_min.
     """
     if not 0.0 < grid_step <= 1e-4:
         raise ValueError("grid_step must lie in (0, 1e-4]")
@@ -298,36 +284,33 @@ def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
     offsets = _offset_cache(n)
     ratios = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     ratios[-1] = 1.0
-    d, n2, rho, track = _solve_grid(n, ratios, offsets)
-    keys = list(zip(n2.tolist(), track.tolist()))
-    # maximal runs of identical structure
-    bounds = [0.0]
-    run_keys = [keys[0]]
-    for i in range(1, len(keys)):
-        if keys[i] != keys[i - 1]:
-            lo, hi = ratios[i - 1], ratios[i]
-            ka = keys[i - 1]
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                _, n2_mid, _, track_mid = _solve_grid(n, np.array([mid]), offsets)
-                if (int(n2_mid[0]), bool(track_mid[0])) == ka:
-                    lo = mid
-                else:
-                    hi = mid
-            bounds.append(0.5 * (lo + hi))
-            run_keys.append(keys[i])
-    bounds.append(1.0)
+    _, n2, _, track = _solve_grid(n, ratios, offsets)
+    # boundary j lies between grid points edge[j] and edge[j] + 1
+    edge = np.flatnonzero((n2[1:] != n2[:-1]) | (track[1:] != track[:-1]))
+    lo, hi = ratios[edge], ratios[edge + 1]
+    n2_lo, track_lo = n2[edge], track[edge]
+    # bisect every boundary at once; each stops once it is within 1e-6
+    while (live := hi - lo > 1e-6).any():
+        mid = 0.5 * (lo + hi)
+        _, n2_mid, _, track_mid = _solve_grid(n, mid, offsets)
+        same = (n2_mid == n2_lo) & (track_mid == track_lo)
+        lo = np.where(live & same, mid, lo)
+        hi = np.where(live & ~same, mid, hi)
+    bounds = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
+    # probe each region just inside its lower end
+    probe = np.minimum(bounds[:-1] + grid_step, 0.5 * (bounds[:-1] + bounds[1:]))
+    d_probe, _, rho_probe, _ = _solve_grid(n, probe, offsets)
+    first = np.concatenate(([0], edge + 1))  # first grid point of each run
+    bounds = bounds.tolist()  # Python floats, as to_json writes them
     regions = []
-    for j, key in enumerate(run_keys):
-        lo, hi = bounds[j], bounds[j + 1]
-        n2_j, tracking = key
+    for lo_j, hi_j, n2_j, tracking, d_j, rho_j in zip(
+            bounds, bounds[1:], n2[first].tolist(), track[first].tolist(),
+            d_probe.tolist(), rho_probe.tolist()):
         pos = offsets[n2_j - 1]
-        probe = min(lo + grid_step, 0.5 * (lo + hi))
-        dj, _, rhoj, _ = _solve_grid(n, np.array([probe]), offsets)
         rules = (("track_ratio", None, "formula", None) if tracking else
-                 ("constant", float(rhoj[0]), "constant", float(dj[0])))
-        regions.append(Region(lo, hi, n2_j, pos.omega2_star % (2 * np.pi),
-                              pos.c12_star, *rules))
+                 ("constant", rho_j, "constant", d_j))
+        regions.append(Region(lo_j, hi_j, n2_j, pos.omega2_star, pos.c12_star,
+                              *rules))
     return RegionTable(size=n, regions=tuple(regions), grid_step=grid_step)
 
 

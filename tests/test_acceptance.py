@@ -8,14 +8,12 @@ against closed forms by the two oracle tests.
 """
 
 import functools
-import json
 import math
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import erfc

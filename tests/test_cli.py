@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ceapsk import cli
-from ceapsk.cli import load_or_build_table, main, parse_range
+from ceapsk.cli import load_or_build_table, main, parse_range, parse_trials
 
 
 def test_parse_range():
@@ -19,6 +19,12 @@ def test_parse_range():
     # (hi - lo) / step is 2.9999999999999996 here; hi is still reached
     grid = parse_range("0:0.9:0.3")
     assert len(grid) == 4 and grid[-1] == pytest.approx(0.9)
+
+
+def test_parse_trials():
+    # whole counts in float notation parse; fractional ones exit 2 (below)
+    assert parse_trials("1e6") == 10 ** 6
+    assert parse_trials("2.5e3") == 2500
 
 
 def test_design_ok(capsys):
@@ -265,6 +271,7 @@ def test_rate_rejects_non_finite_snr(tmp_path, capsys):
     ["ser", "--scheme", "egt-qam16", "--snr", "20", "--trials", "1e3",
      "--csit-sweep", "nan"],
     ["ser", "--scheme", "fixed-qam16", "--snr", "20", "--trials", "inf"],
+    ["ser", "--scheme", "fixed-qam16", "--snr", "20", "--trials", "1000.7"],
     ["ser", "--scheme", "fixed-qam16", "--snr", "0:inf:1", "--trials", "1e3"],
     ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
      "--csit-sweep", "0:inf:2"],
@@ -275,7 +282,8 @@ def test_rate_rejects_non_finite_snr(tmp_path, capsys):
     ["table", "--n", "8", "--grid-step", "nan"],
     ["cdf", "--trials", "0"],
     ["cdf", "--trials", "1e3", "--points", "0"],
-], ids=["csit-nan-proposed", "csit-nan-egt", "trials-inf", "snr-range-inf",
+], ids=["csit-nan-proposed", "csit-nan-egt", "trials-inf",
+        "trials-fractional", "snr-range-inf",
         "csit-range-inf", "grid-step-0", "grid-step-negative",
         "table-grid-step-nan", "cdf-trials-0", "cdf-points-0"])
 def test_bad_numeric_input_exits_2(args, tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Static guards: no unused imports or assert statements in the package,
-and every package name the benchmark harness in perfbench/ reaches still
-resolves."""
+"""Static guards: no unused imports in the package or its tests, no assert
+statements in the package, and every package name the benchmark harness in
+perfbench/ reaches still resolves."""
 
 import ast
 import importlib.util
@@ -13,6 +13,7 @@ import ceapsk.cli  # noqa: F401  (loads every submodule)
 
 SRC = Path(ceapsk.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -35,7 +36,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [u for path in paths for u in _unused_imports(path)]
     assert not unused, unused
 
 

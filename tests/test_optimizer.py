@@ -33,13 +33,23 @@ def test_solve_p21_range_error():
         solve_p21(16, 16)
 
 
-def test_solve_p21_breakpoints_contain_endpoints():
-    for n2 in range(1, 9):
-        sol = solve_p21(16, n2)
-        n1 = 16 - n2
-        assert sol.breakpoints[0] == pytest.approx(0.0)
-        assert sol.breakpoints[-1] == pytest.approx(-2 * np.pi / n1)
-        assert len(sol.breakpoints) >= 2
+def _worst_cosine(n, n2, omegas):
+    """Largest cosine of any inner-outer angle difference, per offset."""
+    k = np.arange(n2)[:, None, None]
+    m = np.arange(n - n2)[None, :, None]
+    diff = 2 * np.pi * k / n2 - 2 * np.pi * m / (n - n2) + omegas
+    return np.cos(diff).max(axis=(0, 1))
+
+
+def test_solve_p21_matches_brute_force():
+    for n in range(2, 33):
+        for n2 in range(1, n):
+            sol = solve_p21(n, n2)
+            worst = _worst_cosine(n, n2, np.array([sol.omega2_star]))[0]
+            assert sol.c12_star == pytest.approx(worst, abs=1e-12), (n, n2)
+            # offsets one outer-ring step apart give the same difference set
+            grid = np.linspace(0.0, 2 * np.pi / (n - n2), 1001)
+            assert _worst_cosine(n, n2, grid).min() >= sol.c12_star - 1e-9, (n, n2)
 
 
 def _b(count):
@@ -239,15 +249,17 @@ def test_region_probabilities():
 
 
 @functools.lru_cache(maxsize=None)
-def _table(n, suboptimal=False):
-    table = build_region_table(n, 1e-4)
+def _table(n, suboptimal=False, step=1e-4):
+    table = build_region_table(n, step)
     return build_suboptimal_table(table) if suboptimal else table
 
 
 _TABLES = [(n, False) for n in (2, 4, 8, 16, 32, 64)] + [(16, True)]
 
-# SHA-256 of to_json() for the tables above, recorded before the scalar
-# radius solver was folded into the grid solver
+# SHA-256 of to_json() per (n, suboptimal[, step]), step 1e-4 when absent.
+# All were recorded while each boundary was still bisected on its own, and
+# those for N <= 64 before the scalar radius solver was folded into the grid
+# solver.
 _TABLE_SHA256 = {
     (2, False): "a10e8c74a2d02a536bc0ab50952ce418317bdcfbdc824ab97df06026af44f3f2",
     (4, False): "fe93a3651b3bd639c03a49fe965852683bb517ff4514f591b9e1b0ae0255acda",
@@ -256,13 +268,17 @@ _TABLE_SHA256 = {
     (32, False): "7c58b27fd81a0d8a057a05817ba728bd8937fa3c9d6329937501ce43824ee0d7",
     (64, False): "9bcc3ce6f1c0f292759afe89ebebb3b2a5183e005631c95ecacfa36a6bc18e28",
     (16, True): "5ed3d1e2255af0a8b6c4b212b9502d9bf2f53b6400a99fbbc0de194becdc238c",
+    (128, False): "c343fdd52d10b29c9eb82f8f4f2b203a5ea1ac93f3699a4c830579d056acabc8",
+    (256, False): "90ec748f9276e134d67b620b90ee40472129536459899ba54d7f32379dec028f",
+    (16, False, 5e-5): "25881f1d39a0ca90b81e3a90201a576fa2cfa8a6c9fc9a3f914fdc3a51938dbd",
 }
 
 
-@pytest.mark.parametrize("n,suboptimal", _TABLES)
-def test_region_table_bytes_pinned(n, suboptimal):
-    text = _table(n, suboptimal).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_SHA256[n, suboptimal]
+@pytest.mark.parametrize("key", _TABLE_SHA256,
+                         ids=["-".join(map(str, key)) for key in _TABLE_SHA256])
+def test_region_table_bytes_pinned(key):
+    text = _table(*key).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_SHA256[key]
 
 
 @pytest.mark.parametrize("n,suboptimal", _TABLES)
