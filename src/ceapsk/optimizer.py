@@ -211,7 +211,11 @@ class RegionTable:
     def index(self, ratios) -> np.ndarray:
         """Region index per ratio: the last region whose lo <= ratio (the
         first region for a ratio below every lo)."""
-        return np.searchsorted(self._arrays["upper"], ratios, side="right")
+        upper = self._arrays["upper"]
+        if not upper.size:  # one region holds every ratio
+            # [()] gives a scalar for a scalar ratio, as searchsorted does
+            return np.zeros(np.shape(ratios), dtype=np.intp)[()]
+        return np.searchsorted(upper, ratios, side="right")
 
     def d_min_at(self, ratios, idx=None) -> np.ndarray:
         """Vectorized optimal MED as a function of r/R.  idx, when given,
@@ -219,6 +223,8 @@ class RegionTable:
         ratios = np.asarray(ratios, dtype=float)
         col = self._arrays
         idx = self.index(ratios) if idx is None else idx
+        if col["const"].all():  # no region uses the formula
+            return np.asarray(col["d_min"][idx])
         # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
         formula = np.sqrt(np.maximum(
             ratios ** 2 - ratios * col["c12x2"][idx] + 1.0, 0.0))

@@ -128,13 +128,36 @@ def phases_for_targets(h: np.ndarray, total_power: float,
     The weighted phasor sum sqrt(P/M) sum_i h_i exp(j theta_i) reconstructs
     each row's target.  Targets are assumed feasible.
     """
-    return np.mod(np.angle(transmit(h, total_power, d)), 2.0 * np.pi)
+    x = transmit(h, total_power, d)
+    theta = np.arctan2(x.imag, x.real)
+    # theta lies in [-pi, pi], so this equals np.mod(theta, 2 pi)
+    return np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+
+
+def _receive(h, x):
+    """Noise-free receive points sum_i h_i x_i, added antenna by antenna.
+    The products are formed in x, which the caller must not need again."""
+    np.multiply(h, x, out=x)
+    total = x[:, 0].copy()
+    for col in x.T[1:]:
+        total += col
+    return total
 
 
 def reconstruct(h: np.ndarray, total_power: float,
                 theta: np.ndarray) -> np.ndarray:
-    """Noise-free receive points sqrt(P/M) sum_i h_i exp(j theta_i)."""
+    """Noise-free receive points sqrt(P/M) sum_i h_i exp(j theta_i), formed
+    _BLOCK rows at a time."""
     h = np.atleast_2d(np.asarray(h, dtype=complex))
-    scale = np.sqrt(total_power / h.shape[1])
-    return scale * np.sum(h * np.exp(1j * np.asarray(theta)), axis=1)
-
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), h.shape)
+    out = np.empty(h.shape[0], dtype=complex)
+    buf = np.empty((min(_BLOCK, h.shape[0]), h.shape[1]), dtype=complex)
+    for lo in range(0, h.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        th = theta[rows]
+        phasor = buf[:len(th)]
+        np.cos(th, out=phasor.real)
+        np.sin(th, out=phasor.imag)
+        out[rows] = _receive(h[rows], phasor)
+    out *= np.sqrt(total_power / h.shape[1])
+    return out

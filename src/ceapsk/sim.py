@@ -8,7 +8,11 @@ any worker count.  One data symbol is sent per channel realization.
 Channel draws, symbols and unit noise are P-independent, and transmit
 phases are invariant under a common power scaling, so each chunk maps its
 symbols through the precoder once and replays the same realizations across
-the whole SNR grid.
+the whole SNR grid.  The fixed-rate engine precodes only the trials whose
+noise may carry the receive point out of the sent point's decision cell at
+the first, noisiest point, and detects only the (trial, point) pairs where
+it may.  Its averaged union bound is computed (union_bound_curve) only when
+SerCurve.union_bound is first read.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .channel import CsitModel, _complex_normal, _draw_channel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable
-from .precoder import _BLOCK, transmit
+from .precoder import _BLOCK, _receive, transmit
 from .rng import stream
 
 # scheme -> (CLI command that runs it, region table it needs: the optimal
@@ -47,6 +52,9 @@ _QAM16_SCHEMES = tuple(s for s, (cmd, table) in SCHEMES.items()
 PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
+# all fixed-rate schemes share one stream key: common random numbers make
+# inter-scheme SNR-gap measurements far less noisy
+_FIXED_RATE_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,15 @@ class SerCurve:
     snr_db: np.ndarray
     errors: np.ndarray
     trials: np.ndarray
-    union_bound: np.ndarray | None = None
+    # (cfg, table) of a fixed-rate run of a proposed scheme, else None
+    bound_args: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def union_bound(self) -> np.ndarray | None:
+        """union_bound_curve(*bound_args), computed when first read; None
+        for a curve without a region table."""
+        return None if self.bound_args is None else union_bound_curve(
+            *self.bound_args)
 
     @property
     def ser(self) -> np.ndarray:
@@ -128,6 +144,13 @@ class RateCurve:
 _SAFE_RADIUS = 0.45
 
 
+def _check_two_ring_table(cfg: SimConfig, table: RegionTable | None) -> None:
+    if (table is None or table.size != cfg.n
+            or not all(1 <= reg.n2 < cfg.n for reg in table.regions)):
+        raise ValueError(f"scheme {cfg.scheme} requires a two-ring region "
+                         f"table for N={cfg.n}")
+
+
 class _RingTables:
     """Per-region unit-circle lookup tables of a proposed scheme's table.
 
@@ -138,10 +161,7 @@ class _RingTables:
     """
 
     def __init__(self, cfg: SimConfig, table: RegionTable | None):
-        if (table is None or table.size != cfg.n
-                or not all(1 <= reg.n2 < cfg.n for reg in table.regions)):
-            raise ValueError(f"scheme {cfg.scheme} requires a two-ring region "
-                             f"table for N={cfg.n}")
+        _check_two_ring_table(cfg, table)
         n, regs = cfg.n, table.regions
         self.n1 = np.array([n - reg.n2 for reg in regs])
         self.unit = np.array([np.concatenate([
@@ -204,16 +224,6 @@ def _annulus(h, mags=None):
     return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
 
 
-def _receive(h, x):
-    """Noise-free receive points sum_i h_i x_i, added antenna by antenna.
-    The products are formed in x, which the caller must not need again."""
-    np.multiply(h, x, out=x)
-    total = x[:, 0].copy()
-    for col in x.T[1:]:
-        total += col
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Fixed-rate SER
 
@@ -223,32 +233,37 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
 
     At SNR point k the detector sees w = a + c_k b: a is the noise-free
     receive point and b the noise, both over sqrt(p) R, and c_k falls as the
-    SNR rises.  Detection runs only on the (trial, point) pairs where the
-    noise may carry w out of the sent label's decision cell; every other
-    pair is provably detected correctly.  Let `center` be the label's own
-    point at unit outer radius (for fixed-qam16 the unclipped 16-QAM point)
-    and d_cell the MED of the trial's constellation.  A trial is skipped at
-    point k when c_k |b| < slack = _SAFE_RADIUS d_cell - |a - center|.
+    SNR rises.  Only the (trial, point) pairs where the noise may carry w
+    out of the sent label's decision cell reach the detector, and only the
+    trials with such a pair reach the precoder; every other pair is
+    provably detected correctly.  Let s be the trial's target over R (its
+    symbol at unit outer radius, clipped into the annulus for fixed-qam16),
+    `center` the label's own point (for fixed-qam16 the unclipped 16-QAM
+    point) and d_cell the MED of the trial's constellation.  The precoder
+    hits its target to within 1e-9 R, |a - s| <= 1e-9, which is checked on
+    every precoded trial.  A pair is skipped at point k when
+
+        c_k |b| < slack = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
+
     Then |w - center| < 0.45 d_cell < d_cell / 2, so `center` is the unique
     nearest point and the exact ML detectors return the sent label.  The
     0.05 d_cell margin dwarfs float rounding, and on the N=16 tables
-    d_min_at overstates the true MED by at most 6.4e-7 (relative).
+    d_min_at overstates the true MED by at most 6.4e-7 (relative).  c_k |b|
+    never rises with k, so a trial safe at the first point is never
+    precoded.  The averaged union bound of the proposed schemes is the
+    returned curve's union_bound, computed when it is first read.
     """
     if SCHEMES[cfg.scheme][0] != "ser":
         raise ValueError("use run_variable_rate for variable-rate schemes")
     rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
     sigma = math.sqrt(NOISE_POWER)
-    sps = [math.sqrt(p) for p in cfg.powers()]
-    cs = [sigma / sp for sp in sps]
-    # all fixed-rate schemes share one stream key: common random numbers
-    # make inter-scheme SNR-gap measurements far less noisy
-    sid = 1
+    cs = [sigma / math.sqrt(p) for p in cfg.powers()]
     qam16 = qam_family(16)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
     qam16_med, psk16_med = med(qam16).med, med(psk16).med
 
     def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, sid, chunk)
+        rng = stream(cfg.seed, _FIXED_RATE_STREAM, chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, cfg.n, size=t)
         z = _complex_normal(rng, t)
@@ -276,78 +291,112 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
             d_cell = qam16_med
             def detector(rows):
                 return _qam16_decide
-        center = s
+        slack = _SAFE_RADIUS * d_cell - 1e-9
         if cfg.scheme == "fixed-qam16":  # clip each symbol into the annulus
             mod = np.abs(s)
-            s = s / mod * np.clip(mod, ratio, 1.0)
+            clipped = s / mod * np.clip(mod, ratio, 1.0)
+            slack = slack - np.abs(clipped - s)
+            s = clipped
+        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
+        # a zero-norm channel receives only noise: an error at every point
+        live = big_r0 > 0
+        scale = np.where(live, big_r0, 1.0)
+        b = np.divide(z, scale, out=z)
+        mb = np.abs(b)
+        # a zero-norm trial is never safe: it is detected, and errs, everywhere
+        slack = np.where(live, slack, -np.inf)
+        # the trials that may err at the first point, the only ones that may
+        # err at all; all arrays below are over these trials
+        pre = np.flatnonzero(~(cs[0] * mb < slack))
+        s, big_r0, scale, live = s[pre], big_r0[pre], scale[pre], live[pre]
         target = big_r0 * s
         if cfg.scheme == "egt-qam16":
-            d0 = target  # linear precoding reaches R*s exactly
+            a = target / scale  # linear precoding reaches R*s exactly
         else:
-            d0 = _receive(h, transmit(h, 1.0, target))
-            for lo in range(0, t, _BLOCK):  # annulus check; no chunk-sized |d0|
+            d0 = _receive(h[pre], transmit(h[pre], 1.0, target))
+            a = d0 / scale
+            r0 = r0[pre]
+            for lo in range(0, pre.size, _BLOCK):  # no chunk-sized |d0|
                 rows = slice(lo, lo + _BLOCK)
                 mods, big_r = np.abs(d0[rows]), big_r0[rows]
                 if not (np.all(mods <= big_r * (1 + 1e-9)) and
                         np.all(mods >= r0[rows] * (1 - 1e-9) - 1e-12 * big_r)):
                     raise RuntimeError("precoder output left the annulus")
-        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
-        # a zero-norm channel receives only noise: an error at every point
-        live = big_r0 > 0
-        scale = np.where(live, big_r0, 1.0)
-        a, b = d0 / scale, z / scale
-        sent = np.where(live, u, -1)
-        # a zero-norm trial is never safe: it is detected, and errs, everywhere
-        slack = np.where(live, _SAFE_RADIUS * d_cell - np.abs(a - center),
-                         -np.inf)
-        mb = np.abs(b)
+                # the skip rests on |a - s| <= 1e-9; a zero-norm trial has
+                # a = 0 and is never skipped
+                if not np.all((np.abs(a[rows] - s[rows]) <= 1e-9) | ~live[rows]):
+                    raise RuntimeError("precoder output missed its target")
+        b, mb, slack = b[pre], mb[pre], slack[pre]
+        sent = np.where(live, u[pre], -1)
         # unsafe[i]: the number of points at which trial i may err.  c_k * |b|
         # never rises with k, so those points are the first unsafe[i] ones.
-        unsafe = np.zeros(t, dtype=np.min_scalar_type(len(cs)))
-        for c in cs:
+        unsafe = np.ones(pre.size, dtype=np.min_scalar_type(len(cs)))
+        for c in cs[1:]:
             unsafe += ~(c * mb < slack)
         # most unsafe first; a small key dtype lets numpy radix-sort
-        kept = np.flatnonzero(unsafe)
-        order = kept[np.argsort(len(cs) - unsafe[kept], kind="stable")]
+        order = np.argsort(len(cs) - unsafe, kind="stable")
         # prefix[k]: the trials unsafe at point k are order[:prefix[k]]
         hist = np.bincount(unsafe, minlength=len(cs) + 1)
         prefix = np.cumsum(hist[::-1])[-2::-1]
-        decide = detector(order)
+        decide = detector(pre[order])
         ar, ai, br, bi = (x[order] for x in (a.real, a.imag, b.real, b.imag))
         sent = sent[order]
-        errors, bound = np.zeros(len(cs), dtype=np.int64), np.zeros(len(cs))
+        errors = np.zeros(len(cs), dtype=np.int64)
         for k, (c, n) in enumerate(zip(cs, prefix)):
             errors[k] = np.count_nonzero(
                 decide(ar[:n] + c * br[:n], ai[:n] + c * bi[:n]) != sent[:n])
-        if rings is not None:
-            for lo in range(0, t, _BLOCK):
-                block = slice(lo, lo + _BLOCK)
-                for k, sp in enumerate(sps):
-                    bound[k] += ser_union_bound(cfg.n, d_cell[block],
-                                                sp * big_r0[block],
-                                                NOISE_POWER).sum()
-        return errors, bound
+        return (errors,)
 
-    errors, bound = _reduce_chunks(cfg, one_chunk, len(cs))
+    errors, = _reduce_chunks(cfg, one_chunk)
     return SerCurve(snr_db=np.asarray(cfg.snr_db, dtype=float), errors=errors,
                     trials=np.full(len(cs), cfg.trials, dtype=np.int64),
-                    union_bound=None if rings is None else bound / cfg.trials)
+                    bound_args=None if rings is None else (cfg, table))
 
 
-def _reduce_chunks(cfg: SimConfig, one_chunk, width: int):
+def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
+    """Averaged union bound min(1, (N-1) Q(R d_min / (sigma sqrt 2))) per SNR
+    point of run_fixed_rate_ser(cfg, table), for a proposed scheme.
+
+    The channel is the first draw of each chunk's stream, so only it is
+    redrawn; the bound is summed over the engine's trials in row blocks,
+    chunk by chunk, in a fixed order, so the values do not depend on
+    cfg.threads.
+    """
+    if SCHEMES[cfg.scheme][0] != "ser" or not SCHEMES[cfg.scheme][1]:
+        raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
+    _check_two_ring_table(cfg, table)
+    sps = [math.sqrt(p) for p in cfg.powers()]
+
+    def one_chunk(chunk: int, t: int):
+        h = _draw_channel(stream(cfg.seed, _FIXED_RATE_STREAM, chunk), cfg.m,
+                          t, PATH_LOSS)
+        _, big_r0, ratio = _annulus(h)
+        d_cell = table.d_min_at(ratio)
+        bound = np.zeros(len(sps))
+        for lo in range(0, t, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            for k, sp in enumerate(sps):
+                bound[k] += ser_union_bound(cfg.n, d_cell[block],
+                                            sp * big_r0[block],
+                                            NOISE_POWER).sum()
+        return (bound,)
+
+    bound, = _reduce_chunks(cfg, one_chunk)
+    return bound / cfg.trials
+
+
+def _reduce_chunks(cfg: SimConfig, one_chunk):
+    """Element-wise sums, added in chunk order, of the tuples of arrays that
+    one_chunk(chunk, trials) returns for the chunks of cfg.trials."""
     size = cfg.chunk_size
     bounds = [(c, min(size, cfg.trials - c * size))
               for c in range((cfg.trials + size - 1) // size)]
-    errors, extra = np.zeros(width, dtype=np.int64), np.zeros(width)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(lambda ct: one_chunk(*ct), bounds))
     else:
         results = [one_chunk(*ct) for ct in bounds]
-    for e, b in results:
-        errors += e
-        extra += b
-    return errors, extra
+    return [sum(parts, np.zeros_like(parts[0])) for parts in zip(*results)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +507,9 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
                       np.abs(nb) / sp)
             for k, sd in enumerate(err_sd):
                 errors[k] += one_point(hb, db, ub, nb, spread, sd)
-        return errors, np.zeros(len(err_sd))
+        return (errors,)
 
-    errors, _ = _reduce_chunks(cfg, one_chunk, len(err_sd))
+    errors, = _reduce_chunks(cfg, one_chunk)
     return SerCurve(snr_db=np.asarray(axis, dtype=float), errors=errors,
                     trials=np.full(len(err_sd), cfg.trials, dtype=np.int64))
 
@@ -557,7 +606,7 @@ def run_variable_rate(cfg: SimConfig,
                   for fr, d in zip(feas_ratio, qam_dmin))
         return _rate_counts(xs, t, least, step)
 
-    no_tx, bit_sum = _reduce_chunks(cfg, one_chunk, powers.size)
+    no_tx, bit_sum = _reduce_chunks(cfg, one_chunk)
     return RateCurve(snr_db=np.asarray(cfg.snr_db, dtype=float),
                      avg_bits=bit_sum / cfg.trials,
                      no_tx_fraction=no_tx / cfg.trials,

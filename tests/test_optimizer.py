@@ -308,3 +308,20 @@ def test_region_lookup_at_edges(n, suboptimal, data):
     else:
         assert d == pytest.approx(
             math.sqrt(ratio ** 2 + 1.0 - 2.0 * ratio * reg.c12), abs=1e-15)
+    # both lookups equal the general path, a searchsorted over the region
+    # starts and the formula where a region uses it, for any input, NaN and
+    # out-of-range ratios included: N=2 and N=4 have one region, and every
+    # region of a two-region table is constant
+    probe = np.array([ratio, np.nan, -1.0, 2.0, -np.inf, np.inf, -0.0])
+    col = table._arrays
+    want_idx = np.searchsorted(col["upper"], probe, side="right")
+    with np.errstate(invalid="ignore"):
+        formula = np.sqrt(np.maximum(
+            probe ** 2 - probe * col["c12x2"][want_idx] + 1.0, 0.0))
+        got_d = table.d_min_at(probe)
+    want_d = np.where(col["const"][want_idx], col["d_min"][want_idx], formula)
+    got_idx = table.index(probe)
+    assert got_idx.dtype == want_idx.dtype
+    np.testing.assert_array_equal(got_idx, want_idx)
+    np.testing.assert_array_equal(got_d, want_d)
+    assert type(table.index(ratio)) is type(np.searchsorted(col["upper"], ratio))

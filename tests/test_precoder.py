@@ -79,6 +79,26 @@ def test_phases_in_range():
     assert np.all(theta < 2 * np.pi)
 
 
+def test_phases_and_reconstruct_match_direct_forms():
+    # np.mod(np.angle(x), 2 pi) and the unblocked phasor sum, over more than
+    # two row blocks and with zero gains among the rows
+    rng = np.random.default_rng(8)
+    t = 2 * _BLOCK + 5
+    for m in (1, 2, 3, 8):
+        h = sample_rayleigh(m, 1.0, 40 + m, trials=t)
+        h[::97] = 0.0
+        h[1::89, 0] = 0.0
+        inner, outer = annulus_arrays(h, 1.0)
+        d = ((inner + (outer - inner) * rng.uniform(size=t))
+             * np.exp(2j * np.pi * rng.uniform(size=t)))
+        theta = phases_for_targets(h, 2.0, d)
+        np.testing.assert_array_equal(
+            theta, np.mod(np.angle(transmit(h, 2.0, d)), 2 * np.pi))
+        want = np.sqrt(2.0 / m) * np.sum(h * np.exp(1j * theta), axis=1)
+        assert np.all(np.abs(reconstruct(h, 2.0, theta) - want)
+                      <= 1e-15 * np.sqrt(2.0) * outer)
+
+
 # ---------------------------------------------------------------------------
 # transmit() against the trigonometric precoder it replaced
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ceapsk
+import ceapsk.cli
 import ceapsk.sim as sim
 from ceapsk.constellation import (qam_family, ser_union_bound,
                                   union_bound_threshold)
@@ -22,7 +23,8 @@ from ceapsk.rng import stream
 from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
                         _psk_decide, _qam16_decide, _qam_limits, _rate_counts,
                         _RingTables, run_csit_sweep, run_fixed_rate_ser,
-                        run_variable_rate, snr_at_bits, snr_at_ser)
+                        run_variable_rate, snr_at_bits, snr_at_ser,
+                        union_bound_curve)
 
 
 @pytest.fixture(scope="module")
@@ -135,37 +137,87 @@ def test_seed_changes_results(table16):
 
 
 def test_union_bound_present_for_proposed(table16):
-    cfg = SimConfig(m=2, snr_db=(20.0,), trials=10 ** 4,
-                    scheme="proposed-optimal")
-    curve = run_fixed_rate_ser(cfg, table16)
-    assert curve.union_bound is not None
+    # perfbench's "bound >= SER" output check reads the bound this way, and
+    # skips the check when it finds none
+    for scheme, (cmd, kind) in sim.SCHEMES.items():
+        if cmd != "ser" or kind is None:
+            continue
+        cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=10 ** 4,
+                        scheme=scheme, chunk_size=4_000)
+        table = _scheme_table(scheme)
+        bound = getattr(run_fixed_rate_ser(cfg, table), "union_bound", None)
+        assert isinstance(bound, np.ndarray) and bound.size == 2
+        np.testing.assert_array_equal(bound, union_bound_curve(cfg, table))
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=10 ** 4,
                     scheme="fixed-qam16")
     assert run_fixed_rate_ser(cfg, None).union_bound is None
+    with pytest.raises(ValueError, match="fixed-qam16"):
+        union_bound_curve(cfg, None)
+    assert run_csit_sweep(SimConfig(m=2, snr_db=(20.0,), trials=2000,
+                                    scheme="proposed-optimal"),
+                          table16, (10.0,)).union_bound is None
+
+
+def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
+    bound_calls, curve_calls = [], []
+    bound, curve_fn = sim.ser_union_bound, sim.union_bound_curve
+
+    def counting_bound(*args):
+        bound_calls.append(1)
+        return bound(*args)
+
+    def counting_curve(*args):
+        curve_calls.append(1)
+        return curve_fn(*args)
+    monkeypatch.setattr(sim, "ser_union_bound", counting_bound)
+    monkeypatch.setattr(sim, "union_bound_curve", counting_curve)
+    cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=5000,
+                    scheme="proposed-optimal")
+    curve = run_fixed_rate_ser(cfg, table16)
+    assert ceapsk.cli.main(["ser", "--scheme", "proposed-optimal", "--snr",
+                            "16:20:4", "--trials", "5000", "--out-dir",
+                            str(tmp_path)]) == 0
+    assert (bound_calls, curve_calls) == ([], [])
+    first = curve.union_bound
+    assert curve.union_bound is first
+    assert len(curve_calls) == 1 and bound_calls
 
 
 def test_debug_feasibility_checks(table16):
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
                     scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, table16)  # the checks inside must not fire
-    # under python -O the check still fires on a precoder output of 2 R
+    # under python -O each check still fires: on a precoder output of 2 R,
+    # and on one that stays in the annulus but misses its target
     script = textwrap.dedent("""
+        import math
         import sys
         import ceapsk.sim as sim
         from ceapsk.optimizer import build_region_table
         if sys.flags.optimize != 1:
             sys.exit(3)
-        # a fake precoder whose receive point is 2 R: every h_i x_i real,
-        # positive and twice the constant-envelope amplitude
-        sim.transmit = lambda h, p, d, **kw: (
-            2.0 * (p / h.shape[1]) ** 0.5 * h.conj() / abs(h))
+        transmit = sim.transmit
+        fakes = {
+            # receive point 2 R: every h_i x_i real, positive and twice the
+            # constant-envelope amplitude
+            "left the annulus": lambda h, p, d, **kw: (
+                2.0 * (p / h.shape[1]) ** 0.5 * h.conj() / abs(h)),
+            # target turned by 1e-6 rad: inside the annulus, yet it misses
+            # R s by 1e-6 |R s|, above 1e-9 R wherever |s| > 1e-3
+            "missed its target": lambda h, p, d, **kw: transmit(
+                h, p, d * complex(math.cos(1e-6), math.sin(1e-6)), **kw),
+        }
         cfg = sim.SimConfig(m=2, snr_db=(20.0,), trials=2000,
                             scheme="proposed-optimal")
-        try:
-            sim.run_fixed_rate_ser(cfg, build_region_table(16))
-        except RuntimeError:
-            sys.exit(0)
-        sys.exit(1)
+        for message, fake in fakes.items():
+            sim.transmit = fake
+            try:
+                sim.run_fixed_rate_ser(cfg, build_region_table(16))
+            except RuntimeError as e:
+                if message not in str(e):
+                    sys.exit(f"{message!r} check did not fire first: {e}")
+                continue
+            sys.exit(f"{message!r} check did not fire")
     """)
     src = str(Path(ceapsk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -396,9 +448,12 @@ _PINNED_BOUND = {
 def test_union_bound_pinned(scheme, m, chunk):
     cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
                     scheme=scheme, seed=5, chunk_size=chunk)
-    curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
-    assert curve.union_bound.tolist() == pytest.approx(
+    bound = union_bound_curve(cfg, _scheme_table(scheme))
+    assert bound.tolist() == pytest.approx(
         _PINNED_BOUND[scheme, m, chunk], rel=1e-12, abs=0.0)
+    two = union_bound_curve(dataclasses.replace(cfg, threads=2),
+                            _scheme_table(scheme))
+    np.testing.assert_array_equal(two, bound)
 
 
 @pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
@@ -679,9 +734,14 @@ def test_safe_radius_inside_every_cell(suboptimal):
 
 def test_detection_work_is_bounded(monkeypatch):
     # ser-apsk16-m2's configuration: about 14.5% of the (trial, point) pairs
-    # can err at all, and only those reach the detector
-    seen = []
-    build = _RingTables.detector
+    # can err at all, and only those reach the detector; about 45% of the
+    # trials can err at the first point, and only those reach the precoder
+    seen, precoded = [], []
+    build, transmit = _RingTables.detector, sim.transmit
+
+    def counting_transmit(h, *args, **kw):
+        precoded.append(len(h))
+        return transmit(h, *args, **kw)
 
     def counting(self, idx, rho2):
         decide = build(self, idx, rho2)
@@ -691,10 +751,12 @@ def test_detection_work_is_bounded(monkeypatch):
             return decide(wr, wi)
         return counted
     monkeypatch.setattr(_RingTables, "detector", counting)
+    monkeypatch.setattr(sim, "transmit", counting_transmit)
     cfg = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
                     trials=200_000, scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, _table(16))
     assert 0 < sum(seen) <= 0.2 * cfg.trials * len(cfg.snr_db)
+    assert 0 < sum(precoded) <= 0.5 * cfg.trials
 
 
 # ---------------------------------------------------------------------------
