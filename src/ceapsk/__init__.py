@@ -10,14 +10,12 @@ resulting link over Rayleigh fading.
 
 __version__ = "1.0.0"
 
-from .channel import (CsitModel, annulus_arrays, ratio_cdf_m2,
-                      sample_rayleigh)
-from .constellation import (ApskConstellation, MedReport, Ring, apsk_points,
-                            med, modulus_ratio, qam_family, qfunc,
+from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
+from .constellation import (med, modulus_ratio, qam_family, qfunc,
                             ser_union_bound)
 from .optimizer import (DesignResult, Region, RegionTable,
-                        build_region_table, build_suboptimal_table,
-                        region_probabilities, solve_p2, solve_p21)
+                        build_region_table, build_suboptimal_table, solve_p2,
+                        solve_p21)
 from .precoder import phases_for_targets, reconstruct, transmit
 from .sim import (SCHEMES, RateCurve, SerCurve, SimConfig, run_csit_sweep,
                   run_fixed_rate_ser, run_variable_rate, snr_at_bits,
@@ -25,11 +23,10 @@ from .sim import (SCHEMES, RateCurve, SerCurve, SimConfig, run_csit_sweep,
 
 __all__ = [
     "__version__",
-    "CsitModel", "annulus_arrays", "ratio_cdf_m2", "sample_rayleigh",
-    "ApskConstellation", "MedReport", "Ring", "apsk_points", "med",
-    "modulus_ratio", "qam_family", "qfunc", "ser_union_bound",
+    "annulus_arrays", "ratio_cdf_m2", "sample_rayleigh",
+    "med", "modulus_ratio", "qam_family", "qfunc", "ser_union_bound",
     "DesignResult", "Region", "RegionTable", "build_region_table",
-    "build_suboptimal_table", "region_probabilities", "solve_p2", "solve_p21",
+    "build_suboptimal_table", "solve_p2", "solve_p21",
     "phases_for_targets", "reconstruct", "transmit",
     "SCHEMES", "RateCurve", "SerCurve", "SimConfig", "run_csit_sweep",
     "run_fixed_rate_ser", "run_variable_rate", "snr_at_bits", "snr_at_ser",

@@ -9,27 +9,9 @@ depends on the channel only through (r, R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class CsitModel:
-    """MMSE channel estimation: per-element error variance beta/(1+SNR_tr)."""
-
-    training_snr: float
-    path_loss: float
-
-    def __post_init__(self):
-        if self.training_snr < 0 or self.path_loss <= 0:
-            raise ValueError("training_snr must be >= 0 and path_loss > 0")
-
-    @property
-    def error_variance(self) -> float:
-        return self.path_loss / (1.0 + self.training_snr)
 
 
 def annulus_arrays(h: np.ndarray, total_power: float, *,

@@ -29,6 +29,7 @@ from .sim import (SCHEMES, SIZES, SimConfig, run_csit_sweep,
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
+SER_SIZE = 16  # N of the region table a proposed fixed-rate scheme loads
 
 
 def _schemes_of(command: str) -> tuple[str, ...]:
@@ -99,7 +100,9 @@ def load_or_build_table(n: int, grid_step: float, cache_dir: Path) -> RegionTabl
 def cmd_design(args) -> int:
     res = solve_p2(args.n, args.ratio)
     out = {
-        "constellation": json.loads(res.constellation.to_json()),
+        "constellation": {"rings": [
+            {"count": args.n - res.n2, "radius": 1.0, "offset": 0.0},
+            {"count": res.n2, "radius": res.rho2, "offset": res.omega2}]},
         "d_min": res.d_min,
         "n2": res.n2,
         "omega2_over_pi": res.omega2 / np.pi,
@@ -148,7 +151,7 @@ def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
                 for n in SIZES}
     if need is None:
         return None
-    table = load_or_build_table(cfg.n, grid_step, cache_dir)
+    table = load_or_build_table(SER_SIZE, grid_step, cache_dir)
     return build_suboptimal_table(table) if need == "suboptimal" else table
 
 

@@ -1,4 +1,4 @@
-"""APSK / PSK / rectangular-QAM constellations and distance metrics.
+"""PSK / QAM benchmark constellations, distance metrics and the union bound.
 
 Constellations are normalized so the largest point modulus is 1; a set fits
 an annulus with radius ratio q iff its min/max modulus ratio is >= q.
@@ -6,80 +6,13 @@ an annulus with radius ratio q iff its min/max modulus ratio is >= q.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
 
-@dataclass(frozen=True)
-class Ring:
-    count: int
-    radius: float
-    offset: float
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("ring needs at least one point")
-        if not (0.0 <= self.radius <= 1.0):
-            raise ValueError("ring radius must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ApskConstellation:
-    """Concentric-ring constellation; ring 1 is the unit-radius reference.
-
-    Radii are non-increasing with ring index.  Equal radii are allowed so
-    that N-PSK can be represented as a two-ring set (e.g. 8+8 points at
-    radius 1 with a pi/8 offset is exactly 16-PSK).
-    """
-
-    rings: tuple[Ring, ...]
-
-    def __post_init__(self):
-        rings = tuple(self.rings)
-        if not rings:
-            raise ValueError("need at least one ring")
-        if rings[0].radius != 1.0 or rings[0].offset != 0.0:
-            raise ValueError("ring 1 must have radius 1 and offset 0")
-        radii = [rg.radius for rg in rings]
-        if any(b > a for a, b in zip(radii, radii[1:])):
-            raise ValueError("ring radii must be non-increasing")
-        object.__setattr__(self, "rings", rings)
-
-    @property
-    def size(self) -> int:
-        return sum(rg.count for rg in self.rings)
-
-    def to_json(self) -> str:
-        return json.dumps({"rings": [{"count": rg.count, "radius": rg.radius,
-                                      "offset": rg.offset} for rg in self.rings]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ApskConstellation":
-        data = json.loads(text)
-        return cls(tuple(Ring(r["count"], r["radius"], r["offset"])
-                         for r in data["rings"]))
-
-
-def apsk_points(c: ApskConstellation) -> np.ndarray:
-    """Point set {rho_l * exp(j(2 pi k / N_l + omega_l))}, outer ring first."""
-    parts = []
-    for rg in c.rings:
-        k = np.arange(rg.count)
-        parts.append(rg.radius * np.exp(1j * (2.0 * np.pi * k / rg.count + rg.offset)))
-    return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class MedReport:
-    med: float
-    argmin_pair: tuple[int, int]
-
-
-def med(points: np.ndarray) -> MedReport:
+def med(points: np.ndarray) -> float:
     """Exhaustive O(N^2) pairwise minimum distance."""
     pts = np.asarray(points)
     n = pts.size
@@ -87,8 +20,7 @@ def med(points: np.ndarray) -> MedReport:
         raise ValueError("need at least two points")
     diff = np.abs(pts[:, None] - pts[None, :])
     diff[np.diag_indices(n)] = np.inf
-    idx = np.unravel_index(np.argmin(diff), diff.shape)
-    return MedReport(med=float(diff[idx]), argmin_pair=(int(idx[0]), int(idx[1])))
+    return float(diff.min())
 
 
 def modulus_ratio(points: np.ndarray) -> float:

@@ -20,9 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import annulus_arrays, sample_rayleigh
-from .constellation import ApskConstellation, Ring
-
 TABLE_ALGO_VERSION = 1
 
 
@@ -58,7 +55,9 @@ def solve_p21(n: int, n2: int) -> PhaseOffsetSolution:
 
 @dataclass(frozen=True)
 class DesignResult:
-    constellation: ApskConstellation
+    """The outer ring holds N - n2 points at radius 1 and offset 0, the
+    inner ring n2 points at radius rho2 and offset omega2."""
+
     d_min: float
     n2: int
     omega2: float
@@ -160,10 +159,7 @@ def solve_p2(n: int, ratio: float) -> DesignResult:
     d, n2, rho2, _ = _solve_grid(n, np.array([ratio]), offsets)
     d, n2 = float(d[0]), int(n2[0])
     rho2 = max(float(rho2[0]), ratio)  # feasibility: inner ring never below r/R
-    omega2 = offsets[n2 - 1].omega2_star
-    cons = ApskConstellation((Ring(n - n2, 1.0, 0.0),
-                              Ring(n2, rho2, omega2)))
-    return DesignResult(constellation=cons, d_min=d, n2=n2, omega2=omega2,
+    return DesignResult(d_min=d, n2=n2, omega2=offsets[n2 - 1].omega2_star,
                         rho2=rho2)
 
 
@@ -336,14 +332,3 @@ def build_suboptimal_table(optimal: RegionTable) -> RegionTable:
     return RegionTable(size=optimal.size,
                        regions=(first, rest), grid_step=optimal.grid_step)
 
-
-def region_probabilities(table: RegionTable, num_antennas: int, trials: int,
-                         rng_seed: int) -> np.ndarray:
-    """Empirical probability of r/R landing in each region (i.i.d. Rayleigh)."""
-    if trials < 10 ** 5:
-        raise ValueError("need at least 1e5 trials")
-    h = sample_rayleigh(num_antennas, 1.0, rng_seed, trials=trials)
-    inner, outer = annulus_arrays(h, 1.0)
-    ratio = inner / outer
-    counts = np.bincount(table.index(ratio), minlength=len(table.regions))
-    return counts / trials

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import CsitModel, _complex_normal, _draw_channel, annulus_arrays
+from .channel import _complex_normal, _draw_channel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable
@@ -33,7 +33,9 @@ from .precoder import _BLOCK, _receive, transmit
 from .rng import stream
 
 # scheme -> (CLI command that runs it, region table it needs: the optimal
-# or two-region table of size n, one optimal table per size, or none)
+# or two-region table, one optimal table per size, or none).  A scheme with
+# a table sends that table's N points; the fixed-rate schemes without one
+# send 16.
 SCHEMES = {
     "proposed-optimal": ("ser", "optimal"),
     "proposed-suboptimal": ("ser", "suboptimal"),
@@ -43,9 +45,6 @@ SCHEMES = {
     "variable-apsk": ("rate", "per-size"),
     "variable-qam": ("rate", None),
 }
-# the fixed-rate schemes without a region table send 16-QAM
-_QAM16_SCHEMES = tuple(s for s, (cmd, table) in SCHEMES.items()
-                       if cmd == "ser" and table is None)
 
 # Results depend on these only through SNR = P beta / sigma^2: powers() sets
 # P from the SNR, so beta and sigma^2 scale out of every curve.
@@ -63,7 +62,6 @@ class SimConfig:
     snr_db: tuple[float, ...]
     trials: int
     scheme: str
-    n: int = 16
     target_ser: float = 1e-3
     seed: int = 0
     chunk_size: int = 100_000
@@ -76,8 +74,6 @@ class SimConfig:
         for name in ("m", "threads", "chunk_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.scheme in _QAM16_SCHEMES and self.n != 16:
-            raise ValueError(f"scheme {self.scheme} sends 16-QAM; n must be 16")
         if self.trials < 1000:
             raise ValueError("need at least 1e3 trials")
         if not (0.0 < self.target_ser < 1.0):
@@ -144,11 +140,10 @@ class RateCurve:
 _SAFE_RADIUS = 0.45
 
 
-def _check_two_ring_table(cfg: SimConfig, table: RegionTable | None) -> None:
-    if (table is None or table.size != cfg.n
-            or not all(1 <= reg.n2 < cfg.n for reg in table.regions)):
-        raise ValueError(f"scheme {cfg.scheme} requires a two-ring region "
-                         f"table for N={cfg.n}")
+def _check_two_ring_table(table: RegionTable | None) -> None:
+    if table is None or not all(1 <= reg.n2 < table.size
+                                for reg in table.regions):
+        raise ValueError("a proposed scheme requires a two-ring region table")
 
 
 class _RingTables:
@@ -160,9 +155,9 @@ class _RingTables:
     the ring point nearest in phase; the nearer of the two is the ML point.
     """
 
-    def __init__(self, cfg: SimConfig, table: RegionTable | None):
-        _check_two_ring_table(cfg, table)
-        n, regs = cfg.n, table.regions
+    def __init__(self, table: RegionTable | None):
+        _check_two_ring_table(table)
+        n, regs = table.size, table.regions
         self.n1 = np.array([n - reg.n2 for reg in regs])
         self.unit = np.array([np.concatenate([
             np.exp(2j * np.pi * np.arange(n - reg.n2) / (n - reg.n2)),
@@ -247,25 +242,26 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
 
     Then |w - center| < 0.45 d_cell < d_cell / 2, so `center` is the unique
     nearest point and the exact ML detectors return the sent label.  The
-    0.05 d_cell margin dwarfs float rounding, and on the N=16 tables
-    d_min_at overstates the true MED by at most 6.4e-7 (relative).  c_k |b|
-    never rises with k, so a trial safe at the first point is never
+    0.05 d_cell margin dwarfs float rounding, and on the N = 8, 16 and 32
+    tables d_min_at overstates the true MED by at most 8.7e-7 (relative).
+    c_k |b| never rises with k, so a trial safe at the first point is never
     precoded.  The averaged union bound of the proposed schemes is the
     returned curve's union_bound, computed when it is first read.
     """
     if SCHEMES[cfg.scheme][0] != "ser":
         raise ValueError("use run_variable_rate for variable-rate schemes")
-    rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
+    rings = _RingTables(table) if SCHEMES[cfg.scheme][1] else None
+    size = 16 if rings is None else table.size
     sigma = math.sqrt(NOISE_POWER)
     cs = [sigma / math.sqrt(p) for p in cfg.powers()]
     qam16 = qam_family(16)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
-    qam16_med, psk16_med = med(qam16).med, med(psk16).med
+    qam16_med, psk16_med = med(qam16), med(psk16)
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, _FIXED_RATE_STREAM, chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
-        u = rng.integers(0, cfg.n, size=t)
+        u = rng.integers(0, size, size=t)
         z = _complex_normal(rng, t)
         z /= np.sqrt(2.0)
         r0, big_r0, ratio = _annulus(h)
@@ -364,7 +360,7 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     """
     if SCHEMES[cfg.scheme][0] != "ser" or not SCHEMES[cfg.scheme][1]:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
-    _check_two_ring_table(cfg, table)
+    _check_two_ring_table(table)
     sps = [math.sqrt(p) for p in cfg.powers()]
 
     def one_chunk(chunk: int, t: int):
@@ -376,7 +372,7 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
         for lo in range(0, t, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             for k, sp in enumerate(sps):
-                bound[k] += ser_union_bound(cfg.n, d_cell[block],
+                bound[k] += ser_union_bound(table.size, d_cell[block],
                                             sp * big_r0[block],
                                             NOISE_POWER).sum()
         return (bound,)
@@ -443,15 +439,16 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     training = tuple(float(s) for s in training_snr_db)
     if not all(map(math.isfinite, training)):
         raise ValueError("training SNRs must be finite")
-    rings = _RingTables(cfg, table) if SCHEMES[cfg.scheme][1] else None
+    rings = _RingTables(table) if SCHEMES[cfg.scheme][1] else None
+    size = 16 if rings is None else table.size
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
     sid = 3  # shared across csit-swept schemes (common random numbers)
     axis = list(training) + [math.inf]
-    err_sd = [math.sqrt(CsitModel(10.0 ** (s / 10.0), PATH_LOSS).error_variance)
-              for s in axis]
+    # MMSE estimation: error variance beta / (1 + training SNR) per antenna
+    err_sd = [math.sqrt(PATH_LOSS / (1.0 + 10.0 ** (s / 10.0))) for s in axis]
     qam16 = qam_family(16)
-    qam16_med = med(qam16).med
+    qam16_med = med(qam16)
 
     def one_point(h, dh_unit, u, noise, spread, sd):
         """Errors at one training point over one block of trials; spread is
@@ -492,7 +489,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
-        u = rng.integers(0, cfg.n, size=t)
+        u = rng.integers(0, size, size=t)
         noise = _complex_normal(rng, t)
         noise /= np.sqrt(2.0)
         noise *= sigma
@@ -521,7 +518,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 def _qam_limits(n: int) -> tuple[float, float]:
     """(largest feasible annulus ratio, MED) of the size-n QAM benchmark."""
     pts = qam_family(n)
-    return modulus_ratio(pts), med(pts).med
+    return modulus_ratio(pts), med(pts)
 
 
 def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from ceapsk.channel import (CsitModel, _complex_normal, _draw_channel,
-                            annulus_arrays, ratio_cdf_m2, sample_rayleigh)
+import ceapsk.sim as sim
+from ceapsk.channel import (_complex_normal, _draw_channel, annulus_arrays,
+                            ratio_cdf_m2, sample_rayleigh)
 from ceapsk.optimizer import build_region_table
 from ceapsk.rng import stream
 from ceapsk.sim import SimConfig, run_csit_sweep
@@ -87,7 +90,7 @@ def test_ratio_cdf_ks_distance():
     assert np.abs(emp - ratio_cdf_m2(grid)).max() < 0.005
 
 
-# The CSIT sweep estimates h_hat = h - dh, dh ~ CN(0, CsitModel.error_variance)
+# The CSIT sweep estimates h_hat = h - dh, dh ~ CN(0, beta / (1 + SNR_tr))
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +107,31 @@ def test_mmse_estimate_high_training_snr(table16):
     assert curve.errors[0] == curve.errors[1] > 0
 
 
-def test_mmse_estimate_error_variance():
-    csit = CsitModel(training_snr=1.0, path_loss=1.0)
-    assert csit.error_variance == pytest.approx(0.5)
-    assert CsitModel(training_snr=0.0, path_loss=2.0).error_variance == 2.0
-    with pytest.raises(ValueError):
-        CsitModel(training_snr=-1.0, path_loss=1.0)
+def test_mmse_estimate_error_variance(table16, monkeypatch):
+    # the sweep designs for h_hat = h - sd dh_unit, dh_unit the chunk's unit
+    # error draw and sd^2 = beta / (1 + SNR_tr): beta / 2 at 0 dB of
+    # training, beta / 11 at 10 dB, and 0 for the perfect-CSIT point
+    seen = []
+    annulus = sim._annulus
+
+    def recording(h, mags=None):
+        seen.append(h)
+        return annulus(h, mags)
+    monkeypatch.setattr(sim, "_annulus", recording)
+    cfg = SimConfig(m=2, snr_db=(20.0,), trials=2000,
+                    scheme="proposed-optimal", seed=3)
+    run_csit_sweep(cfg, table16, (0.0, 10.0))
+    rng = stream(3, 3, 0)  # the sweep's stream for chunk 0
+    h = _draw_channel(rng, 2, 2000, sim.PATH_LOSS)
+    rng.integers(0, 16, size=2000)  # symbols
+    _complex_normal(rng, 2000)  # noise
+    dh_unit = _complex_normal(rng, (2000, 2))
+    dh_unit /= np.sqrt(2.0)
+    variances = [sim.PATH_LOSS / 2.0, sim.PATH_LOSS / 11.0, 0.0]
+    assert len(seen) == len(variances)
+    for h_hat, var in zip(seen, variances):
+        np.testing.assert_array_equal(h_hat, h - math.sqrt(var) * dh_unit)
+        assert np.mean(np.abs(h - h_hat) ** 2) == pytest.approx(var, rel=0.1)
 
 
 def test_mmse_estimate_reproducible(table16):

@@ -41,6 +41,44 @@ def test_design_qpsk(capsys):
     assert out["d_min"] == pytest.approx(1.4142, abs=1e-4)
 
 
+# `design` stdout per (N, ratio), recorded while the output was still built
+# from a general ring-list constellation object
+_DESIGN_STDOUT = {
+    (2, 0.5): {"constellation": {"rings": [
+        {"count": 1, "radius": 1.0, "offset": 0.0},
+        {"count": 1, "radius": 1.0, "offset": 3.141592653589793}]},
+        "d_min": 2.0, "n2": 1, "omega2_over_pi": 1.0, "rho2": 1.0},
+    (4, 0.7): {"constellation": {"rings": [
+        {"count": 2, "radius": 1.0, "offset": 0.0},
+        {"count": 2, "radius": 1.0, "offset": 1.5707963267948966}]},
+        "d_min": 1.414213562373095, "n2": 2, "omega2_over_pi": 0.5,
+        "rho2": 1.0},
+    (8, 0.2): {"constellation": {"rings": [
+        {"count": 7, "radius": 1.0, "offset": 0.0},
+        {"count": 1, "radius": 0.2, "offset": 0.4487989505128276}]},
+        "d_min": 0.824386106650902, "n2": 1,
+        "omega2_over_pi": 0.14285714285714285, "rho2": 0.2},
+    (16, 0.4): {"constellation": {"rings": [
+        {"count": 11, "radius": 1.0, "offset": 0.0},
+        {"count": 5, "radius": 0.46028805042118337,
+         "offset": 0.057119866428905326}]},
+        "d_min": 0.5411010556880518, "n2": 5,
+        "omega2_over_pi": 0.01818181818181818, "rho2": 0.46028805042118337},
+    (64, 0.9): {"constellation": {"rings": [
+        {"count": 32, "radius": 1.0, "offset": 0.0},
+        {"count": 32, "radius": 0.9, "offset": 0.09817477042468103}]},
+        "d_min": 0.1366290305537062, "n2": 32, "omega2_over_pi": 0.03125,
+        "rho2": 0.9},
+}
+
+
+@pytest.mark.parametrize("n,ratio", sorted(_DESIGN_STDOUT))
+def test_design_output_pinned(n, ratio, capsys):
+    assert main(["design", "--n", str(n), "--ratio", str(ratio)]) == 0
+    want = json.dumps(_DESIGN_STDOUT[n, ratio], indent=2) + "\n"
+    assert capsys.readouterr().out == want
+
+
 def test_design_bad_ratio(capsys):
     assert main(["design", "--n", "16", "--ratio", "1.5"]) == 2
 

@@ -1,8 +1,9 @@
 """Static guards: no unused imports in the package or its tests, no assert
 statements in the package, and every package name the benchmark harness in
-perfbench/ reaches still resolves."""
+perfbench/ or the README's examples reach still resolves."""
 
 import ast
+import importlib
 import importlib.util
 import re
 import sys
@@ -13,6 +14,7 @@ import ceapsk.cli  # noqa: F401  (loads every submodule)
 
 SRC = Path(ceapsk.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
+README = SRC.parents[1] / "README.md"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -68,6 +70,19 @@ def test_perfbench_references_resolve():
             _resolve(name)
         except AttributeError:
             missing.append(name)
+    assert not missing, missing
+
+
+def test_readme_imports_resolve():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    names = {(node.module, alias.name) for block in blocks
+             for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom)
+             and node.module.split(".")[0] == "ceapsk"
+             for alias in node.names}
+    assert ("ceapsk", "solve_p2") in names  # the scan itself works
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
 
 

@@ -1,76 +1,90 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ceapsk.constellation import (ApskConstellation, Ring, apsk_points, med,
-                                  modulus_ratio, qam_family, qfunc,
+from ceapsk.constellation import (med, modulus_ratio, qam_family, qfunc,
                                   ser_union_bound)
+from ceapsk.optimizer import RegionTable, build_region_table
+from ceapsk.sim import _RingTables
+
+
+def _rings(*rings):
+    """Points radius * exp(j (2 pi k / count + offset)) of each ring
+    (count, radius, offset), outer ring first."""
+    return np.concatenate([radius * np.exp(1j * (2.0 * np.pi * np.arange(count)
+                                                 / count + offset))
+                           for count, radius, offset in rings])
+
+
+def _design_points(n, ratio):
+    """The N-point design's points at r/R = ratio as the engines assemble
+    them (_RingTables, the one point-set builder in the package)."""
+    table = build_region_table(n)
+    idx, _, _, rho2 = table.params_at(np.array([ratio]))
+    return _RingTables(table).symbols(np.repeat(idx, n), np.repeat(rho2, n),
+                                      np.arange(n))
 
 
 def test_apsk_points_qpsk():
-    c = ApskConstellation((Ring(4, 1.0, 0.0),))
-    pts = apsk_points(c)
+    # the 4-point design is QPSK at every ratio: two rings of two at radius 1
+    pts = _design_points(4, 0.7)
     np.testing.assert_allclose(sorted(pts, key=lambda p: np.angle(p)),
                                sorted([1, 1j, -1, -1j],
                                       key=lambda p: np.angle(p)), atol=1e-15)
 
 
 def test_apsk_points_region1_16apsk():
-    c = ApskConstellation((Ring(11, 1.0, 0.0),
-                           Ring(5, 0.4603, 0.0182 * np.pi)))
-    pts = apsk_points(c)
+    pts = _design_points(16, 0.4)
     assert pts.size == 16
-    assert np.count_nonzero(np.isclose(np.abs(pts), 0.4603)) == 5
+    np.testing.assert_allclose(np.abs(pts[:11]), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(pts[11:]), 0.4603, rtol=0, atol=5e-5)
 
 
 def test_apsk_points_single():
-    c = ApskConstellation((Ring(1, 1.0, 0.0), Ring(1, 0.3, 0.7)))
-    pts = apsk_points(c)
-    assert pts[1] == pytest.approx(0.3 * np.exp(0.7j))
+    # N=2: two single-point rings, the inner one half a turn round: BPSK
+    pts = _design_points(2, 0.3)
+    assert pts.tolist() == pytest.approx([1.0, -1.0], abs=1e-15)
 
 
 def test_ring_validation():
+    table = build_region_table(4)
+    reg = table.regions[0]
     with pytest.raises(ValueError):
-        Ring(0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Ring(4, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        ApskConstellation((Ring(4, 0.5, 0.0),))  # ring 1 must have radius 1
-    with pytest.raises(ValueError):
-        # increasing radii
-        ApskConstellation((Ring(2, 1.0, 0.0), Ring(2, 0.5, 0.0),
-                           Ring(2, 0.8, 0.0)))
+        _RingTables(None)
+    for n2 in (0, 4):  # an empty ring: not a two-ring design
+        bad = dataclasses.replace(reg, n2=n2)
+        with pytest.raises(ValueError):
+            _RingTables(RegionTable(size=4, regions=(bad,),
+                                    grid_step=table.grid_step))
 
 
 def test_intra_ring_med():
     # the MED of one ring of N points is 2 sin(pi / N) times its radius
-    psk4 = apsk_points(ApskConstellation((Ring(4, 1.0, 0.0),)))
-    psk16 = apsk_points(ApskConstellation((Ring(16, 1.0, 0.0),)))
-    assert med(psk4).med == pytest.approx(math.sqrt(2.0))
-    assert med(psk16).med == pytest.approx(2 * math.sin(np.pi / 16))
-    assert med(0.5 * psk16).med == pytest.approx(0.3902 / 2, abs=5e-5)
+    psk4 = _rings((4, 1.0, 0.0))
+    psk16 = _rings((16, 1.0, 0.0))
+    assert med(psk4) == pytest.approx(math.sqrt(2.0))
+    assert med(psk16) == pytest.approx(2 * math.sin(np.pi / 16))
+    assert med(0.5 * psk16) == pytest.approx(0.3902 / 2, abs=5e-5)
 
 
 def test_inter_ring_med_colinear():
-    c = ApskConstellation((Ring(1, 1.0, 0.0), Ring(1, 0.5, 0.0)))
-    assert med(apsk_points(c)).med == pytest.approx(0.5)
+    assert med(_rings((1, 1.0, 0.0), (1, 0.5, 0.0))) == pytest.approx(0.5)
 
 
 def test_inter_ring_med_region1():
     # region-1 16-APSK: the inter-ring distance is the MED
-    c = ApskConstellation((Ring(11, 1.0, 0.0),
-                           Ring(5, 0.4603, 0.0182 * np.pi)))
-    pts = apsk_points(c)
+    pts = _rings((11, 1.0, 0.0), (5, 0.4603, 0.0182 * np.pi))
     assert np.abs(pts[:11, None] - pts[None, 11:]).min() == pytest.approx(
         0.5411, abs=5e-5)
-    assert med(pts).med == pytest.approx(0.5411, abs=5e-5)
+    assert med(pts) == pytest.approx(0.5411, abs=5e-5)
 
 
 def test_med_qam_values():
-    assert med(qam_family(16)).med == pytest.approx(0.4714, abs=5e-5)
-    assert med(qam_family(32)).med == pytest.approx(0.3430, abs=5e-5)
-    assert med(qam_family(64)).med == pytest.approx(0.2020, abs=5e-5)
+    assert med(qam_family(16)) == pytest.approx(0.4714, abs=5e-5)
+    assert med(qam_family(32)) == pytest.approx(0.3430, abs=5e-5)
+    assert med(qam_family(64)) == pytest.approx(0.2020, abs=5e-5)
 
 
 def test_med_errors_on_single_point():
@@ -88,8 +102,7 @@ def test_analytic_vs_exhaustive_med():
         n2 = int(rng.integers(1, n1 + 1))
         rho2 = float(rng.uniform(0.1, 1.0))
         om = float(rng.uniform(0, 2 * np.pi))
-        c = ApskConstellation((Ring(n1, 1.0, 0.0), Ring(n2, rho2, om)))
-        pts = apsk_points(c)
+        pts = _rings((n1, 1.0, 0.0), (n2, rho2, om))
         ang = (2 * np.pi * np.arange(n1)[:, None] / n1 - om
                - 2 * np.pi * np.arange(n2)[None, :] / n2)
         cmax = np.cos(ang).max()
@@ -97,7 +110,7 @@ def test_analytic_vs_exhaustive_med():
                  2 * math.sin(np.pi / n1)]
         if n2 > 1:
             terms.append(2 * rho2 * math.sin(np.pi / n2))
-        assert min(terms) == pytest.approx(med(pts).med, abs=1e-12)
+        assert min(terms) == pytest.approx(med(pts), abs=1e-12)
 
 
 # A set fits the annulus of ratio q iff modulus_ratio(set) >= q
@@ -124,12 +137,12 @@ def test_qam_family_values():
     assert modulus_ratio(qam_family(4)) == pytest.approx(1.0)
     assert modulus_ratio(qam_family(16)) == pytest.approx(1.0 / 3.0)
     assert modulus_ratio(qam_family(64)) == pytest.approx(1.0 / 7.0)
-    assert med(qam_family(4)).med == pytest.approx(math.sqrt(2.0))
+    assert med(qam_family(4)) == pytest.approx(math.sqrt(2.0))
     # 8-QAM: inner square +-1+-1j plus axis points at 1+sqrt(3)
     q8 = qam_family(8)
     assert q8.size == 8
     assert modulus_ratio(q8) == pytest.approx(math.sqrt(2) / (1 + math.sqrt(3)))
-    assert med(q8).med == pytest.approx(2.0 / (1 + math.sqrt(3)))
+    assert med(q8) == pytest.approx(2.0 / (1 + math.sqrt(3)))
     with pytest.raises(ValueError):
         qam_family(12)
 
@@ -150,10 +163,4 @@ def test_union_bound_values():
 def test_qfunc():
     assert qfunc(0.0) == pytest.approx(0.5)
     assert qfunc(3.0) == pytest.approx(1.3499e-3, rel=1e-3)
-
-
-def test_json_roundtrip():
-    c = ApskConstellation((Ring(11, 1.0, 0.0), Ring(5, 0.4603, 0.0571)))
-    c2 = ApskConstellation.from_json(c.to_json())
-    assert c2 == c
 

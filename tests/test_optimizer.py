@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceapsk.constellation import apsk_points, med, modulus_ratio
+from ceapsk.channel import annulus_arrays, sample_rayleigh
+from ceapsk.constellation import med, modulus_ratio
 from ceapsk.optimizer import (_solve_n2, build_region_table,
-                              build_suboptimal_table, region_probabilities,
-                              solve_p2, solve_p21)
+                              build_suboptimal_table, solve_p2, solve_p21)
 
 
 def test_solve_p21_examples():
@@ -128,17 +128,33 @@ def test_solve_p2_validation():
         solve_p2(6, 0.5)
 
 
+def _design_points(n, res):
+    """The design's point set: N - n2 points at radius 1 and offset 0, then
+    n2 at radius rho2 and offset omega2."""
+    n1 = n - res.n2
+    return np.concatenate([
+        np.exp(2j * np.pi * np.arange(n1) / n1),
+        res.rho2 * np.exp(1j * (2.0 * np.pi * np.arange(res.n2) / res.n2
+                                + res.omega2))])
+
+
+_SIZES = (2, 4, 8, 16, 32, 64)
+
+
 def test_solve_p2_output_feasible():
-    for q in np.linspace(0, 1, 21):
-        res = solve_p2(16, float(q))
-        assert modulus_ratio(apsk_points(res.constellation)) >= q - 2e-12
+    for n in _SIZES:
+        for q in np.linspace(0, 1, 21):
+            res = solve_p2(n, float(q))
+            assert 1 <= res.n2 <= n // 2 and q <= res.rho2 <= 1.0, (n, q)
+            assert modulus_ratio(_design_points(n, res)) >= q - 2e-12, (n, q)
 
 
 def test_solve_p2_dmin_matches_point_set():
-    for q in np.linspace(0, 1, 21):
-        res = solve_p2(16, float(q))
-        assert med(apsk_points(res.constellation)).med == pytest.approx(
-            res.d_min, abs=1e-9)
+    for n in _SIZES:
+        for q in np.linspace(0, 1, 21):
+            res = solve_p2(n, float(q))
+            assert med(_design_points(n, res)) == pytest.approx(
+                res.d_min, abs=1e-9), (n, q)
 
 
 def test_dmin_monotone_in_ratio():
@@ -225,9 +241,7 @@ def test_suboptimal_table_n8_second_region_is_8psk():
     sub = build_suboptimal_table(build_region_table(8, 1e-4))
     reg = sub.regions[1]
     # two rings of 4 at rho2=1 with quarter-turn offset = 8-PSK
-    from ceapsk.constellation import ApskConstellation, Ring
-    pts = apsk_points(ApskConstellation((Ring(4, 1.0, 0.0),
-                                         Ring(4, reg.rho2, reg.omega2))))
+    pts = _design_points(8, reg)
     psk8 = np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.allclose(np.sort(np.angle(pts) % (2 * np.pi)),
                        np.sort(np.angle(psk8) % (2 * np.pi)), atol=1e-9)
@@ -240,10 +254,12 @@ def test_suboptimal_single_region_passthrough():
 
 
 def test_region_probabilities():
+    # region occupancy under i.i.d. Rayleigh fading, read through the lookup
     table = build_region_table(8, 1e-4)
-    with pytest.raises(ValueError):
-        region_probabilities(table, 2, 10 ** 4, 0)
-    probs = region_probabilities(table, 4, 2 * 10 ** 5, 0)
+    inner, outer = annulus_arrays(sample_rayleigh(4, 1.0, 0, trials=2 * 10 ** 5),
+                                  1.0)
+    probs = np.bincount(table.index(inner / outer),
+                        minlength=len(table.regions)) / inner.size
     assert probs.sum() == pytest.approx(1.0)
     assert probs[0] == pytest.approx(0.9766, abs=0.005)
 

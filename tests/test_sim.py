@@ -52,24 +52,6 @@ def test_config_rejects_counts_below_one(field):
         SimConfig(**{**kw, field: 0})
 
 
-@pytest.mark.parametrize("scheme", ["fixed-qam16", "egt-qam16",
-                                    "adaptive-qam-psk"])
-@pytest.mark.parametrize("n", [8, 32])
-def test_config_rejects_qam_schemes_off_16(scheme, n):
-    with pytest.raises(ValueError, match="16"):
-        SimConfig(m=2, snr_db=(10.0,), trials=10 ** 4, scheme=scheme, n=n)
-
-
-def test_engines_reject_table_of_other_size():
-    cfg = SimConfig(m=2, snr_db=(20.0,), trials=2000,
-                    scheme="proposed-optimal", n=16)
-    table8 = build_region_table(8, 1e-4)
-    with pytest.raises(ValueError, match="N=16"):
-        run_fixed_rate_ser(cfg, table8)
-    with pytest.raises(ValueError, match="N=16"):
-        run_csit_sweep(cfg, table8, (10.0,))
-
-
 def test_powers():
     cfg = SimConfig(m=2, snr_db=(0.0, 10.0), trials=10 ** 4,
                     scheme="proposed-optimal")
@@ -83,7 +65,7 @@ def test_config_fields():
     # a run is set by these alone; link results depend on beta and sigma^2
     # only through the SNR, so those are module constants
     assert [f.name for f in dataclasses.fields(SimConfig)] == [
-        "m", "snr_db", "trials", "scheme", "n", "target_ser", "seed",
+        "m", "snr_db", "trials", "scheme", "target_ser", "seed",
         "chunk_size", "threads"]
 
 
@@ -354,11 +336,9 @@ def test_two_ring_detector_matches_brute_force(n, suboptimal, region, frac,
                              [np.pi, -np.pi]])
     radii = [1.0, rho2, (1.0 + rho2) / 2.0, 0.05, 1.7, rng.uniform(0.0, 1.5)]
     w = _probe_points(rng, angles, radii, 0.6)
-    cfg = SimConfig(m=2, snr_db=(0.0,), trials=1000, scheme="proposed-optimal",
-                    n=n)
     u = rng.integers(0, n, size=w.size)
     t_idx, t_rho2 = np.full(w.size, region), np.full(w.size, rho2)
-    rings = _RingTables(cfg, table)
+    rings = _RingTables(table)
     s, decide = rings.symbols(t_idx, t_rho2, u), rings.detector(t_idx, t_rho2)
     # symbols are bit-identical to the defined points
     np.testing.assert_array_equal(s, pts[u])
@@ -413,10 +393,10 @@ _PINNED_CSIT = {
 }
 
 
-def _scheme_table(scheme):
+def _scheme_table(scheme, n=16):
     if scheme == "proposed-optimal":
-        return _table(16)
-    return _table(16, True) if scheme == "proposed-suboptimal" else None
+        return _table(n)
+    return _table(n, True) if scheme == "proposed-suboptimal" else None
 
 
 @pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED))
@@ -657,7 +637,8 @@ def test_zero_norm_channel_sends_nothing(scheme, target_ser, monkeypatch):
 def _detect_every_pair(cfg, table):
     """Error counts of the fixed-rate engine's chunks with ML detection run
     on every (trial, SNR point) pair."""
-    rings = _RingTables(cfg, table) if table is not None else None
+    rings = _RingTables(table) if table is not None else None
+    size = 16 if table is None else table.size
     qam16 = qam_family(16)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
     sigma = math.sqrt(sim.NOISE_POWER)
@@ -666,7 +647,7 @@ def _detect_every_pair(cfg, table):
         t = min(cfg.chunk_size, cfg.trials - lo)
         rng = stream(cfg.seed, 1, chunk)
         h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
-        u = rng.integers(0, cfg.n, size=t)
+        u = rng.integers(0, size, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         _, big_r0, ratio = sim._annulus(h)
         if rings is not None:
@@ -696,40 +677,50 @@ def _detect_every_pair(cfg, table):
     return errors
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("m", [1, 2, 4, 8])
-@pytest.mark.parametrize("scheme", [s for s, (cmd, _) in sim.SCHEMES.items()
-                                    if cmd == "ser"])
-def test_skipped_pairs_never_err(scheme, m, seed, monkeypatch):
+def _engine_cases(schemes):
+    """Parametrize (scheme, n, m, seed): each scheme on N=16 at M = 1, 2, 4
+    and 8 and seeds 0 and 7, and proposed-optimal on the N=8 and N=32
+    tables at M = 2 and 4, seed 0."""
+    cases = [(s, 16, m, seed) for s in schemes for m in (1, 2, 4, 8)
+             for seed in (0, 7)]
+    cases += [("proposed-optimal", n, m, 0) for n in (8, 32) for m in (2, 4)]
+    ids = [f"{s}-{m}-{seed}" if n == 16 else f"{s}-n{n}-{m}-{seed}"
+           for s, n, m, seed in cases]
+    return pytest.mark.parametrize("scheme,n,m,seed", cases, ids=ids)
+
+
+@_engine_cases([s for s, (cmd, _) in sim.SCHEMES.items() if cmd == "ser"])
+def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch):
     zeroed = _zero_some_rows(monkeypatch)
     cfg = SimConfig(m=m, snr_db=tuple(float(s) for s in range(0, 39, 2)),
                     trials=20_000, scheme=scheme, seed=seed, chunk_size=8_000)
-    curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
-    np.testing.assert_array_equal(curve.errors,
-                                  _detect_every_pair(cfg, _scheme_table(scheme)))
+    table = _scheme_table(scheme, n)
+    curve = run_fixed_rate_ser(cfg, table)
+    np.testing.assert_array_equal(curve.errors, _detect_every_pair(cfg, table))
     assert curve.errors[-1] >= zeroed
 
 
 @pytest.mark.parametrize("suboptimal", [False, True])
 def test_safe_radius_inside_every_cell(suboptimal):
     # the skip rests on SAFE_RADIUS * d_min_at(ratio) < med / 2 for the
-    # points the engine assembles, on a dense sweep and at every region edge
-    table = _table(16, suboptimal)
-    lo = np.array([reg.lo for reg in table.regions])
-    ratios = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001), lo,
-                                     np.nextafter(lo, -1.0),
-                                     np.nextafter(lo, 2.0)]), 0.0, 1.0)
-    idx, _, _, rho2 = table.params_at(ratios)
-    cfg = SimConfig(m=2, snr_db=(0.0,), trials=1000, scheme="proposed-optimal")
-    pts = _RingTables(cfg, table).symbols(
-        np.repeat(idx, 16), np.repeat(rho2, 16),
-        np.tile(np.arange(16), ratios.size)).reshape(-1, 16)
-    dist = np.abs(pts[:, :, None] - pts[:, None, :])
-    dist[:, np.arange(16), np.arange(16)] = np.inf
-    true_med = dist.min(axis=(1, 2))
-    d_min = table.d_min_at(ratios)
-    assert np.all(sim._SAFE_RADIUS * d_min < 0.5 * true_med)
-    assert np.all(d_min <= true_med * (1.0 + 1e-6))
+    # points the engine assembles, on a dense sweep and at every region edge,
+    # for each table size the engine tests run
+    for n in (8, 16, 32):
+        table = _table(n, suboptimal)
+        lo = np.array([reg.lo for reg in table.regions])
+        ratios = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001), lo,
+                                         np.nextafter(lo, -1.0),
+                                         np.nextafter(lo, 2.0)]), 0.0, 1.0)
+        idx, _, _, rho2 = table.params_at(ratios)
+        pts = _RingTables(table).symbols(
+            np.repeat(idx, n), np.repeat(rho2, n),
+            np.tile(np.arange(n), ratios.size)).reshape(-1, n)
+        dist = np.abs(pts[:, :, None] - pts[:, None, :])
+        dist[:, np.arange(n), np.arange(n)] = np.inf
+        true_med = dist.min(axis=(1, 2))
+        d_min = table.d_min_at(ratios)
+        assert np.all(sim._SAFE_RADIUS * d_min < 0.5 * true_med), n
+        assert np.all(d_min <= true_med * (1.0 + 1e-6)), n
 
 
 def test_detection_work_is_bounded(monkeypatch):
@@ -767,7 +758,8 @@ def _csit_every_pair(cfg, table, training_snr_db):
     """Error counts of the CSIT sweep's chunks with the precoder and ML
     detection run on every (trial, training point) pair, a whole chunk at a
     time."""
-    rings = _RingTables(cfg, table) if table is not None else None
+    rings = _RingTables(table) if table is not None else None
+    size = 16 if table is None else table.size
     qam16 = qam_family(16)
     p = float(cfg.powers()[0])
     sp = math.sqrt(p)
@@ -778,7 +770,7 @@ def _csit_every_pair(cfg, table, training_snr_db):
         t = min(cfg.chunk_size, cfg.trials - lo)
         rng = stream(cfg.seed, 3, chunk)
         h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
-        u = rng.integers(0, cfg.n, size=t)
+        u = rng.integers(0, size, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         dh = (rng.standard_normal((t, cfg.m))
               + 1j * rng.standard_normal((t, cfg.m))) / np.sqrt(2.0)
@@ -803,18 +795,17 @@ def _csit_every_pair(cfg, table, training_snr_db):
     return errors
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("m", [1, 2, 4, 8])
-@pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
-def test_csit_skipped_pairs_never_err(scheme, m, seed, monkeypatch):
+@_engine_cases(sorted(_PINNED_CSIT))
+def test_csit_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch):
     zeroed = _zero_some_rows(monkeypatch)
     training = tuple(float(s) for s in range(-10, 41, 5))
+    table = _scheme_table(scheme, n)
     for snr in (5.0, 20.0, 40.0):
         cfg = SimConfig(m=m, snr_db=(snr,), trials=10_000, scheme=scheme,
                         seed=seed, chunk_size=4_000)
-        curve = run_csit_sweep(cfg, _scheme_table(scheme), training)
+        curve = run_csit_sweep(cfg, table, training)
         np.testing.assert_array_equal(
-            curve.errors, _csit_every_pair(cfg, _scheme_table(scheme), training))
+            curve.errors, _csit_every_pair(cfg, table, training))
     assert curve.errors[-1] >= zeroed
 
 
