@@ -82,13 +82,12 @@ def write_manifest(path: Path, args, outputs: list, started: float) -> None:
     path.write_text(json.dumps(manifest, indent=2))
 
 
-def load_or_build_table(n: int, grid_step: float, cache_dir: Path) -> RegionTable:
+def load_or_build_table(n: int, cache_dir: Path) -> RegionTable:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    # repr keeps every digit of the step, so two steps never share a file
-    path = cache_dir / f"regions_n{n}_step{grid_step!r}_v{TABLE_ALGO_VERSION}.json"
+    path = cache_dir / f"regions_n{n}_v{TABLE_ALGO_VERSION}.json"
     if path.exists():
         return RegionTable.from_json(path.read_text())
-    table = build_region_table(n, grid_step)
+    table = build_region_table(n)
     path.write_text(table.to_json())
     return table
 
@@ -116,7 +115,7 @@ def cmd_table(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    table = load_or_build_table(args.n, args.grid_step, outdir / "cache")
+    table = load_or_build_table(args.n, outdir / "cache")
     written = {f"table_n{args.n}": table}
     if args.suboptimal:
         written[f"table_n{args.n}_suboptimal"] = build_suboptimal_table(table)
@@ -143,15 +142,14 @@ def _sim_config(args, **kw) -> SimConfig:
                      seed=args.seed, threads=args.threads, **kw)
 
 
-def _scheme_tables(cfg: SimConfig, grid_step: float, cache_dir: Path):
+def _scheme_tables(cfg: SimConfig, cache_dir: Path):
     """The region table(s) SCHEMES says cfg.scheme needs, or None."""
     need = SCHEMES[cfg.scheme][1]
     if need == "per-size":
-        return {n: load_or_build_table(n, grid_step, cache_dir)
-                for n in SIZES}
+        return {n: load_or_build_table(n, cache_dir) for n in SIZES}
     if need is None:
         return None
-    table = load_or_build_table(SER_SIZE, grid_step, cache_dir)
+    table = load_or_build_table(SER_SIZE, cache_dir)
     return build_suboptimal_table(table) if need == "suboptimal" else table
 
 
@@ -161,7 +159,7 @@ def cmd_ser(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    table = _scheme_tables(cfg, args.grid_step, outdir / "cache")
+    table = _scheme_tables(cfg, outdir / "cache")
     if tr_grid is not None:
         curve = run_csit_sweep(cfg, table, tr_grid)
         name = f"ser_{cfg.scheme}_m{cfg.m}_csit"
@@ -180,8 +178,7 @@ def cmd_rate(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    curve = run_variable_rate(cfg, _scheme_tables(cfg, args.grid_step,
-                                                  outdir / "cache"))
+    curve = run_variable_rate(cfg, _scheme_tables(cfg, outdir / "cache"))
     name = f"rate_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)
@@ -233,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="build and store a region table")
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--grid-step", type=float, default=1e-4)
     t.add_argument("--suboptimal", action="store_true")
     t.add_argument("--out-dir", default="out")
     t.set_defaults(func=cmd_table)
@@ -248,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--csit-sweep", default=None,
                    help="training-SNR dB range; data SNR then comes from --snr")
-    s.add_argument("--grid-step", type=float, default=1e-4)
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--out-dir", default="out")
     s.set_defaults(func=cmd_ser)
@@ -262,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", default="1e6")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--pe", type=float, default=1e-3)
-    r.add_argument("--grid-step", type=float, default=1e-4)
     r.add_argument("--threads", type=int, default=1)
     r.add_argument("--out-dir", default="out")
     r.set_defaults(func=cmd_rate)

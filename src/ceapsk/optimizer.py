@@ -21,20 +21,17 @@ from functools import cached_property
 import numpy as np
 
 TABLE_ALGO_VERSION = 1
+# r/R grid on which every region table finds its boundaries before bisecting
+# them; it resolves every region of the sizes N <= 64 that the engines use
+GRID_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
 # Phase offset subproblem
 
 
-@dataclass(frozen=True)
-class PhaseOffsetSolution:
-    omega2_star: float
-    c12_star: float
-
-
-def solve_p21(n: int, n2: int) -> PhaseOffsetSolution:
-    """Minimize the worst inter-ring cosine over the inner-ring offset.
+def solve_p21(n: int, n2: int) -> float:
+    """The inner-ring offset w* that minimizes the worst inter-ring cosine.
 
     Every inter-ring angle difference 2 pi (k/N2 - m/N1) is a multiple of
     2 pi gcd(N1, N2) / (N1 N2) = 2 pi / lcm(N1, N2), and every multiple
@@ -45,8 +42,7 @@ def solve_p21(n: int, n2: int) -> PhaseOffsetSolution:
     if not (1 <= n2 <= n - 1):
         raise ValueError(f"n2 must be in [1, {n - 1}]")
     n1 = n - n2
-    omega2 = np.pi * math.gcd(n1, n2) / (n1 * n2)
-    return PhaseOffsetSolution(omega2_star=omega2, c12_star=math.cos(omega2))
+    return np.pi * math.gcd(n1, n2) / (n1 * n2)
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +75,7 @@ def _rho_bar(b2: float, c12: float) -> float:
     return (c12 - math.sqrt(disc)) / (1.0 - 2.0 * b2)
 
 
-def _offset_cache(n: int) -> list[PhaseOffsetSolution]:
-    """Phase-offset solutions for n2 = 1 .. n//2 (index n2 - 1)."""
-    return [solve_p21(n, n2) for n2 in range(1, n // 2 + 1)]
-
-
-def _solve_n2(n: int, n2: int, ratios: np.ndarray, pos: PhaseOffsetSolution):
+def _solve_n2(n: int, n2: int, ratios: np.ndarray):
     """Best (d_min, rho2, tracking) arrays over a ratio grid for a fixed
     inner-ring count.
 
@@ -92,7 +83,7 @@ def _solve_n2(n: int, n2: int, ratios: np.ndarray, pos: PhaseOffsetSolution):
     rho_bar, ii and iv: the outer-ring crossing, iii: rho2 = r/R) competes
     with rho2 = 1; elsewhere rho2 = 1.  `tracking` flags case iii winning.
     """
-    c12 = pos.c12_star
+    c12 = math.cos(solve_p21(n, n2))
     b1, b2 = _b_coeff(n - n2), _b_coeff(n2)
     d1 = math.sqrt(2.0 * b1) if b1 is not None else np.inf
     d2_at1 = math.sqrt(2.0 * b2) if b2 is not None else np.inf
@@ -121,8 +112,7 @@ def _solve_n2(n: int, n2: int, ratios: np.ndarray, pos: PhaseOffsetSolution):
             use_loc & case_iii)
 
 
-def _solve_grid(n: int, ratios: np.ndarray,
-                offsets: list[PhaseOffsetSolution]):
+def _solve_grid(n: int, ratios: np.ndarray):
     """Vectorized design over a ratio grid.
 
     Returns (d_min, n2, rho2, tracking) arrays; `tracking` flags grid
@@ -132,12 +122,21 @@ def _solve_grid(n: int, ratios: np.ndarray,
     """
     ratios = np.asarray(ratios, dtype=float)
     d_all, rho_all, track_all = (np.array(rows) for rows in zip(*(
-        _solve_n2(n, n2, ratios, offsets[n2 - 1])
+        _solve_n2(n, n2, ratios)
         for n2 in range(1, n // 2 + 1))))
     best = np.argmax(d_all, axis=0)  # first max -> smaller n2 on ties
     cols = np.arange(ratios.size)
     return (d_all[best, cols], best + 1, rho_all[best, cols],
             track_all[best, cols])
+
+
+def _check_size(n: int) -> None:
+    """N must be even and at least 2; a size off the powers of two warns."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError("N must be even and >= 2")
+    if n & (n - 1) != 0:
+        warnings.warn(f"N={n} is not a power of two; the design is "
+                      "best-effort", stacklevel=3)
 
 
 def solve_p2(n: int, ratio: float) -> DesignResult:
@@ -146,21 +145,13 @@ def solve_p2(n: int, ratio: float) -> DesignResult:
     Searches inner-ring counts 1 .. N/2 (more inner than outer points is
     never better); ties prefer the smaller count.
     """
-    if n < 2:
-        raise ValueError("need N >= 2")
+    _check_size(n)
     if not (0.0 <= ratio <= 1.0):
         raise ValueError("ratio must lie in [0, 1]")
-    if n % 2 != 0:
-        raise ValueError("N must be even")
-    if n & (n - 1) != 0:
-        warnings.warn(f"N={n} is not a power of two; design is best-effort",
-                      stacklevel=2)
-    offsets = _offset_cache(n)
-    d, n2, rho2, _ = _solve_grid(n, np.array([ratio]), offsets)
+    d, n2, rho2, _ = _solve_grid(n, np.array([ratio]))
     d, n2 = float(d[0]), int(n2[0])
     rho2 = max(float(rho2[0]), ratio)  # feasibility: inner ring never below r/R
-    return DesignResult(d_min=d, n2=n2, omega2=offsets[n2 - 1].omega2_star,
-                        rho2=rho2)
+    return DesignResult(d_min=d, n2=n2, omega2=solve_p21(n, n2), rho2=rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +175,6 @@ class Region:
 class RegionTable:
     size: int
     regions: tuple[Region, ...]
-    grid_step: float
 
     @cached_property
     def _arrays(self) -> dict[str, np.ndarray]:
@@ -238,7 +228,7 @@ class RegionTable:
     def to_json(self) -> str:
         return json.dumps({
             "size": self.size,
-            "grid_step": self.grid_step,
+            "grid_step": GRID_STEP,
             "algorithm_version": TABLE_ALGO_VERSION,
             "regions": [{
                 "lo": reg.lo, "hi": reg.hi, "n2": reg.n2,
@@ -254,7 +244,7 @@ class RegionTable:
         regs = tuple(Region(**{k: r[k] for k in (
             "lo", "hi", "n2", "omega2", "c12", "rho2_rule", "rho2",
             "d_min_rule", "d_min")}) for r in data["regions"])
-        return cls(size=data["size"], regions=regs, grid_step=data["grid_step"])
+        return cls(size=data["size"], regions=regs)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -268,25 +258,19 @@ class RegionTable:
                             f"{reg.omega2 / np.pi:.6f}", reg.d_min_rule, dmin])
 
 
-def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
+def build_region_table(n: int) -> RegionTable:
     """Partition r/R in [0, 1] into regions of constant design structure.
 
-    Grid points sharing (N2*, rho2 rule) are merged; all boundaries are then
-    bisected together, one array of midpoints per step, each to 1e-6.
+    Points of the GRID_STEP grid sharing (N2*, rho2 rule) are merged; all
+    boundaries are then bisected together, one array of midpoints per step,
+    each to 1e-6.
     Regions where rho2 tracks r/R carry the formula d_min rule; all others
     carry a constant d_min.
     """
-    if not 0.0 < grid_step <= 1e-4:
-        raise ValueError("grid_step must lie in (0, 1e-4]")
-    if n < 2 or n % 2 != 0:
-        raise ValueError("N must be even and >= 2")
-    if n & (n - 1) != 0:
-        warnings.warn(f"N={n} is not a power of two; table is best-effort",
-                      stacklevel=2)
-    offsets = _offset_cache(n)
-    ratios = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    _check_size(n)
+    ratios = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
     ratios[-1] = 1.0
-    _, n2, _, track = _solve_grid(n, ratios, offsets)
+    _, n2, _, track = _solve_grid(n, ratios)
     # boundary j lies between grid points edge[j] and edge[j] + 1
     edge = np.flatnonzero((n2[1:] != n2[:-1]) | (track[1:] != track[:-1]))
     lo, hi = ratios[edge], ratios[edge + 1]
@@ -294,26 +278,26 @@ def build_region_table(n: int, grid_step: float = 1e-4) -> RegionTable:
     # bisect every boundary at once; each stops once it is within 1e-6
     while (live := hi - lo > 1e-6).any():
         mid = 0.5 * (lo + hi)
-        _, n2_mid, _, track_mid = _solve_grid(n, mid, offsets)
+        _, n2_mid, _, track_mid = _solve_grid(n, mid)
         same = (n2_mid == n2_lo) & (track_mid == track_lo)
         lo = np.where(live & same, mid, lo)
         hi = np.where(live & ~same, mid, hi)
     bounds = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
     # probe each region just inside its lower end
-    probe = np.minimum(bounds[:-1] + grid_step, 0.5 * (bounds[:-1] + bounds[1:]))
-    d_probe, _, rho_probe, _ = _solve_grid(n, probe, offsets)
+    probe = np.minimum(bounds[:-1] + GRID_STEP, 0.5 * (bounds[:-1] + bounds[1:]))
+    d_probe, _, rho_probe, _ = _solve_grid(n, probe)
     first = np.concatenate(([0], edge + 1))  # first grid point of each run
     bounds = bounds.tolist()  # Python floats, as to_json writes them
     regions = []
     for lo_j, hi_j, n2_j, tracking, d_j, rho_j in zip(
             bounds, bounds[1:], n2[first].tolist(), track[first].tolist(),
             d_probe.tolist(), rho_probe.tolist()):
-        pos = offsets[n2_j - 1]
+        omega2 = solve_p21(n, n2_j)
         rules = (("track_ratio", None, "formula", None) if tracking else
                  ("constant", rho_j, "constant", d_j))
-        regions.append(Region(lo_j, hi_j, n2_j, pos.omega2_star, pos.c12_star,
+        regions.append(Region(lo_j, hi_j, n2_j, omega2, math.cos(omega2),
                               *rules))
-    return RegionTable(size=n, regions=tuple(regions), grid_step=grid_step)
+    return RegionTable(size=n, regions=tuple(regions))
 
 
 def build_suboptimal_table(optimal: RegionTable) -> RegionTable:
@@ -329,6 +313,5 @@ def build_suboptimal_table(optimal: RegionTable) -> RegionTable:
     rest = Region(lo=first.hi, hi=1.0, n2=last.n2, omega2=last.omega2,
                   c12=last.c12, rho2_rule="constant", rho2=last.rho2,
                   d_min_rule="constant", d_min=last.d_min)
-    return RegionTable(size=optimal.size,
-                       regions=(first, rest), grid_step=optimal.grid_step)
+    return RegionTable(size=optimal.size, regions=(first, rest))
 

@@ -1,9 +1,10 @@
 """Monte Carlo engines: fixed-rate SER, CSIT sensitivity, variable rate.
 
-Trials are processed in fixed-size chunks, each with its own counter-based
-random stream keyed by (seed, scheme, chunk).  Chunk results are plain
-counter sums reduced in chunk order, so the curves are bit-identical for
-any worker count.  One data symbol is sent per channel realization.
+Trials are processed in chunks of CHUNK_SIZE, each with its own
+counter-based random stream keyed by (seed, scheme, chunk).  Chunk results
+are plain counter sums reduced in chunk order, so the curves are
+bit-identical for any worker count.  One data symbol is sent per channel
+realization.
 
 Channel draws, symbols and unit noise are P-independent, and transmit
 phases are invariant under a common power scaling, so each chunk maps its
@@ -51,6 +52,7 @@ SCHEMES = {
 PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
+CHUNK_SIZE = 100_000  # trials per chunk, and so per random stream
 # all fixed-rate schemes share one stream key: common random numbers make
 # inter-scheme SNR-gap measurements far less noisy
 _FIXED_RATE_STREAM = 1
@@ -64,14 +66,13 @@ class SimConfig:
     scheme: str
     target_ser: float = 1e-3
     seed: int = 0
-    chunk_size: int = 100_000
     threads: int = 1
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"valid: {tuple(SCHEMES)}")
-        for name in ("m", "threads", "chunk_size"):
+        for name in ("m", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.trials < 1000:
@@ -384,7 +385,7 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
 def _reduce_chunks(cfg: SimConfig, one_chunk):
     """Element-wise sums, added in chunk order, of the tuples of arrays that
     one_chunk(chunk, trials) returns for the chunks of cfg.trials."""
-    size = cfg.chunk_size
+    size = CHUNK_SIZE
     bounds = [(c, min(size, cfg.trials - c * size))
               for c in range((cfg.trials + size - 1) // size)]
     if cfg.threads > 1:

@@ -39,7 +39,7 @@ def report(num, ok, detail):
 
 @functools.lru_cache(maxsize=None)
 def table(n):
-    return build_region_table(n, 1e-4)
+    return build_region_table(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,7 +268,7 @@ def test_criterion_04_algorithm1_oracle():
     for n in (8, 16, 32, 64):
         for n2 in range(1, n // 2 + 1):
             n1 = n - n2
-            sol = solve_p21(n, n2)
+            c12 = math.cos(solve_p21(n, n2))
             mm, nn = np.meshgrid(np.arange(n1), np.arange(n2))
             diffs = np.unique(np.round(
                 (2 * np.pi * nn / n2 - 2 * np.pi * mm / n1) % (2 * np.pi), 12))
@@ -281,9 +281,9 @@ def test_criterion_04_algorithm1_oracle():
             j = np.searchsorted(diffs, np.mod(-omg, 2 * np.pi))
             near = np.stack([diffs[j - 1], diffs[j % diffs.size]])
             best = np.cos(near + omg).max(axis=0).min()
-            dev = abs(best - sol.c12_star)
+            dev = abs(best - c12)
             worst = max(worst, dev)
-            in_range = math.cos(np.pi / n1) <= sol.c12_star < 1.0
+            in_range = math.cos(np.pi / n1) <= c12 < 1.0
             if dev > 1e-6 or not in_range:
                 bad.append(f"(N={n},N2={n2}) dev={dev:.2e}")
     report(4, not bad,
@@ -337,13 +337,12 @@ def test_criterion_06_proposition1():
     for n in (8, 16):
         for n2 in range(n // 2 + 1, n):
             mirror = n - n2
-            pos = solve_p21(n, mirror)
             for ratio in rng.uniform(0.0, 1.0, size=20):
                 ratio = float(ratio)
                 heavy = _grid_best_dmin(n, n2, ratio)
                 light_grid = _grid_best_dmin(n, mirror, ratio)
-                light_exact = float(_solve_n2(n, mirror, np.array([ratio]),
-                                              pos)[0][0])
+                light_exact = float(_solve_n2(n, mirror,
+                                              np.array([ratio]))[0][0])
                 # grid values undershoot their true optima by O(1/grid),
                 # hence the 2e-3 slack on the grid-vs-grid comparison
                 if heavy > light_exact + 1e-9 or heavy > light_grid + 2e-3:

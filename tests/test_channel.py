@@ -95,7 +95,7 @@ def test_ratio_cdf_ks_distance():
 
 @pytest.fixture(scope="module")
 def table16():
-    return build_region_table(16, 1e-4)
+    return build_region_table(16)
 
 
 def test_mmse_estimate_high_training_snr(table16):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ceapsk import cli
-from ceapsk.cli import load_or_build_table, main, parse_range, parse_trials
+from ceapsk.cli import main, parse_range, parse_trials
 
 
 def test_parse_range():
@@ -110,13 +110,6 @@ def test_table_cache_reused(tmp_path):
     stamp = cache[0].stat().st_mtime_ns
     assert main(["table", "--n", "8", "--out-dir", str(tmp_path)]) == 0
     assert cache[0].stat().st_mtime_ns == stamp
-
-
-def test_table_cache_keys_every_digit_of_step(tmp_path):
-    # the two steps agree to 6 significant digits; each gets its own table
-    for step in (5e-5, 5.000001e-5):
-        assert load_or_build_table(8, step, tmp_path).grid_step == step
-    assert len(list(tmp_path.glob("regions_n8_*.json"))) == 2
 
 
 def test_table_non_power_of_two_warns(tmp_path):
@@ -248,31 +241,27 @@ def test_ser_rejects_counts_below_one(flag, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_ser_manifest_replays_grid_step(tmp_path, capsys):
-    args = ["ser", "--scheme", "proposed-optimal", "--m", "2",
-            "--snr", "20:24:2", "--trials", "2e4", "--grid-step", "5e-5",
-            "--out-dir", str(tmp_path / "a")]
-    assert main(args) == 0
-    name = "ser_proposed-optimal_m2"
-    manifest = tmp_path / "a" / f"{name}.manifest.json"
-    assert json.loads(manifest.read_text())["parameters"]["grid_step"] == 5e-5
-    assert main(["--config", str(manifest), "ser",
-                 "--out-dir", str(tmp_path / "b")]) == 0
-    # the replay built its table at the recorded step, not the default
-    assert [p.name for p in (tmp_path / "b" / "cache").iterdir()] == [
-        p.name for p in (tmp_path / "a" / "cache").iterdir()]
-    assert "step5e-05" in next((tmp_path / "b" / "cache").iterdir()).name
-    assert ((tmp_path / "a" / f"{name}.csv").read_bytes()
-            == (tmp_path / "b" / f"{name}.csv").read_bytes())
+# parameters of manifests written while the table grid step was a flag
+_GRID_STEP_MANIFESTS = {
+    "ser": {"scheme": "proposed-optimal", "m": 2, "snr": "20", "trials": 1000,
+            "seed": 0, "csit_sweep": None, "grid_step": 0.0001, "threads": 1},
+    "rate": {"scheme": "variable-apsk", "m": 2, "snr": "10", "trials": 1000,
+             "seed": 0, "pe": 0.001, "grid_step": 0.0001, "threads": 1},
+    "table": {"n": 8, "grid_step": 0.0001, "suboptimal": False},
+}
 
 
-def test_rate_manifest_records_grid_step(tmp_path, capsys):
-    assert main(["rate", "--scheme", "variable-qam", "--snr", "10",
-                 "--trials", "1e3", "--grid-step", "5e-5",
-                 "--out-dir", str(tmp_path)]) == 0
-    manifest = json.loads(
-        (tmp_path / "rate_variable-qam_m2.manifest.json").read_text())
-    assert manifest["parameters"]["grid_step"] == 5e-5
+@pytest.mark.parametrize("cmd", sorted(_GRID_STEP_MANIFESTS))
+def test_grid_step_manifest_exits_2(cmd, tmp_path, capsys):
+    # a run whose manifest names a grid step is refused, not replayed at
+    # whatever step tables are now built
+    out = tmp_path / "out"
+    manifest = tmp_path / f"{cmd}.manifest.json"
+    manifest.write_text(json.dumps({"command": cmd, "parameters": {
+        **_GRID_STEP_MANIFESTS[cmd], "out_dir": str(out)}}))
+    assert main(["--config", str(manifest), cmd]) == 2
+    assert "--grid-step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("conf", [[1, 2], "rate", {"parameters": [1, 2]}])
@@ -313,17 +302,11 @@ def test_rate_rejects_non_finite_snr(tmp_path, capsys):
     ["ser", "--scheme", "fixed-qam16", "--snr", "0:inf:1", "--trials", "1e3"],
     ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
      "--csit-sweep", "0:inf:2"],
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
-     "--grid-step", "0"],
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
-     "--grid-step=-1e-4"],
-    ["table", "--n", "8", "--grid-step", "nan"],
     ["cdf", "--trials", "0"],
     ["cdf", "--trials", "1e3", "--points", "0"],
 ], ids=["csit-nan-proposed", "csit-nan-egt", "trials-inf",
         "trials-fractional", "snr-range-inf",
-        "csit-range-inf", "grid-step-0", "grid-step-negative",
-        "table-grid-step-nan", "cdf-trials-0", "cdf-points-0"])
+        "csit-range-inf", "cdf-trials-0", "cdf-points-0"])
 def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
     assert main(args + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -339,7 +322,7 @@ _RUNS = {
                  "--snr", "20", "--csit-sweep", "0:10:5", "--trials", "2e3"],
     "rate": ["rate", "--scheme", "variable-apsk", "--snr", "10:14:2",
              "--trials", "2e3", "--pe", "1e-2"],
-    "table": ["table", "--n", "8", "--grid-step", "5e-5", "--suboptimal"],
+    "table": ["table", "--n", "8", "--suboptimal"],
     "cdf": ["cdf", "--trials", "5e3", "--points", "11", "--seed", "3"],
 }
 
@@ -351,13 +334,34 @@ def _run(run, out) -> dict:
     return json.loads(manifest.read_text())["parameters"]
 
 
-@pytest.mark.parametrize("run", sorted(_RUNS))
-def test_manifest_parameters_are_the_flags(run, tmp_path, capsys):
+def _flags() -> dict:
+    """The parsed-flag names of each subcommand."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices[_RUNS[run][0]]._actions} - {"help"}
+    return {cmd: {a.dest for a in parser._actions} - {"help"}
+            for cmd, parser in sub.choices.items()}
+
+
+# every flag of every subcommand; a new one has to earn its place here
+_FLAGS = {
+    "design": {"n", "ratio"},
+    "table": {"n", "suboptimal", "out_dir"},
+    "ser": {"scheme", "m", "snr", "trials", "seed", "csit_sweep", "threads",
+            "out_dir"},
+    "rate": {"scheme", "m", "snr", "trials", "seed", "pe", "threads",
+             "out_dir"},
+    "cdf": {"trials", "points", "seed", "out_dir"},
+}
+
+
+def test_flag_sets_pinned():
+    assert _flags() == _FLAGS
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_manifest_parameters_are_the_flags(run, tmp_path, capsys):
     params = _run(run, tmp_path)
-    assert set(params) == dests
+    assert set(params) == _flags()[_RUNS[run][0]]
     assert type(params.get("trials", 0)) is int
 
 

@@ -56,8 +56,7 @@ def test_ring_validation():
     for n2 in (0, 4):  # an empty ring: not a two-ring design
         bad = dataclasses.replace(reg, n2=n2)
         with pytest.raises(ValueError):
-            _RingTables(RegionTable(size=4, regions=(bad,),
-                                    grid_step=table.grid_step))
+            _RingTables(RegionTable(size=4, regions=(bad,)))
 
 
 def test_intra_ring_med():

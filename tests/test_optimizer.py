@@ -9,21 +9,15 @@ from hypothesis import strategies as st
 
 from ceapsk.channel import annulus_arrays, sample_rayleigh
 from ceapsk.constellation import med, modulus_ratio
-from ceapsk.optimizer import (_solve_n2, build_region_table,
+from ceapsk.optimizer import (_solve_grid, _solve_n2, build_region_table,
                               build_suboptimal_table, solve_p2, solve_p21)
 
 
 def test_solve_p21_examples():
-    sol = solve_p21(16, 5)
-    assert sol.omega2_star / np.pi == pytest.approx(0.0182, abs=1e-4)
-
-    sol = solve_p21(16, 8)
-    assert sol.omega2_star / np.pi == pytest.approx(0.1250, abs=1e-4)
-    assert sol.c12_star == pytest.approx(math.cos(np.pi / 8))
-
-    sol = solve_p21(2, 1)
-    assert sol.omega2_star == pytest.approx(np.pi)
-    assert sol.c12_star == pytest.approx(-1.0)
+    assert solve_p21(16, 5) / np.pi == pytest.approx(0.0182, abs=1e-4)
+    assert solve_p21(16, 8) / np.pi == pytest.approx(0.1250, abs=1e-4)
+    assert solve_p21(2, 1) == pytest.approx(np.pi)
+    assert math.cos(solve_p21(2, 1)) == pytest.approx(-1.0)
 
 
 def test_solve_p21_range_error():
@@ -44,12 +38,13 @@ def _worst_cosine(n, n2, omegas):
 def test_solve_p21_matches_brute_force():
     for n in range(2, 33):
         for n2 in range(1, n):
-            sol = solve_p21(n, n2)
-            worst = _worst_cosine(n, n2, np.array([sol.omega2_star]))[0]
-            assert sol.c12_star == pytest.approx(worst, abs=1e-12), (n, n2)
+            omega2 = solve_p21(n, n2)
+            c12 = math.cos(omega2)
+            worst = _worst_cosine(n, n2, np.array([omega2]))[0]
+            assert c12 == pytest.approx(worst, abs=1e-12), (n, n2)
             # offsets one outer-ring step apart give the same difference set
             grid = np.linspace(0.0, 2 * np.pi / (n - n2), 1001)
-            assert _worst_cosine(n, n2, grid).min() >= sol.c12_star - 1e-9, (n, n2)
+            assert _worst_cosine(n, n2, grid).min() >= c12 - 1e-9, (n, n2)
 
 
 def _b(count):
@@ -58,21 +53,21 @@ def _b(count):
 
 def _n2_design(n, n2, ratio):
     """(d_min, rho2, tracking) of the radius subproblem at one ratio."""
-    d, rho2, track = _solve_n2(n, n2, np.array([ratio]), solve_p21(n, n2))
+    d, rho2, track = _solve_n2(n, n2, np.array([ratio]))
     return float(d[0]), float(rho2[0]), bool(track[0])
 
 
 def test_find_rho2_cases():
     # N=16, N2=6, ratio 0.25 lands in case i: rho2 = rho_bar, where the
     # inner-ring MED sqrt(2 B2) rho2 meets the inter-ring distance
-    c12 = solve_p21(16, 6).c12_star
+    c12 = math.cos(solve_p21(16, 6))
     d, rho2, track = _n2_design(16, 6, 0.25)
     assert 0.25 < rho2 < c12 and not track
     assert d == pytest.approx(math.sqrt(2 * _b(6)) * rho2)
     assert d == pytest.approx(math.sqrt(1 + rho2 ** 2 - 2 * rho2 * c12))
 
     # N=16, N2=4: ratio 0.55 -> case iii with the boundary-tracking formula
-    c12 = solve_p21(16, 4).c12_star
+    c12 = math.cos(solve_p21(16, 4))
     d, rho2, track = _n2_design(16, 4, 0.55)
     assert (rho2, track) == (0.55, True)
     assert d == pytest.approx(math.sqrt(0.55 ** 2 + 1 - 2 * 0.55 * c12))
@@ -85,7 +80,7 @@ def test_find_rho2_cases():
 
 def test_find_rho2_precondition():
     # region I needs C* > r/R; at or past it the inner ring sits at rho2 = 1
-    c12 = solve_p21(16, 4).c12_star
+    c12 = math.cos(solve_p21(16, 4))
     for ratio in (c12, 0.99):
         d, rho2, track = _n2_design(16, 4, ratio)
         assert (rho2, track) == (1.0, False)
@@ -128,6 +123,15 @@ def test_solve_p2_validation():
         solve_p2(6, 0.5)
 
 
+def test_region_table_size_check():
+    # the same size check as solve_p2's
+    for n in (0, 1, 7):
+        with pytest.raises(ValueError, match="even"):
+            build_region_table(n)
+    with pytest.warns(UserWarning, match="power of two"):
+        build_region_table(6)
+
+
 def _design_points(n, res):
     """The design's point set: N - n2 points at radius 1 and offset 0, then
     n2 at radius rho2 and offset omega2."""
@@ -167,7 +171,7 @@ def test_dmin_monotone_in_ratio():
 
 
 def test_region_table_n8():
-    table = build_region_table(8, 1e-4)
+    table = build_region_table(8)
     assert len(table.regions) == 3
     bounds = [reg.hi for reg in table.regions[:-1]]
     np.testing.assert_allclose(bounds, [0.1495, 0.2705], atol=1e-4)
@@ -179,21 +183,27 @@ def test_region_table_n8():
 
 
 def test_region_table_n2_single_region():
-    table = build_region_table(2, 1e-4)
+    table = build_region_table(2)
     assert len(table.regions) == 1
     assert table.regions[0].d_min == pytest.approx(2.0)
 
 
 def test_region_table_consistency():
-    table = build_region_table(16, 1e-4)
-    ratios = np.linspace(0, 1, 201)
-    d_table = table.d_min_at(ratios)
-    d_solve = np.array([solve_p2(16, float(q)).d_min for q in ratios])
-    np.testing.assert_allclose(d_table, d_solve, atol=1e-9)
+    # the one grid step resolves every region of every size the engines
+    # use: the table's MED matches the solver on a 5e-6 sweep and 2e-6
+    # either side of every region start
+    for n in _SIZES:
+        table = build_region_table(n)
+        lo = np.array([reg.lo for reg in table.regions])
+        ratios = np.clip(np.concatenate([np.arange(200_001) * 5e-6,
+                                         lo - 2e-6, lo + 2e-6]), 0.0, 1.0)
+        np.testing.assert_allclose(table.d_min_at(ratios),
+                                   _solve_grid(n, ratios)[0], atol=1e-9,
+                                   err_msg=f"N={n}")
 
 
 def test_region_table_partition():
-    table = build_region_table(16, 1e-4)
+    table = build_region_table(16)
     assert table.regions[0].lo == 0.0
     assert table.regions[-1].hi == 1.0
     for a, b in zip(table.regions, table.regions[1:]):
@@ -201,13 +211,13 @@ def test_region_table_partition():
 
 
 def test_region_table_json_roundtrip():
-    table = build_region_table(8, 1e-4)
+    table = build_region_table(8)
     table2 = type(table).from_json(table.to_json())
     assert table2 == table
 
 
 def test_region_table_csv(tmp_path):
-    table = build_region_table(8, 1e-4)
+    table = build_region_table(8)
     path = tmp_path / "t.csv"
     table.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -215,19 +225,8 @@ def test_region_table_csv(tmp_path):
     assert len(lines) == 4
 
 
-def test_grid_step_validation():
-    with pytest.raises(ValueError):
-        build_region_table(16, 1e-3)
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan])
-def test_grid_step_must_be_positive(step):
-    with pytest.raises(ValueError, match="grid_step"):
-        build_region_table(16, step)
-
-
 def test_suboptimal_table_n16():
-    table = build_region_table(16, 1e-4)
+    table = build_region_table(16)
     sub = build_suboptimal_table(table)
     assert len(sub.regions) == 2
     assert sub.regions[0] == table.regions[0]
@@ -238,7 +237,7 @@ def test_suboptimal_table_n16():
 
 
 def test_suboptimal_table_n8_second_region_is_8psk():
-    sub = build_suboptimal_table(build_region_table(8, 1e-4))
+    sub = build_suboptimal_table(build_region_table(8))
     reg = sub.regions[1]
     # two rings of 4 at rho2=1 with quarter-turn offset = 8-PSK
     pts = _design_points(8, reg)
@@ -249,13 +248,13 @@ def test_suboptimal_table_n8_second_region_is_8psk():
 
 
 def test_suboptimal_single_region_passthrough():
-    table = build_region_table(4, 1e-4)
+    table = build_region_table(4)
     assert build_suboptimal_table(table) == table
 
 
 def test_region_probabilities():
     # region occupancy under i.i.d. Rayleigh fading, read through the lookup
-    table = build_region_table(8, 1e-4)
+    table = build_region_table(8)
     inner, outer = annulus_arrays(sample_rayleigh(4, 1.0, 0, trials=2 * 10 ** 5),
                                   1.0)
     probs = np.bincount(table.index(inner / outer),
@@ -265,14 +264,14 @@ def test_region_probabilities():
 
 
 @functools.lru_cache(maxsize=None)
-def _table(n, suboptimal=False, step=1e-4):
-    table = build_region_table(n, step)
+def _table(n, suboptimal=False):
+    table = build_region_table(n)
     return build_suboptimal_table(table) if suboptimal else table
 
 
 _TABLES = [(n, False) for n in (2, 4, 8, 16, 32, 64)] + [(16, True)]
 
-# SHA-256 of to_json() per (n, suboptimal[, step]), step 1e-4 when absent.
+# SHA-256 of to_json() per (n, suboptimal).
 # All were recorded while each boundary was still bisected on its own, and
 # those for N <= 64 before the scalar radius solver was folded into the grid
 # solver.
@@ -286,7 +285,6 @@ _TABLE_SHA256 = {
     (16, True): "5ed3d1e2255af0a8b6c4b212b9502d9bf2f53b6400a99fbbc0de194becdc238c",
     (128, False): "c343fdd52d10b29c9eb82f8f4f2b203a5ea1ac93f3699a4c830579d056acabc8",
     (256, False): "90ec748f9276e134d67b620b90ee40472129536459899ba54d7f32379dec028f",
-    (16, False, 5e-5): "25881f1d39a0ca90b81e3a90201a576fa2cfa8a6c9fc9a3f914fdc3a51938dbd",
 }
 
 

@@ -29,7 +29,13 @@ from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
 
 @pytest.fixture(scope="module")
 def table16():
-    return build_region_table(16, 1e-4)
+    return build_region_table(16)
+
+
+@pytest.fixture
+def set_chunk(monkeypatch):
+    """set_chunk(size) sets the engines' chunk size for one test."""
+    return functools.partial(monkeypatch.setattr, sim, "CHUNK_SIZE")
 
 
 def test_config_validation():
@@ -45,7 +51,7 @@ def test_config_validation():
                   scheme="proposed-optimal")
 
 
-@pytest.mark.parametrize("field", ["m", "threads", "chunk_size"])
+@pytest.mark.parametrize("field", ["m", "threads"])
 def test_config_rejects_counts_below_one(field):
     kw = dict(m=2, snr_db=(10.0,), trials=10 ** 4, scheme="proposed-optimal")
     with pytest.raises(ValueError, match=field):
@@ -65,8 +71,7 @@ def test_config_fields():
     # a run is set by these alone; link results depend on beta and sigma^2
     # only through the SNR, so those are module constants
     assert [f.name for f in dataclasses.fields(SimConfig)] == [
-        "m", "snr_db", "trials", "scheme", "target_ser", "seed",
-        "chunk_size", "threads"]
+        "m", "snr_db", "trials", "scheme", "target_ser", "seed", "threads"]
 
 
 def test_select_rate_limits():
@@ -102,9 +107,10 @@ def test_missing_table_error():
         run_fixed_rate_ser(cfg, None)
 
 
-def test_thread_count_invariance(table16):
+def test_thread_count_invariance(table16, set_chunk):
+    set_chunk(50_000)
     kw = dict(m=2, snr_db=(20.0, 24.0), trials=200_000,
-              scheme="proposed-optimal", chunk_size=50_000)
+              scheme="proposed-optimal")
     c1 = run_fixed_rate_ser(SimConfig(threads=1, **kw), table16)
     c4 = run_fixed_rate_ser(SimConfig(threads=4, **kw), table16)
     np.testing.assert_array_equal(c1.errors, c4.errors)
@@ -118,14 +124,15 @@ def test_seed_changes_results(table16):
     assert a.errors[0] != b.errors[0]
 
 
-def test_union_bound_present_for_proposed(table16):
+def test_union_bound_present_for_proposed(table16, set_chunk):
     # perfbench's "bound >= SER" output check reads the bound this way, and
     # skips the check when it finds none
+    set_chunk(4_000)
     for scheme, (cmd, kind) in sim.SCHEMES.items():
         if cmd != "ser" or kind is None:
             continue
         cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=10 ** 4,
-                        scheme=scheme, chunk_size=4_000)
+                        scheme=scheme)
         table = _scheme_table(scheme)
         bound = getattr(run_fixed_rate_ser(cfg, table), "union_bound", None)
         assert isinstance(bound, np.ndarray) and bound.size == 2
@@ -274,7 +281,7 @@ def test_curve_csv(tmp_path):
 
 @functools.lru_cache(maxsize=None)
 def _table(n, suboptimal=False):
-    table = build_region_table(n, 1e-4)
+    table = build_region_table(n)
     return build_suboptimal_table(table) if suboptimal else table
 
 
@@ -400,9 +407,10 @@ def _scheme_table(scheme, n=16):
 
 
 @pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED))
-def test_fixed_rate_error_counts_pinned(scheme, m):
+def test_fixed_rate_error_counts_pinned(scheme, m, set_chunk):
+    set_chunk(8_000)
     cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
-                    scheme=scheme, seed=5, chunk_size=8_000)
+                    scheme=scheme, seed=5)
     curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
     assert curve.errors.tolist() == _PINNED_FIXED[scheme, m]
 
@@ -425,9 +433,10 @@ _PINNED_BOUND = {
 
 
 @pytest.mark.parametrize("scheme,m,chunk", sorted(_PINNED_BOUND))
-def test_union_bound_pinned(scheme, m, chunk):
+def test_union_bound_pinned(scheme, m, chunk, set_chunk):
+    set_chunk(chunk)
     cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
-                    scheme=scheme, seed=5, chunk_size=chunk)
+                    scheme=scheme, seed=5)
     bound = union_bound_curve(cfg, _scheme_table(scheme))
     assert bound.tolist() == pytest.approx(
         _PINNED_BOUND[scheme, m, chunk], rel=1e-12, abs=0.0)
@@ -437,9 +446,10 @@ def test_union_bound_pinned(scheme, m, chunk):
 
 
 @pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
-def test_csit_sweep_error_counts_pinned(scheme):
+def test_csit_sweep_error_counts_pinned(scheme, set_chunk):
+    set_chunk(8_000)
     cfg = SimConfig(m=4, snr_db=(20.0,), trials=20_000, scheme=scheme,
-                    seed=5, chunk_size=8_000)
+                    seed=5)
     curve = run_csit_sweep(cfg, _scheme_table(scheme), (0.0, 10.0, 20.0))
     assert curve.errors.tolist() == _PINNED_CSIT[scheme]
 
@@ -566,9 +576,10 @@ def _rate_tables():
 
 
 @pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
-def test_variable_rate_pinned(scheme, m):
+def test_variable_rate_pinned(scheme, m, set_chunk):
+    set_chunk(8_000)
     kw = dict(m=m, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-              trials=20_000, scheme=scheme, seed=5, chunk_size=8_000)
+              trials=20_000, scheme=scheme, seed=5)
     curve = run_variable_rate(SimConfig(**kw), _rate_tables())
     assert (curve.avg_bits.tolist(), curve.no_tx_fraction.tolist()) == \
         _PINNED_RATE[scheme, m]
@@ -643,8 +654,8 @@ def _detect_every_pair(cfg, table):
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
     sigma = math.sqrt(sim.NOISE_POWER)
     errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
-    for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        t = min(cfg.chunk_size, cfg.trials - lo)
+    for chunk, lo in enumerate(range(0, cfg.trials, sim.CHUNK_SIZE)):
+        t = min(sim.CHUNK_SIZE, cfg.trials - lo)
         rng = stream(cfg.seed, 1, chunk)
         h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
         u = rng.integers(0, size, size=t)
@@ -690,10 +701,11 @@ def _engine_cases(schemes):
 
 
 @_engine_cases([s for s, (cmd, _) in sim.SCHEMES.items() if cmd == "ser"])
-def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch):
+def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
     zeroed = _zero_some_rows(monkeypatch)
+    set_chunk(8_000)
     cfg = SimConfig(m=m, snr_db=tuple(float(s) for s in range(0, 39, 2)),
-                    trials=20_000, scheme=scheme, seed=seed, chunk_size=8_000)
+                    trials=20_000, scheme=scheme, seed=seed)
     table = _scheme_table(scheme, n)
     curve = run_fixed_rate_ser(cfg, table)
     np.testing.assert_array_equal(curve.errors, _detect_every_pair(cfg, table))
@@ -766,8 +778,8 @@ def _csit_every_pair(cfg, table, training_snr_db):
     err_sd = [math.sqrt(sim.PATH_LOSS / (1.0 + 10.0 ** (s / 10.0)))
               for s in training_snr_db] + [0.0]
     errors = np.zeros(len(err_sd), dtype=np.int64)
-    for chunk, lo in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        t = min(cfg.chunk_size, cfg.trials - lo)
+    for chunk, lo in enumerate(range(0, cfg.trials, sim.CHUNK_SIZE)):
+        t = min(sim.CHUNK_SIZE, cfg.trials - lo)
         rng = stream(cfg.seed, 3, chunk)
         h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
         u = rng.integers(0, size, size=t)
@@ -796,13 +808,15 @@ def _csit_every_pair(cfg, table, training_snr_db):
 
 
 @_engine_cases(sorted(_PINNED_CSIT))
-def test_csit_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch):
+def test_csit_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch,
+                                      set_chunk):
     zeroed = _zero_some_rows(monkeypatch)
+    set_chunk(4_000)
     training = tuple(float(s) for s in range(-10, 41, 5))
     table = _scheme_table(scheme, n)
     for snr in (5.0, 20.0, 40.0):
         cfg = SimConfig(m=m, snr_db=(snr,), trials=10_000, scheme=scheme,
-                        seed=seed, chunk_size=4_000)
+                        seed=seed)
         curve = run_csit_sweep(cfg, table, training)
         np.testing.assert_array_equal(
             curve.errors, _csit_every_pair(cfg, table, training))
