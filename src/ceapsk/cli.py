@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
+from .constellation import _special
 from .optimizer import (TABLE_ALGO_VERSION, RegionTable, build_region_table,
                         build_suboptimal_table, solve_p2)
 from .sim import (SCHEMES, SIZES, SimConfig, run_csit_sweep,
@@ -175,6 +176,8 @@ def cmd_ser(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg = _sim_config(args, target_ser=args.pe)
+    # the engine's rate thresholds need scipy: import it here, in set-up
+    _special()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()

@@ -9,7 +9,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+
+
+def _special():
+    """scipy.special, imported on first use: it is most of the package's
+    import time, and only the union bound and the rate thresholds need it."""
+    import scipy.special
+    return scipy.special
 
 
 def med(points: np.ndarray) -> float:
@@ -60,7 +66,7 @@ def qam_family(n: int) -> np.ndarray:
 
 def qfunc(x):
     """Standard normal tail probability via the complementary error function."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _special().erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def ser_union_bound(n: int, d_min, outer_radius, noise_power):
@@ -82,5 +88,6 @@ def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> floa
     tail = target_ser / (n - 1)
     if tail >= 0.5:
         return 0.0
-    return math.sqrt(2.0 * noise_power) * math.sqrt(2.0) * erfcinv(2.0 * tail)
+    return math.sqrt(2.0 * noise_power) * math.sqrt(2.0) * _special().erfcinv(
+        2.0 * tail)
 

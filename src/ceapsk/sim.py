@@ -266,34 +266,35 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         z = _complex_normal(rng, t)
         z /= np.sqrt(2.0)
         r0, big_r0, ratio = _annulus(h)
-        # detector(rows): the ML detector of the trials `rows`, in that order
+        # each trial's slack, and pick(rows): the symbols s and the ML
+        # detector of the trials `rows`, which takes the receive points of
+        # any leading prefix of those trials
         if rings is not None:
             idx = table.index(ratio)
-            _, _, _, rho2 = table.params_at(ratio, idx)
-            s = rings.symbols(idx, rho2, u)
-            d_cell = table.d_min_at(ratio, idx)
-            def detector(rows):
-                return rings.detector(idx[rows], rho2[rows])
+            slack = _SAFE_RADIUS * table.d_min_at(ratio, idx) - 1e-9
+            def pick(rows):  # only the trials that reach the precoder
+                i = idx[rows]
+                _, _, _, rho2 = table.params_at(ratio[rows], i)
+                return rings.symbols(i, rho2, u[rows]), rings.detector(i, rho2)
         elif cfg.scheme == "adaptive-qam-psk":
             feas = ratio <= 1.0 / 3.0
             s = np.where(feas, qam16[u], psk16[u])
-            d_cell = np.where(feas, qam16_med, psk16_med)
-            def detector(rows):
+            slack = _SAFE_RADIUS * np.where(feas, qam16_med, psk16_med) - 1e-9
+            def pick(rows):
                 qam = feas[rows]
-                return lambda wr, wi: np.where(qam[:wr.size],
-                                               _qam16_decide(wr, wi),
-                                               _psk_decide(wr, wi, 16))
+                return s[rows], lambda wr, wi: np.where(
+                    qam[:wr.size], _qam16_decide(wr, wi),
+                    _psk_decide(wr, wi, 16))
         else:  # fixed-qam16, egt-qam16
             s = qam16[u]
-            d_cell = qam16_med
-            def detector(rows):
-                return _qam16_decide
-        slack = _SAFE_RADIUS * d_cell - 1e-9
-        if cfg.scheme == "fixed-qam16":  # clip each symbol into the annulus
-            mod = np.abs(s)
-            clipped = s / mod * np.clip(mod, ratio, 1.0)
-            slack = slack - np.abs(clipped - s)
-            s = clipped
+            slack = _SAFE_RADIUS * qam16_med - 1e-9
+            if cfg.scheme == "fixed-qam16":  # clip each symbol into the annulus
+                mod = np.abs(s)
+                clipped = s / mod * np.clip(mod, ratio, 1.0)
+                slack = slack - np.abs(clipped - s)
+                s = clipped
+            def pick(rows):
+                return s[rows], _qam16_decide
         # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
         # a zero-norm channel receives only noise: an error at every point
         live = big_r0 > 0
@@ -303,17 +304,32 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         # a zero-norm trial is never safe: it is detected, and errs, everywhere
         slack = np.where(live, slack, -np.inf)
         # the trials that may err at the first point, the only ones that may
-        # err at all; all arrays below are over these trials
+        # err at all
         pre = np.flatnonzero(~(cs[0] * mb < slack))
-        s, big_r0, scale, live = s[pre], big_r0[pre], scale[pre], live[pre]
+        mb, slack = mb[pre], slack[pre]
+        # unsafe[i]: the number of points at which trial pre[i] may err.
+        # c_k * |b| never rises with k, so those points are the first
+        # unsafe[i] ones.
+        unsafe = np.ones(pre.size, dtype=np.min_scalar_type(len(cs)))
+        for c in cs[1:]:
+            unsafe += ~(c * mb < slack)
+        # most unsafe first; a small key dtype lets numpy radix-sort
+        order = np.argsort(len(cs) - unsafe, kind="stable")
+        # prefix[k]: the trials unsafe at point k are kept[:prefix[k]]
+        hist = np.bincount(unsafe, minlength=len(cs) + 1)
+        prefix = np.cumsum(hist[::-1])[-2::-1]
+        # all arrays below are over these trials, in this order
+        kept = pre[order]
+        s, decide = pick(kept)
+        big_r0, scale, live = big_r0[kept], scale[kept], live[kept]
         target = big_r0 * s
         if cfg.scheme == "egt-qam16":
             a = target / scale  # linear precoding reaches R*s exactly
         else:
-            d0 = _receive(h[pre], transmit(h[pre], 1.0, target))
+            d0 = _receive(h[kept], transmit(h[kept], 1.0, target))
             a = d0 / scale
-            r0 = r0[pre]
-            for lo in range(0, pre.size, _BLOCK):  # no chunk-sized |d0|
+            r0 = r0[kept]
+            for lo in range(0, kept.size, _BLOCK):  # no chunk-sized |d0|
                 rows = slice(lo, lo + _BLOCK)
                 mods, big_r = np.abs(d0[rows]), big_r0[rows]
                 if not (np.all(mods <= big_r * (1 + 1e-9)) and
@@ -323,21 +339,9 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 # a = 0 and is never skipped
                 if not np.all((np.abs(a[rows] - s[rows]) <= 1e-9) | ~live[rows]):
                     raise RuntimeError("precoder output missed its target")
-        b, mb, slack = b[pre], mb[pre], slack[pre]
-        sent = np.where(live, u[pre], -1)
-        # unsafe[i]: the number of points at which trial i may err.  c_k * |b|
-        # never rises with k, so those points are the first unsafe[i] ones.
-        unsafe = np.ones(pre.size, dtype=np.min_scalar_type(len(cs)))
-        for c in cs[1:]:
-            unsafe += ~(c * mb < slack)
-        # most unsafe first; a small key dtype lets numpy radix-sort
-        order = np.argsort(len(cs) - unsafe, kind="stable")
-        # prefix[k]: the trials unsafe at point k are order[:prefix[k]]
-        hist = np.bincount(unsafe, minlength=len(cs) + 1)
-        prefix = np.cumsum(hist[::-1])[-2::-1]
-        decide = detector(pre[order])
-        ar, ai, br, bi = (x[order] for x in (a.real, a.imag, b.real, b.imag))
-        sent = sent[order]
+        b = b[kept]
+        sent = np.where(live, u[kept], -1)
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         errors = np.zeros(len(cs), dtype=np.int64)
         for k, (c, n) in enumerate(zip(cs, prefix)):
             errors[k] = np.count_nonzero(

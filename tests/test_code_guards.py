@@ -51,6 +51,35 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def _import_time_imports(tree: ast.Module):
+    """(module, line) of every import that runs when the module is
+    imported: all of them outside function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_scipy_imported_only_inside_functions():
+    # scipy.special is most of the package's import time, and only the
+    # union bound and the rate thresholds need it
+    found = {path.name: list(_import_time_imports(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    # the scan itself works
+    assert "numpy" in {module for module, _ in found["constellation.py"]}
+    at_import = [f"{name}:{line} {module}" for name, imports in found.items()
+                 for module, line in imports
+                 if module.split(".")[0] == "scipy"]
+    assert not at_import, at_import
+
+
 def _resolve(dotted: str):
     obj = ceapsk
     for part in dotted.split("."):

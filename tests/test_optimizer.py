@@ -161,6 +161,19 @@ def test_solve_p2_dmin_matches_point_set():
                 res.d_min, abs=1e-9), (n, q)
 
 
+@pytest.mark.parametrize("n", [4, 8, 32, 64])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 1.0))
+def test_solve_p2_matches_grid_oracle(n, q):
+    # the ratio sits among others on the grid, so each grid point is
+    # solved on its own
+    res = solve_p2(n, q)
+    d, n2, _, _ = _solve_grid(n, np.array([0.0, q, 0.5, 1.0]))
+    assert res.d_min == pytest.approx(d[1], rel=0.0, abs=1e-12)
+    assert res.n2 == n2[1]
+    assert med(_design_points(n, res)) == pytest.approx(res.d_min, abs=1e-9)
+
+
 def test_dmin_monotone_in_ratio():
     for n in (8, 16, 32):
         prev = np.inf

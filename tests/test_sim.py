@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -172,6 +173,76 @@ def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
     assert len(curve_calls) == 1 and bound_calls
 
 
+def _fresh_python(script, flags=(), args=()):
+    """Run script in a new interpreter that imports this package's src."""
+    src = str(Path(ceapsk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# Runs a CLI command (sys.argv[1:], "OUT" standing for a fresh output
+# directory) and prints which of scipy and scipy.special are loaded: after
+# the import, at engine entry, after the run, and after the engine's curve
+# has its union_bound read.
+_SCIPY_PROBE = """
+import json, sys, tempfile
+
+def loaded():
+    return [m for m in ("scipy", "scipy.special") if m in sys.modules]
+
+import ceapsk.cli as cli
+seen, curves = {"import": loaded()}, []
+for name in ("run_fixed_rate_ser", "run_csit_sweep", "run_variable_rate"):
+    def wrapped(*args, engine=getattr(cli, name)):
+        seen["engine"] = loaded()
+        curves.append(engine(*args))
+        return curves[-1]
+    setattr(cli, name, wrapped)
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main([out if a == "OUT" else a for a in sys.argv[1:]])
+seen["run"] = loaded()
+has_bound = [getattr(c, "union_bound", None) is not None for c in curves]
+seen["bound"] = loaded()
+print(json.dumps({"code": code, "seen": seen, "has_bound": has_bound}))
+"""
+_NONE, _BOTH = [], ["scipy", "scipy.special"]
+_SCIPY_LOADED = {
+    # command: (args, where scipy is loaded, has_bound)
+    "design": (["design", "--n", "16", "--ratio", "0.4"],
+               dict(run=_NONE, bound=_NONE), []),
+    "table": (["table", "--n", "8", "--out-dir", "OUT"],
+              dict(run=_NONE, bound=_NONE), []),
+    "cdf": (["cdf", "--trials", "2e3", "--points", "5", "--out-dir", "OUT"],
+            dict(run=_NONE, bound=_NONE), []),
+    "ser-csit": (["ser", "--scheme", "proposed-optimal", "--snr", "20",
+                  "--csit-sweep", "0:10:10", "--trials", "2e3",
+                  "--out-dir", "OUT"],
+                 dict(engine=_NONE, run=_NONE, bound=_NONE), [False]),
+    # the bound is read after the engine returns: only then is scipy needed
+    "ser": (["ser", "--scheme", "proposed-optimal", "--snr", "16:20:4",
+             "--trials", "2e3", "--out-dir", "OUT"],
+            dict(engine=_NONE, run=_NONE, bound=_BOTH), [True]),
+    # the rate thresholds need erfcinv; scipy is loaded in set-up, so its
+    # import never counts as engine time
+    "rate": (["rate", "--scheme", "variable-qam", "--snr", "0:10:5",
+              "--trials", "2e3", "--out-dir", "OUT"],
+             dict(engine=_BOTH, run=_BOTH, bound=_BOTH), [False]),
+}
+
+
+@pytest.mark.parametrize("command", _SCIPY_LOADED)
+def test_scipy_loaded_only_where_needed(command):
+    args, where, has_bound = _SCIPY_LOADED[command]
+    run = _fresh_python(_SCIPY_PROBE, args=args)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got == {"code": 0, "seen": {"import": _NONE, **where},
+                   "has_bound": has_bound}
+
+
 def test_debug_feasibility_checks(table16):
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
                     scheme="proposed-optimal")
@@ -208,11 +279,7 @@ def test_debug_feasibility_checks(table16):
                 continue
             sys.exit(f"{message!r} check did not fire")
     """)
-    src = str(Path(ceapsk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = _fresh_python(script, flags=["-O"])
     assert run.returncode == 0, run.stderr
 
 
@@ -443,6 +510,32 @@ def test_union_bound_pinned(scheme, m, chunk, set_chunk):
     two = union_bound_curve(dataclasses.replace(cfg, threads=2),
                             _scheme_table(scheme))
     np.testing.assert_array_equal(two, bound)
+
+
+def test_union_bound_lazy_import_under_threads():
+    # in a new interpreter both worker threads reach qfunc's first import
+    # of scipy.special together; each must get the whole module
+    script = textwrap.dedent("""
+        import dataclasses, json, sys
+        import ceapsk.sim as sim
+        from ceapsk.optimizer import build_region_table
+        table = build_region_table(16)
+        before = "scipy" in sys.modules
+        sim.CHUNK_SIZE = 8_000
+        cfg = sim.SimConfig(m=2, snr_db=(12.0, 18.0, 24.0), trials=20_000,
+                            scheme="proposed-optimal", seed=5)
+        two = sim.union_bound_curve(dataclasses.replace(cfg, threads=2),
+                                    table)
+        one = sim.union_bound_curve(cfg, table)
+        print(json.dumps([before, two.tolist(), one.tolist()]))
+    """)
+    run = _fresh_python(script)
+    assert run.returncode == 0, run.stderr
+    before, two, one = json.loads(run.stdout)
+    assert before is False
+    assert two == one
+    assert two == pytest.approx(_PINNED_BOUND["proposed-optimal", 2, 8_000],
+                                rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
