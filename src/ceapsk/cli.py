@@ -1,8 +1,8 @@
 """Command-line frontend: design | table | ser | rate | cdf.
 
-Every run writes its outputs plus a JSON manifest whose parameters are the
-run's parsed flags; replaying it (--config MANIFEST) reproduces the outputs
-byte for byte regardless of --threads.
+Every run writes its outputs plus a JSON manifest, and nothing else.  The
+manifest's parameters are the run's parsed flags; replaying it (--config
+MANIFEST) reproduces the outputs byte for byte regardless of --threads.
 
 Exit codes: 0 success, 2 bad arguments, 3 runtime failure.
 """
@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .constellation import _special
-from .optimizer import (TABLE_ALGO_VERSION, RegionTable, build_region_table,
-                        build_suboptimal_table, solve_p2)
+from .optimizer import build_region_table, build_suboptimal_table, solve_p2
 from .sim import (SCHEMES, SIZES, SimConfig, run_csit_sweep,
                   run_fixed_rate_ser, run_variable_rate)
 
@@ -83,16 +82,6 @@ def write_manifest(path: Path, args, outputs: list, started: float) -> None:
     path.write_text(json.dumps(manifest, indent=2))
 
 
-def load_or_build_table(n: int, cache_dir: Path) -> RegionTable:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"regions_n{n}_v{TABLE_ALGO_VERSION}.json"
-    if path.exists():
-        return RegionTable.from_json(path.read_text())
-    table = build_region_table(n)
-    path.write_text(table.to_json())
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -113,10 +102,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_table(args) -> int:
+    started = time.time()
+    table = build_region_table(args.n)  # a bad N exits before any write
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    table = load_or_build_table(args.n, outdir / "cache")
     written = {f"table_n{args.n}": table}
     if args.suboptimal:
         written[f"table_n{args.n}_suboptimal"] = build_suboptimal_table(table)
@@ -143,14 +132,19 @@ def _sim_config(args, **kw) -> SimConfig:
                      seed=args.seed, threads=args.threads, **kw)
 
 
-def _scheme_tables(cfg: SimConfig, cache_dir: Path):
-    """The region table(s) SCHEMES says cfg.scheme needs, or None."""
-    need = SCHEMES[cfg.scheme][1]
+def load_or_build_table(scheme: str):
+    """The region table(s) SCHEMES says a scheme needs, or None.
+
+    Every table is built here, in the run that uses it; none is read from
+    disk.  The name stays because perfbench's tracer times this step as
+    `cli.load_or_build_table`.
+    """
+    need = SCHEMES[scheme][1]
     if need == "per-size":
-        return {n: load_or_build_table(n, cache_dir) for n in SIZES}
+        return {n: build_region_table(n) for n in SIZES}
     if need is None:
         return None
-    table = load_or_build_table(SER_SIZE, cache_dir)
+    table = build_region_table(SER_SIZE)
     return build_suboptimal_table(table) if need == "suboptimal" else table
 
 
@@ -160,7 +154,7 @@ def cmd_ser(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    table = _scheme_tables(cfg, outdir / "cache")
+    table = load_or_build_table(cfg.scheme)
     if tr_grid is not None:
         curve = run_csit_sweep(cfg, table, tr_grid)
         name = f"ser_{cfg.scheme}_m{cfg.m}_csit"
@@ -181,7 +175,7 @@ def cmd_rate(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    curve = run_variable_rate(cfg, _scheme_tables(cfg, outdir / "cache"))
+    curve = run_variable_rate(cfg, load_or_build_table(cfg.scheme))
     name = f"rate_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-TABLE_ALGO_VERSION = 1
+TABLE_ALGO_VERSION = 1  # labels the table JSON; nothing reads it back
 # r/R grid on which every region table finds its boundaries before bisecting
 # them; it resolves every region of the sizes N <= 64 that the engines use
 GRID_STEP = 1e-4
@@ -237,14 +237,6 @@ class RegionTable:
                 "d_min_rule": reg.d_min_rule, "d_min": reg.d_min,
             } for reg in self.regions],
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionTable":
-        data = json.loads(text)
-        regs = tuple(Region(**{k: r[k] for k in (
-            "lo", "hi", "n2", "omega2", "c12", "rho2_rule", "rho2",
-            "d_min_rule", "d_min")}) for r in data["regions"])
-        return cls(size=data["size"], regions=regs)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

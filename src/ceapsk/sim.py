@@ -82,7 +82,9 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if not all(map(math.isfinite, snrs)):
             raise ValueError("snr_db must be finite")
-        if any(b <= a for a, b in zip(snrs, snrs[1:])) is True:
+        if not snrs:
+            raise ValueError("snr_db needs at least one point")
+        if any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr_db must be strictly increasing")
         object.__setattr__(self, "snr_db", snrs)
 

@@ -1,10 +1,12 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from ceapsk import cli
 from ceapsk.cli import main, parse_range, parse_trials
+from ceapsk.optimizer import build_region_table
 
 
 def test_parse_range():
@@ -103,13 +105,30 @@ def test_table_suboptimal(tmp_path):
     assert len(lines) == 3  # header + 2 regions
 
 
-def test_table_cache_reused(tmp_path):
-    assert main(["table", "--n", "8", "--out-dir", str(tmp_path)]) == 0
-    cache = list((tmp_path / "cache").glob("regions_n8_*.json"))
-    assert len(cache) == 1
-    stamp = cache[0].stat().st_mtime_ns
-    assert main(["table", "--n", "8", "--out-dir", str(tmp_path)]) == 0
-    assert cache[0].stat().st_mtime_ns == stamp
+def test_stale_table_cache_ignored(tmp_path):
+    # a table file left in out/cache by an older version, with every
+    # constant d_min altered, must not change a run in that directory
+    stale = json.loads(build_region_table(16).to_json())
+    for reg in stale["regions"]:
+        if reg["d_min"] is not None:
+            reg["d_min"] *= 1.5
+    (tmp_path / "old" / "cache").mkdir(parents=True)
+    (tmp_path / "old" / "cache" / "regions_n16_v1.json").write_text(
+        json.dumps(stale))
+    args = ["ser", "--scheme", "proposed-optimal", "--snr", "10:14:2",
+            "--trials", "2e4", "--seed", "4"]
+    got = {}
+    for out in ("old", "new"):
+        assert main(args + ["--out-dir", str(tmp_path / out)]) == 0
+        got[out] = (tmp_path / out / "ser_proposed-optimal_m2.csv").read_bytes()
+    assert got["old"] == got["new"]
+
+
+def test_table_bad_n_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["table", "--n", "7", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_table_non_power_of_two_warns(tmp_path):
@@ -373,7 +392,12 @@ def test_manifest_replays_every_output(run, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "b")]) == 0
 
     def outputs(out):
-        return {p.name: p.read_bytes() for p in out.iterdir()
-                if p.is_file() and p.name != manifest.name}
+        """Every file the run left under out, but its manifest, by path;
+        they must be exactly the outputs its manifest lists."""
+        (man,) = out.glob("*.manifest.json")
+        files = {p for p in out.rglob("*") if p.is_file()}
+        listed = json.loads(man.read_text())["outputs"]
+        assert files == {man} | {Path(o) for o in listed}
+        return {p.relative_to(out): p.read_bytes() for p in files - {man}}
     assert outputs(tmp_path / "a")
     assert outputs(tmp_path / "a") == outputs(tmp_path / "b")

@@ -1,6 +1,7 @@
 """Static guards: no unused imports in the package or its tests, no assert
-statements in the package, and every package name the benchmark harness in
-perfbench/ or the README's examples reach still resolves."""
+statements in the package, no file read but the --config file, and every
+package name the benchmark harness in perfbench/ or the README's examples
+reach still resolves."""
 
 import ast
 import importlib
@@ -78,6 +79,43 @@ def test_scipy_imported_only_inside_functions():
                  for module, line in imports
                  if module.split(".")[0] == "scipy"]
     assert not at_import, at_import
+
+
+def _file_reads(tree: ast.Module):
+    """The function enclosing every call that reads a file: open() in a
+    read mode, read_text(), read_bytes() and json.load()."""
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name == "open":
+                    # open(path, mode) or path.open(mode), "r" by default;
+                    # a mode that is not a literal counts as a read
+                    args = child.args[isinstance(f, ast.Name):]
+                    mode = next((kw.value for kw in child.keywords
+                                 if kw.arg == "mode"),
+                                args[0] if args else ast.Constant("r"))
+                    if not (isinstance(mode, ast.Constant)
+                            and set(str(mode.value)) & set("wax")):
+                        yield func
+                elif name in ("read_text", "read_bytes") or (
+                        name == "load" and isinstance(f, ast.Attribute)
+                        and getattr(f.value, "id", "") == "json"):
+                    yield func
+            yield from walk(child, func)
+    return walk(tree, "<module>")
+
+
+def test_only_the_config_file_is_read():
+    # a run's results come from its flags alone: tables are built in the
+    # run, and the --config file is the one file the package reads
+    reads = {f"{path.name}:{func}" for path in sorted(SRC.glob("*.py"))
+             for func in _file_reads(ast.parse(path.read_text()))}
+    assert reads == {"cli.py:_apply_config_file"}, reads
 
 
 def _resolve(dotted: str):

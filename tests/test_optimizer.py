@@ -223,12 +223,6 @@ def test_region_table_partition():
         assert a.hi == pytest.approx(b.lo)
 
 
-def test_region_table_json_roundtrip():
-    table = build_region_table(8)
-    table2 = type(table).from_json(table.to_json())
-    assert table2 == table
-
-
 def test_region_table_csv(tmp_path):
     table = build_region_table(8)
     path = tmp_path / "t.csv"

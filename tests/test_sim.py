@@ -50,6 +50,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(m=2, snr_db=(10.0, 10.0), trials=10 ** 4,
                   scheme="proposed-optimal")
+    with pytest.raises(ValueError, match="at least one point"):
+        SimConfig(m=2, snr_db=(), trials=10 ** 4, scheme="proposed-optimal")
 
 
 @pytest.mark.parametrize("field", ["m", "threads"])
