@@ -155,6 +155,57 @@ def solve_p2(n: int, ratio: float) -> DesignResult:
 
 
 # ---------------------------------------------------------------------------
+# Sorted-edge lookup
+
+# bits >> _CELL_SHIFT numbers 2^8 cells per octave of non-negative doubles
+_CELL_SHIFT = 44
+_MAX_CELLS = 1 << 12  # the most cells a _CellSearch tabulates
+
+
+class _CellSearch:
+    """np.searchsorted(edges, x, side="right") for fixed sorted edges (no
+    NaN among them), by table lookup rather than binary search.
+
+    A non-negative double orders like its bits read as an int64, so
+    bits >> 44 numbers cells of 2^8 per octave.  `count` covers a window of
+    at most _MAX_CELLS cells that ends at the cell of the largest finite
+    edge: count[i] is the number of edges below window cell i, and 0 for
+    cell 0, which takes every x below cell 1 (negative x and -0.0
+    included); x above the window goes to its last cell.  Then `rounds`
+    steps of idx += edges[idx] <= x, the most edges any cell holds, place x
+    among its cell's edges; the NaN pad ends every step at len(edges).
+    A NaN x maps to len(edges), as in searchsorted.
+    """
+
+    def __init__(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        self.size = edges.size
+        finite = edges[np.isfinite(edges)]
+        cells = np.maximum(finite.view(np.int64) >> _CELL_SHIFT, 0)
+        first, top = (cells.min(), cells.max()) if cells.size else (0, 0)
+        self.lo = int(max(first, top + 1 - _MAX_CELLS))
+        # window cell i starts at the double whose bits are (lo + i) << 44
+        starts = (np.arange(self.lo + 1, top + 1, dtype=np.int64)
+                  << _CELL_SHIFT).view(np.float64)
+        self.count = np.concatenate((
+            [0], np.searchsorted(edges, starts))).astype(np.intp)
+        self.rounds = int(np.diff(self.count, append=edges.size).max())
+        self.padded = np.append(edges, np.nan)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        cell = flat.view(np.int64) >> _CELL_SHIFT
+        cell -= self.lo
+        idx = self.count.take(cell, mode="clip")
+        for _ in range(self.rounds):
+            idx += self.padded.take(idx) <= flat
+        np.putmask(idx, np.isnan(flat), self.size)
+        # [()] gives a scalar for a scalar x, as searchsorted does
+        return idx.reshape(x.shape)[()]
+
+
+# ---------------------------------------------------------------------------
 # Region tables
 
 
@@ -177,12 +228,12 @@ class RegionTable:
     regions: tuple[Region, ...]
 
     @cached_property
-    def _arrays(self) -> dict[str, np.ndarray]:
-        """Per-region columns, built once per table."""
+    def _arrays(self) -> dict:
+        """Per-region columns and the region lookup, built once per table."""
         regs = self.regions
         return {
-            # region j + 1 starts at upper[j]; regions are in ascending lo
-            "upper": np.array([reg.lo for reg in regs[1:]]),
+            # region j + 1 starts at the j-th edge; regions are in ascending lo
+            "search": _CellSearch([reg.lo for reg in regs[1:]]),
             "n2": np.array([reg.n2 for reg in regs]),
             "omega2": np.array([reg.omega2 for reg in regs]),
             "rho2": np.array([np.nan if reg.rho2 is None else reg.rho2
@@ -197,11 +248,7 @@ class RegionTable:
     def index(self, ratios) -> np.ndarray:
         """Region index per ratio: the last region whose lo <= ratio (the
         first region for a ratio below every lo)."""
-        upper = self._arrays["upper"]
-        if not upper.size:  # one region holds every ratio
-            # [()] gives a scalar for a scalar ratio, as searchsorted does
-            return np.zeros(np.shape(ratios), dtype=np.intp)[()]
-        return np.searchsorted(upper, ratios, side="right")
+        return self._arrays["search"](ratios)
 
     def d_min_at(self, ratios, idx=None) -> np.ndarray:
         """Vectorized optimal MED as a function of r/R.  idx, when given,

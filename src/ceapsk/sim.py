@@ -14,6 +14,12 @@ noise may carry the receive point out of the sent point's decision cell at
 the first, noisiest point, and detects only the (trial, point) pairs where
 it may.  Its averaged union bound is computed (union_bound_curve) only when
 SerCurve.union_bound is first read.
+
+The CSIT sweep and the variable-rate engine draw each chunk at once, in
+stream order, then work through it in blocks of precoder._BLOCK rows, so
+their temporaries stay in cache.  Variable-rate selection places each
+trial's R * d_min among per-size SNR cuts with an exact table lookup
+(optimizer._CellSearch) built once per run.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .channel import _complex_normal, _draw_channel, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
-from .optimizer import RegionTable
+from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
 from .rng import stream
 
@@ -550,26 +556,27 @@ def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
             x = np.where(down, below, x)
 
 
-def _rate_counts(xs, t: int, least: np.ndarray, step: np.ndarray):
-    """(no-tx count, bit sum) at each SNR point over t trials.
+def _rate_counts(xs, searches, step: np.ndarray):
+    """(no-tx count, bit sum) at each SNR point over one block of trials.
 
     xs yields, for each size j in ascending order, the trials' R * d_min
-    (0 when infeasible); least comes from _least_feasible, and step[j] is
-    the bits size j adds over the next smaller one.
+    (0 when infeasible).  searches[j] is _CellSearch(least[::-1, j]), with
+    least from _least_feasible: it counts the SNR points k with
+    least[k, j] <= x, at which size j is feasible.  step[j] is the bits
+    size j adds over the next smaller one.
     """
-    k_pts = least.shape[0]
-    # first[j, i]: first SNR index at which size j is feasible (k_pts: none),
-    # i.e. k_pts less the number of points k with x_j[i] >= least[k, j]
-    first = np.empty((step.size, t), dtype=np.intp)
-    for j, (cuts, x) in enumerate(zip(least[::-1].T, xs)):
-        first[j] = np.searchsorted(cuts, x, side="right")
-    np.subtract(k_pts, first, out=first)
-    # now the first index at which the largest feasible size is j or larger
-    for j in range(len(first) - 2, -1, -1):
-        np.minimum(first[j], first[j + 1], out=first[j])
-    at_least = np.cumsum([np.bincount(f, minlength=k_pts + 1)[:k_pts]
-                          for f in first], axis=1)
-    return t - at_least[0], step @ at_least
+    k_pts = searches[0].size
+    # feasible[j, i]: the number of SNR points at which size j is feasible
+    # for trial i; they are the last ones, as least[k, j] falls with k
+    feasible = np.array([search(x) for search, x in zip(searches, xs)])
+    # now the number at which the largest feasible size is j or larger
+    for j in range(len(feasible) - 2, -1, -1):
+        np.maximum(feasible[j], feasible[j + 1], out=feasible[j])
+    # at_least[j, k]: the trials sending size j or larger at point k, i.e.
+    # those feasible at k_pts - k points or more
+    at_least = np.cumsum([np.bincount(f, minlength=k_pts + 1)[:0:-1]
+                          for f in feasible], axis=1)
+    return feasible.shape[1] - at_least[0], step @ at_least
 
 
 def run_variable_rate(cfg: SimConfig,
@@ -578,9 +585,13 @@ def run_variable_rate(cfg: SimConfig,
 
     Each trial sends the largest size whose R * d_min is positive and meets
     its union-bound threshold at that SNR point, or nothing.  Feasibility is
-    monotone in SNR, so one pass per chunk finds, for every trial and size,
-    the first SNR point at which that size or a larger one is feasible; a
-    histogram of those indices gives every point's bit and no-tx counts.
+    monotone in SNR, so one pass finds, for every trial and size, the
+    number of SNR points at which that size or a larger one is feasible; a
+    histogram of those counts gives every point's bit and no-tx counts.
+    Each chunk draws its channels at once, as its stream orders them, then
+    runs the annulus, the MED lookups and the counts in blocks of _BLOCK
+    trials, whose temporaries stay in cache.  The bit steps of SIZES are
+    integers, so the block sums are exact.
     """
     if SCHEMES[cfg.scheme][0] != "rate":
         raise ValueError(f"not a variable-rate scheme: {cfg.scheme!r}")
@@ -594,6 +605,7 @@ def run_variable_rate(cfg: SimConfig,
     thresholds = np.array([union_bound_threshold(n, cfg.target_ser,
                                                  NOISE_POWER) for n in sizes])
     least = _least_feasible(np.sqrt(powers), thresholds)
+    searches = [_CellSearch(cuts) for cuts in least[::-1].T]
     sid = 2  # shared between variable-rate schemes (common random numbers)
     if cfg.scheme == "variable-qam":
         feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
@@ -601,14 +613,17 @@ def run_variable_rate(cfg: SimConfig,
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, sid, chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
-        _, big_r0, ratio = _annulus(h)
-        # per-trial R*d_min for each candidate size in turn (0 = infeasible)
-        if cfg.scheme == "variable-apsk":
-            xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
-        else:
-            xs = (np.where(ratio <= fr, big_r0 * d, 0.0)
-                  for fr, d in zip(feas_ratio, qam_dmin))
-        return _rate_counts(xs, t, least, step)
+        blocks = []
+        for lo in range(0, t, _BLOCK):
+            _, big_r0, ratio = _annulus(h[lo:lo + _BLOCK])
+            # per-trial R*d_min for each size in turn (0 = infeasible)
+            if cfg.scheme == "variable-apsk":
+                xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
+            else:
+                xs = (np.where(ratio <= fr, big_r0 * d, 0.0)
+                      for fr, d in zip(feas_ratio, qam_dmin))
+            blocks.append(_rate_counts(xs, searches, step))
+        return tuple(sum(parts) for parts in zip(*blocks))
 
     no_tx, bit_sum = _reduce_chunks(cfg, one_chunk)
     return RateCurve(snr_db=np.asarray(cfg.snr_db, dtype=float),

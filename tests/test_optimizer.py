@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ceapsk.channel import annulus_arrays, sample_rayleigh
 from ceapsk.constellation import med, modulus_ratio
-from ceapsk.optimizer import (_solve_grid, _solve_n2, build_region_table,
+from ceapsk.optimizer import (_MAX_CELLS, _CellSearch, _solve_grid,
+                              _solve_n2, build_region_table,
                               build_suboptimal_table, solve_p2, solve_p21)
 
 
@@ -335,7 +336,8 @@ def test_region_lookup_at_edges(n, suboptimal, data):
     # region of a two-region table is constant
     probe = np.array([ratio, np.nan, -1.0, 2.0, -np.inf, np.inf, -0.0])
     col = table._arrays
-    want_idx = np.searchsorted(col["upper"], probe, side="right")
+    upper = np.array([reg.lo for reg in regs[1:]], dtype=float)
+    want_idx = np.searchsorted(upper, probe, side="right")
     with np.errstate(invalid="ignore"):
         formula = np.sqrt(np.maximum(
             probe ** 2 - probe * col["c12x2"][want_idx] + 1.0, 0.0))
@@ -345,4 +347,66 @@ def test_region_lookup_at_edges(n, suboptimal, data):
     assert got_idx.dtype == want_idx.dtype
     np.testing.assert_array_equal(got_idx, want_idx)
     np.testing.assert_array_equal(got_d, want_d)
-    assert type(table.index(ratio)) is type(np.searchsorted(col["upper"], ratio))
+    assert type(table.index(ratio)) is type(np.searchsorted(upper, ratio))
+
+
+# ---------------------------------------------------------------------------
+# The sorted-edge lookup against searchsorted
+
+_SPECIAL = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+            -2.5, 1e300, -1e-300, np.inf, -np.inf]
+
+
+def _dense(base, k):
+    """k edges a relative 1e-4 apart: about 39 to a cell."""
+    return (base * (1.0 + 1e-4 * np.arange(k))).tolist()
+
+
+_EDGE_SETS = st.one_of(
+    st.lists(st.sampled_from(_SPECIAL), max_size=8),
+    st.lists(st.floats(allow_nan=False), max_size=12),
+    st.builds(_dense, st.floats(1e-12, 1e12), st.integers(1, 80)),
+    # 1e-300 to 1e300 spans far more octaves than the table holds
+    st.lists(st.integers(-300, 300).map(lambda e: 10.0 ** e), max_size=30),
+)
+
+
+def _near(values):
+    """Each value and its one- and two-ulp neighbours."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    with np.errstate(over="ignore"):  # the largest doubles step to inf
+        for toward in (-np.inf, np.inf):
+            one = np.nextafter(values, toward)
+            out += [one, np.nextafter(one, toward)]
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(_EDGE_SETS, min_size=1, max_size=3),
+       dup=st.integers(0, 4), data=st.data())
+def test_cell_search_matches_searchsorted(parts, dup, data):
+    edges = sum(parts, [])
+    edges = np.sort(np.array(edges + edges[:dup], dtype=float))
+    search = _CellSearch(edges)
+    assert search.count.size <= _MAX_CELLS
+    random = data.draw(st.lists(st.floats(allow_nan=True), max_size=20))
+    x = np.concatenate((
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], _near(edges),
+        _near(_SPECIAL), np.array(random, dtype=float)))
+    with np.errstate(invalid="ignore"):
+        want = np.searchsorted(edges, x, side="right")
+    got = search(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    # empty and 0-d inputs keep their shape; a scalar gives a scalar
+    assert search(np.empty(0)).shape == (0,)
+    assert search(np.empty((0, 3))).shape == (0, 3)
+    even = x.size // 2 * 2
+    assert search(x[:even].reshape(-1, 2)).tolist() == \
+        want[:even].reshape(-1, 2).tolist()
+    for value in x[:8].tolist() + [data.draw(st.sampled_from(x.tolist()))]:
+        one = np.searchsorted(edges, value, side="right")
+        assert type(search(value)) is type(one)
+        assert search(value) == one
+        assert search(np.array(value)) == one

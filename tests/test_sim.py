@@ -19,7 +19,8 @@ import ceapsk.cli
 import ceapsk.sim as sim
 from ceapsk.constellation import (qam_family, ser_union_bound,
                                   union_bound_threshold)
-from ceapsk.optimizer import build_region_table, build_suboptimal_table
+from ceapsk.optimizer import (_CellSearch, build_region_table,
+                              build_suboptimal_table)
 from ceapsk.rng import stream
 from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
                         _psk_decide, _qam16_decide, _qam_limits, _rate_counts,
@@ -569,14 +570,23 @@ def _brute_force_rate(x, sqrt_p, thresholds, bits):
     return no_tx, bit_sum
 
 
+def _searches(least):
+    """The per-size lookups that run_variable_rate builds from least."""
+    return [_CellSearch(cuts) for cuts in least[::-1].T]
+
+
 @pytest.mark.parametrize("k_pts", [1, 2, 31])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        target_ser=st.sampled_from([1e-3, 0.2, 0.6]),
-       n_sizes=st.integers(1, 6))
-def test_rate_selection_matches_brute_force(k_pts, seed, target_ser, n_sizes):
+       n_sizes=st.integers(1, 6), dense=st.booleans())
+def test_rate_selection_matches_brute_force(k_pts, seed, target_ser, n_sizes,
+                                            dense):
     rng = np.random.default_rng(seed)
-    snr = np.sort(rng.choice(np.arange(-10.0, 41.0, 0.5), k_pts, replace=False))
+    # a dense grid puts several SNR cuts of one size in one lookup cell
+    grid = (rng.uniform(-10.0, 40.0) + 0.01 * np.arange(k_pts) if dense
+            else np.arange(-10.0, 41.0, 0.5))
+    snr = np.sort(rng.choice(grid, k_pts, replace=False))
     if k_pts > 1:  # two grid points a hair apart, so sqrt(p) may repeat
         snr[1] = np.nextafter(snr[0], np.inf)
     cfg = SimConfig(m=2, snr_db=tuple(snr), trials=1000,
@@ -605,7 +615,7 @@ def test_rate_selection_matches_brute_force(k_pts, seed, target_ser, n_sizes):
             near + [[0.0, np.nextafter(0.0, 1.0)],
                     scale * rng.uniform(0.0, 2.0, 50) / rng.choice(sqrt_p, 50)]))
     x = np.stack([rng.choice(pool, 400) for pool in pools])
-    no_tx, bit_sum = _rate_counts(x, x.shape[1], least,
+    no_tx, bit_sum = _rate_counts(x, _searches(least),
                                   np.diff(bits, prepend=0.0))
     want_no_tx, want_bits = _brute_force_rate(x, sqrt_p, thresholds, bits)
     np.testing.assert_array_equal(no_tx, want_no_tx)
@@ -641,10 +651,12 @@ def test_select_rate_shares_the_array_rule():
     thr = union_bound_threshold(16, 1e-3, 1.0)
     least = _least_feasible(sqrt_p, np.array([np.inf, thr]))
     x = np.array([[0.0, 0.0], [thr, np.nextafter(thr, 0.0)]])
-    assert [c.tolist() for c in _rate_counts(x, 2, least, step)] == [[1], [4.0]]
+    assert [c.tolist() for c in _rate_counts(x, _searches(least), step)] == \
+        [[1], [4.0]]
     least = _least_feasible(sqrt_p, np.array([0.0, np.inf]))
     x = np.array([[0.0], [0.0]])
-    assert [c.tolist() for c in _rate_counts(x, 1, least, step)] == [[1], [0.0]]
+    assert [c.tolist() for c in _rate_counts(x, _searches(least), step)] == \
+        [[1], [0.0]]
 
 
 # avg_bits and no_tx_fraction of the per-SNR-point selection, recorded
@@ -670,17 +682,54 @@ def _rate_tables():
     return {n: _table(n) for n in (2, 4, 8, 16, 32, 64)}
 
 
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
-def test_variable_rate_pinned(scheme, m, set_chunk):
-    set_chunk(8_000)
+def _check_rate_pins(pins, scheme, m, chunk, trials, set_chunk):
+    set_chunk(chunk)
     kw = dict(m=m, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-              trials=20_000, scheme=scheme, seed=5)
+              trials=trials, scheme=scheme, seed=5)
     curve = run_variable_rate(SimConfig(**kw), _rate_tables())
     assert (curve.avg_bits.tolist(), curve.no_tx_fraction.tolist()) == \
-        _PINNED_RATE[scheme, m]
+        pins[scheme, m]
     two = run_variable_rate(SimConfig(threads=2, **kw), _rate_tables())
     np.testing.assert_array_equal(two.avg_bits, curve.avg_bits)
     np.testing.assert_array_equal(two.no_tx_fraction, curve.no_tx_fraction)
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
+def test_variable_rate_pinned(scheme, m, set_chunk):
+    _check_rate_pins(_PINNED_RATE, scheme, m, 8_000, 20_000, set_chunk)
+
+
+# The same, recorded with the whole chunk handled at once (seed 5, 45,000
+# trials in chunks of 20,000, SNR 0:30:5 dB).  A 20,000-trial chunk spans
+# blocks of 8192 + 8192 + 3616 rows, and the last chunk holds 5,000 trials.
+_PINNED_RATE_BLOCKS = {
+    ("variable-apsk", 2): (
+        [0.032733333333333337, 0.5771555555555555, 1.5833777777777778, 2.6088,
+         3.7016444444444443, 4.711155555555556, 5.577333333333334],
+        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
+         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
+    ("variable-apsk", 4): (
+        [0.18566666666666667, 1.2466444444444444, 2.3377333333333334,
+         3.4273777777777776, 4.4654, 5.368955555555556, 5.9507111111111115],
+        [0.8151777777777778, 0.11586666666666667, 0.0032,
+         8.888888888888889e-05, 0.0, 0.0, 0.0]),
+    ("variable-qam", 2): (
+        [0.032733333333333337, 0.5770666666666666, 1.5397777777777777, 2.3732,
+         3.195866666666667, 3.7852, 4.067911111111111],
+        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
+         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
+    ("variable-qam", 4): (
+        [0.18566666666666667, 1.2454, 2.1109333333333336, 3.1557333333333335,
+         4.5078, 5.548355555555555, 5.943177777777778],
+        [0.8151777777777778, 0.11586666666666667, 0.0032,
+         8.888888888888889e-05, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE_BLOCKS))
+def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
+    _check_rate_pins(_PINNED_RATE_BLOCKS, scheme, m, 20_000, 45_000,
+                     set_chunk)
 
 
 # ---------------------------------------------------------------------------
