@@ -20,10 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-TABLE_ALGO_VERSION = 1  # labels the table JSON; nothing reads it back
-# r/R grid on which every region table finds its boundaries before bisecting
-# them; it resolves every region of the sizes N <= 64 that the engines use
-GRID_STEP = 1e-4
+TABLE_ALGO_VERSION = 2  # labels the table JSON; nothing reads it back
+_SOLVE_ROWS = 4096  # ratios per _solve_grid call while a table is built
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +255,11 @@ class RegionTable:
         col = self._arrays
         idx = self.index(ratios) if idx is None else idx
         if col["const"].all():  # no region uses the formula
-            return np.asarray(col["d_min"][idx])
+            return np.asarray(col["d_min"].take(idx))
         # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
         formula = np.sqrt(np.maximum(
-            ratios ** 2 - ratios * col["c12x2"][idx] + 1.0, 0.0))
-        return np.where(col["const"][idx], col["d_min"][idx], formula)
+            ratios ** 2 - ratios * col["c12x2"].take(idx) + 1.0, 0.0))
+        return np.where(col["const"].take(idx), col["d_min"].take(idx), formula)
 
     def params_at(self, ratios, idx=None):
         """Vectorized (region index, n2, omega2, rho2) per ratio.  idx, when
@@ -269,13 +267,12 @@ class RegionTable:
         ratios = np.asarray(ratios, dtype=float)
         col = self._arrays
         idx = self.index(ratios) if idx is None else idx
-        rho2 = np.where(col["track"][idx], ratios, col["rho2"][idx])
-        return idx, col["n2"][idx], col["omega2"][idx], rho2
+        rho2 = np.where(col["track"].take(idx), ratios, col["rho2"].take(idx))
+        return idx, col["n2"].take(idx), col["omega2"].take(idx), rho2
 
     def to_json(self) -> str:
         return json.dumps({
             "size": self.size,
-            "grid_step": GRID_STEP,
             "algorithm_version": TABLE_ALGO_VERSION,
             "regions": [{
                 "lo": reg.lo, "hi": reg.hi, "n2": reg.n2,
@@ -300,37 +297,40 @@ class RegionTable:
 def build_region_table(n: int) -> RegionTable:
     """Partition r/R in [0, 1] into regions of constant design structure.
 
-    Points of the GRID_STEP grid sharing (N2*, rho2 rule) are merged; all
-    boundaries are then bisected together, one array of midpoints per step,
-    each to 1e-6.
-    Regions where rho2 tracks r/R carry the formula d_min rule; all others
-    carry a constant d_min.
+    Each inner-ring count's design is piecewise in q = r/R: a constant K or
+    f(q) = sqrt(q^2 - 2 q c12 + 1).  Pieces switch at c12, at rho_bar or at
+    a root q = c12 +- sqrt(c12^2 - 1 + K^2) of f = K, K in {sqrt(2 B1),
+    sqrt(2 B2), sqrt(2 B2) rho_bar, sqrt(2 - 2 c12)}; two f curves meet only
+    at q = 0.  One solve at the midpoints of these candidates, over every
+    count, gives each piece's (N2*, rho2 rule); a region starts where that
+    pair changes and takes its constants from its first piece.  Regions
+    where rho2 tracks r/R carry the formula d_min rule, the rest a constant.
     """
     _check_size(n)
-    ratios = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    ratios[-1] = 1.0
-    _, n2, _, track = _solve_grid(n, ratios)
-    # boundary j lies between grid points edge[j] and edge[j] + 1
-    edge = np.flatnonzero((n2[1:] != n2[:-1]) | (track[1:] != track[:-1]))
-    lo, hi = ratios[edge], ratios[edge + 1]
-    n2_lo, track_lo = n2[edge], track[edge]
-    # bisect every boundary at once; each stops once it is within 1e-6
-    while (live := hi - lo > 1e-6).any():
-        mid = 0.5 * (lo + hi)
-        _, n2_mid, _, track_mid = _solve_grid(n, mid)
-        same = (n2_mid == n2_lo) & (track_mid == track_lo)
-        lo = np.where(live & same, mid, lo)
-        hi = np.where(live & ~same, mid, hi)
-    bounds = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
-    # probe each region just inside its lower end
-    probe = np.minimum(bounds[:-1] + GRID_STEP, 0.5 * (bounds[:-1] + bounds[1:]))
-    d_probe, _, rho_probe, _ = _solve_grid(n, probe)
-    first = np.concatenate(([0], edge + 1))  # first grid point of each run
-    bounds = bounds.tolist()  # Python floats, as to_json writes them
+    c12s = [math.cos(solve_p21(n, n2)) for n2 in range(1, n // 2 + 1)]
+    cuts, ks = [0.0, 1.0, *c12s], []
+    for n2, c12 in enumerate(c12s, start=1):
+        b1, b2 = _b_coeff(n - n2), _b_coeff(n2)
+        ks += [math.sqrt(2.0 * b) for b in (b1, b2) if b is not None]
+        ks.append(math.sqrt(max(2.0 - 2.0 * c12, 0.0)))
+        if b2 is not None:
+            cuts.append(_rho_bar(b2, c12))
+            ks.append(math.sqrt(2.0 * b2) * cuts[-1])
+    c = np.array(c12s)[:, None]
+    # where f never meets K this gives the root c12, already a candidate
+    half = np.sqrt(np.maximum(c * c - 1.0 + np.array(ks) ** 2, 0.0))
+    cand = np.sort(np.concatenate((cuts, np.ravel([c - half, c + half]))))
+    cand = cand[(cand >= 0.0) & (cand <= 1.0) & (np.diff(cand, prepend=-1) > 0)]
+    mids = 0.5 * (cand[:-1] + cand[1:])
+    d, n2, rho, track = (np.concatenate(parts) for parts in zip(*(
+        _solve_grid(n, mids[i:i + _SOLVE_ROWS])
+        for i in range(0, mids.size, _SOLVE_ROWS))))
+    first = np.flatnonzero(np.diff(2 * n2 + track, prepend=-1))  # new (n2, track)
+    bounds = cand[np.append(first, mids.size)].tolist()  # as to_json writes
     regions = []
     for lo_j, hi_j, n2_j, tracking, d_j, rho_j in zip(
             bounds, bounds[1:], n2[first].tolist(), track[first].tolist(),
-            d_probe.tolist(), rho_probe.tolist()):
+            d[first].tolist(), rho[first].tolist()):
         omega2 = solve_p21(n, n2_j)
         rules = (("track_ratio", None, "formula", None) if tracking else
                  ("constant", rho_j, "constant", d_j))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ceapsk.channel import annulus_arrays, sample_rayleigh
 from ceapsk.constellation import med, modulus_ratio
-from ceapsk.optimizer import (_MAX_CELLS, _CellSearch, _solve_grid,
-                              _solve_n2, build_region_table,
+from ceapsk.optimizer import (_MAX_CELLS, DesignResult, _CellSearch,
+                              _solve_grid, _solve_n2, build_region_table,
                               build_suboptimal_table, solve_p2, solve_p21)
 
 
@@ -146,6 +146,12 @@ def _design_points(n, res):
 _SIZES = (2, 4, 8, 16, 32, 64)
 
 
+@functools.lru_cache(maxsize=None)
+def _table(n, suboptimal=False):
+    table = build_region_table(n)
+    return build_suboptimal_table(table) if suboptimal else table
+
+
 def test_solve_p2_output_feasible():
     for n in _SIZES:
         for q in np.linspace(0, 1, 21):
@@ -202,18 +208,61 @@ def test_region_table_n2_single_region():
     assert table.regions[0].d_min == pytest.approx(2.0)
 
 
+def _solved_d_min(n, ratios):
+    """_solve_grid's d_min, 8192 ratios at a time."""
+    return np.concatenate([_solve_grid(n, ratios[i:i + 8192])[0]
+                           for i in range(0, ratios.size, 8192)])
+
+
 def test_region_table_consistency():
-    # the one grid step resolves every region of every size the engines
-    # use: the table's MED matches the solver on a 5e-6 sweep and 2e-6
-    # either side of every region start
-    for n in _SIZES:
-        table = build_region_table(n)
+    # every boundary is exact, so the table's MED matches the solver on a
+    # 5e-6 sweep and 2e-6 either side of every region start, up to N=256
+    for n in (*_SIZES, 128, 256):
+        table = _table(n)
         lo = np.array([reg.lo for reg in table.regions])
         ratios = np.clip(np.concatenate([np.arange(200_001) * 5e-6,
                                          lo - 2e-6, lo + 2e-6]), 0.0, 1.0)
         np.testing.assert_allclose(table.d_min_at(ratios),
-                                   _solve_grid(n, ratios)[0], atol=1e-9,
+                                   _solved_d_min(n, ratios), atol=1e-9,
                                    err_msg=f"N={n}")
+
+
+@pytest.mark.filterwarnings("ignore:N=.*power of two")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 128).map(lambda k: 2 * k), data=st.data())
+def test_region_table_matches_solver(n, data):
+    # ratios anywhere in [0, 1], or within 1e-6 of a region start; a table
+    # build costs far more than a lookup, so each example draws several
+    table = _table(n)
+    starts = np.array([reg.lo for reg in table.regions])
+    ratios = np.array(data.draw(st.lists(st.floats(0.0, 1.0) | st.builds(
+        lambda lo, dx: min(max(lo + dx, 0.0), 1.0),
+        st.sampled_from(starts.tolist()), st.floats(-1e-6, 1e-6)),
+        min_size=1, max_size=20)))
+    d, n2, _, track = _solve_grid(n, ratios)
+    np.testing.assert_allclose(table.d_min_at(ratios), d, rtol=1e-12, atol=0)
+    # at a region start the solver's own rounding may pick either side
+    gap = np.abs(ratios[:, None] - starts[1:]).min(axis=1, initial=1.0)
+    away = gap > 1e-12
+    idx, got_n2, _, _ = table.params_at(ratios[away])
+    tracking = np.array([reg.rho2_rule == "track_ratio"
+                         for reg in table.regions])
+    np.testing.assert_array_equal(got_n2, n2[away])
+    np.testing.assert_array_equal(tracking[idx], track[away])
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_dmin_never_overstates_point_set_med(n):
+    # within 1e-7 of every region start, the MED the table reports is that
+    # of the point set params_at gives, to 1e-12 relative
+    table = _table(n)
+    lo = np.array([reg.lo for reg in table.regions])
+    ratios = np.clip((lo[:, None] + np.linspace(-1e-7, 1e-7, 21)).ravel(),
+                     0.0, 1.0)
+    _, n2, omega2, rho2 = table.params_at(ratios)
+    for q, d, k, w, r in zip(ratios, table.d_min_at(ratios), n2, omega2, rho2):
+        true_med = med(_design_points(n, DesignResult(d, k, w, r)))
+        assert d <= true_med * (1.0 + 1e-12), (n, q)
 
 
 def test_region_table_partition():
@@ -271,28 +320,23 @@ def test_region_probabilities():
     assert probs[0] == pytest.approx(0.9766, abs=0.005)
 
 
-@functools.lru_cache(maxsize=None)
-def _table(n, suboptimal=False):
-    table = build_region_table(n)
-    return build_suboptimal_table(table) if suboptimal else table
-
-
 _TABLES = [(n, False) for n in (2, 4, 8, 16, 32, 64)] + [(16, True)]
 
 # SHA-256 of to_json() per (n, suboptimal).
-# All were recorded while each boundary was still bisected on its own, and
-# those for N <= 64 before the scalar radius solver was folded into the grid
-# solver.
+# Recorded once every boundary came from the closed-form candidates.  N=2
+# and N=4 then changed only because to_json lost its grid_step key and
+# writes algorithm_version 2; every other size also because its boundaries
+# became exact, and N=128 and N=256 because each gained a region.
 _TABLE_SHA256 = {
-    (2, False): "a10e8c74a2d02a536bc0ab50952ce418317bdcfbdc824ab97df06026af44f3f2",
-    (4, False): "fe93a3651b3bd639c03a49fe965852683bb517ff4514f591b9e1b0ae0255acda",
-    (8, False): "7b53cf023ef7a3b2f6a5070057d5f7d3213be6417758cdd66fc27b5b4a28a431",
-    (16, False): "2fef68b0eba96d641e5bbb2fc4186a5d415564f9cf672019d2d75df24a2754e6",
-    (32, False): "7c58b27fd81a0d8a057a05817ba728bd8937fa3c9d6329937501ce43824ee0d7",
-    (64, False): "9bcc3ce6f1c0f292759afe89ebebb3b2a5183e005631c95ecacfa36a6bc18e28",
-    (16, True): "5ed3d1e2255af0a8b6c4b212b9502d9bf2f53b6400a99fbbc0de194becdc238c",
-    (128, False): "c343fdd52d10b29c9eb82f8f4f2b203a5ea1ac93f3699a4c830579d056acabc8",
-    (256, False): "90ec748f9276e134d67b620b90ee40472129536459899ba54d7f32379dec028f",
+    (2, False): "1fe956abf1a79305d55d7dc1302552479658e417b0b89d58fc1821786a44e6f5",
+    (4, False): "e44eb37aa6d75f6f629f68c565fbf01f38087a5587301e778651802e01dc176d",
+    (8, False): "052c590e31ed36c061e09bd6605977a673b585b4ecd56756bb0b41679038e22c",
+    (16, False): "fd4150aa2f96b6b57d04787eed6fe75a5d47509ba5b07efa3d0fcca4473eb08b",
+    (32, False): "21186a9cea0022e39ad3e6dfe66ca6cc9aae6c9c52cb2ef0448251b0b70f24f8",
+    (64, False): "12886857b085b5c2d792ecf52258fa51b19b52528f41b22d28415f46401e6dca",
+    (16, True): "1443bfbd0d199b9cbfcd69d720646383cf5fc48e41c3aeda45d67e87c068d44e",
+    (128, False): "c21b43b6392c9214cdc63ae35579e238095912364d19edf743f4110651cfc9b7",
+    (256, False): "ac7a9a017b0a3a60304a9f9ceb022088e1d8f4049d3a217e154dd62c2deea901",
 }
 
 
