@@ -24,17 +24,11 @@ from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .constellation import _special
 from .optimizer import build_region_table, build_suboptimal_table, solve_p2
-from .sim import (SCHEMES, SIZES, SimConfig, run_csit_sweep,
-                  run_fixed_rate_ser, run_variable_rate)
+from .sim import (ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig, check_scheme,
+                  run_csit_sweep, run_fixed_rate_ser, run_variable_rate)
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
-SER_SIZE = 16  # N of the region table a proposed fixed-rate scheme loads
-
-
-def _schemes_of(command: str) -> tuple[str, ...]:
-    """The schemes a subcommand ("ser" or "rate") runs."""
-    return tuple(s for s, (cmd, _) in SCHEMES.items() if cmd == command)
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -122,39 +116,33 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _sim_config(args, **kw) -> SimConfig:
-    group = _schemes_of(args.cmd)
-    if args.scheme not in group:
-        raise ValueError(f"unknown scheme {args.scheme!r}; "
-                         f"valid: {', '.join(group)}")
-    return SimConfig(m=args.m, snr_db=parse_range(args.snr),
-                     trials=parse_trials(args.trials), scheme=args.scheme,
-                     seed=args.seed, threads=args.threads, **kw)
+def _sim_config(args, engine: str, **kw):
+    """The run's SimConfig and its scheme's facts, from check_scheme."""
+    cfg = SimConfig(m=args.m, snr_db=parse_range(args.snr),
+                    trials=parse_trials(args.trials), scheme=args.scheme,
+                    seed=args.seed, threads=args.threads, **kw)
+    return cfg, check_scheme(cfg, engine)
 
 
-def load_or_build_table(scheme: str):
-    """The region table(s) SCHEMES says a scheme needs, or None.
-
-    Every table is built here, in the run that uses it; none is read from
-    disk.  The name stays because perfbench's tracer times this step as
-    `cli.load_or_build_table`.
-    """
-    need = SCHEMES[scheme][1]
+def load_or_build_table(need: str | None):
+    """The region table(s) of a scheme's table fact, or None, built in the
+    run that uses them.  The name stays because perfbench's tracer times
+    this step as `cli.load_or_build_table`."""
     if need == "per-size":
         return {n: build_region_table(n) for n in SIZES}
     if need is None:
         return None
-    table = build_region_table(SER_SIZE)
+    table = build_region_table(TABLE_SIZE)
     return build_suboptimal_table(table) if need == "suboptimal" else table
 
 
 def cmd_ser(args) -> int:
-    cfg = _sim_config(args)
+    cfg, facts = _sim_config(args, "csit" if args.csit_sweep else "ser")
     tr_grid = parse_range(args.csit_sweep) if args.csit_sweep else None
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    table = load_or_build_table(cfg.scheme)
+    table = load_or_build_table(facts.table)
     if tr_grid is not None:
         curve = run_csit_sweep(cfg, table, tr_grid)
         name = f"ser_{cfg.scheme}_m{cfg.m}_csit"
@@ -169,13 +157,13 @@ def cmd_ser(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    cfg = _sim_config(args, target_ser=args.pe)
+    cfg, facts = _sim_config(args, "rate", target_ser=args.pe)
     # the engine's rate thresholds need scipy: import it here, in set-up
     _special()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    curve = run_variable_rate(cfg, load_or_build_table(cfg.scheme))
+    curve = run_variable_rate(cfg, load_or_build_table(facts.table))
     name = f"rate_{cfg.scheme}_m{cfg.m}"
     out = outdir / f"{name}.csv"
     curve.write_csv(out)
@@ -234,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ser", help="fixed-rate SER sweep (or CSIT sweep)",
                        formatter_class=argparse.RawTextHelpFormatter)
     s.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(_schemes_of("ser")))
+                   help="one of:\n" + "\n".join(ENGINE_SCHEMES["ser"]))
     s.add_argument("--m", type=int, default=2)
     s.add_argument("--snr", default="10:40:1", help="dB range lo:hi:step")
     s.add_argument("--trials", default="1e6")
@@ -248,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rate", help="variable-rate spectral efficiency sweep",
                        formatter_class=argparse.RawTextHelpFormatter)
     r.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(_schemes_of("rate")))
+                   help="one of:\n" + "\n".join(ENGINE_SCHEMES["rate"]))
     r.add_argument("--m", type=int, default=2)
     r.add_argument("--snr", default="0:30:1")
     r.add_argument("--trials", default="1e6")

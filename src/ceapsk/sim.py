@@ -1,10 +1,17 @@
 """Monte Carlo engines: fixed-rate SER, CSIT sensitivity, variable rate.
 
 Trials are processed in chunks of CHUNK_SIZE, each with its own
-counter-based random stream keyed by (seed, scheme, chunk).  Chunk results
-are plain counter sums reduced in chunk order, so the curves are
-bit-identical for any worker count.  One data symbol is sent per channel
-realization.
+counter-based random stream keyed by (seed, engine, chunk): common random
+numbers across an engine's schemes make inter-scheme SNR gaps far less
+noisy.  Chunk results are plain counter sums reduced in chunk order, so the
+curves are bit-identical for any worker count.  One data symbol is sent per
+channel realization.
+
+SCHEMES holds every per-scheme fact, as data: its CLI command, its region
+table (TABLE_SIZE points, one per size in SIZES, or none), whether the CSIT
+sweep runs it, and whether a fixed-rate scheme without a table clips 16-QAM
+into the annulus, switches to 16-PSK where 16-QAM does not fit, or sends it
+by equal-gain transmission.  check_scheme is the one scheme check.
 
 Channel draws, symbols and unit noise are P-independent, and transmit
 phases are invariant under a common power scaling, so each chunk maps its
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,19 +47,22 @@ from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
 from .rng import stream
 
-# scheme -> (CLI command that runs it, region table it needs: the optimal
-# or two-region table, one optimal table per size, or none).  A scheme with
-# a table sends that table's N points; the fixed-rate schemes without one
-# send 16.
+Scheme = namedtuple("Scheme", "command table csit qam16")
 SCHEMES = {
-    "proposed-optimal": ("ser", "optimal"),
-    "proposed-suboptimal": ("ser", "suboptimal"),
-    "fixed-qam16": ("ser", None),
-    "adaptive-qam-psk": ("ser", None),
-    "egt-qam16": ("ser", None),
-    "variable-apsk": ("rate", "per-size"),
-    "variable-qam": ("rate", None),
+    "proposed-optimal": Scheme("ser", "optimal", True, None),
+    "proposed-suboptimal": Scheme("ser", "suboptimal", True, None),
+    "fixed-qam16": Scheme("ser", None, False, "clip"),
+    "adaptive-qam-psk": Scheme("ser", None, False, "switch"),
+    "egt-qam16": Scheme("ser", None, True, "egt"),
+    "variable-apsk": Scheme("rate", "per-size", False, None),
+    "variable-qam": Scheme("rate", None, False, None),
 }
+TABLE_SIZE = 16  # N of a fixed-rate scheme's region table
+# engine -> the schemes it runs; "csit" is the CSIT sweep
+ENGINE_SCHEMES = {e: tuple(s for s, f in SCHEMES.items()
+                           if (f.csit if e == "csit" else f.command == e))
+                  for e in ("ser", "csit", "rate")}
+_STREAMS = {"ser": 1, "rate": 2, "csit": 3}  # engine -> its stream key
 
 # Results depend on these only through SNR = P beta / sigma^2: powers() sets
 # P from the SNR, so beta and sigma^2 scale out of every curve.
@@ -59,9 +70,6 @@ PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
 CHUNK_SIZE = 100_000  # trials per chunk, and so per random stream
-# all fixed-rate schemes share one stream key: common random numbers make
-# inter-scheme SNR-gap measurements far less noisy
-_FIXED_RATE_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,18 @@ class SimConfig:
         """Total transmit power per SNR grid point (SNR = P beta / sigma^2)."""
         snr_lin = 10.0 ** (np.asarray(self.snr_db) / 10.0)
         return snr_lin * NOISE_POWER / PATH_LOSS
+
+
+def check_scheme(cfg: SimConfig, engine: str) -> Scheme:
+    """SCHEMES[cfg.scheme] if `engine` runs it, else a ValueError naming it
+    and the schemes that engine runs; the CSIT sweep needs one data SNR."""
+    valid = ENGINE_SCHEMES[engine]
+    if cfg.scheme not in valid:
+        raise ValueError(f"the {engine} engine does not run scheme "
+                         f"{cfg.scheme!r}; valid: {', '.join(valid)}")
+    if engine == "csit" and len(cfg.snr_db) != 1:
+        raise ValueError("csit sweep uses a single data SNR")
+    return SCHEMES[cfg.scheme]
 
 
 @dataclass(frozen=True)
@@ -257,9 +277,8 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     precoded.  The averaged union bound of the proposed schemes is the
     returned curve's union_bound, computed when it is first read.
     """
-    if SCHEMES[cfg.scheme][0] != "ser":
-        raise ValueError("use run_variable_rate for variable-rate schemes")
-    rings = _RingTables(table) if SCHEMES[cfg.scheme][1] else None
+    facts = check_scheme(cfg, "ser")
+    rings = _RingTables(table) if facts.table else None
     size = 16 if rings is None else table.size
     sigma = math.sqrt(NOISE_POWER)
     cs = [sigma / math.sqrt(p) for p in cfg.powers()]
@@ -268,7 +287,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     qam16_med, psk16_med = med(qam16), med(psk16)
 
     def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, _FIXED_RATE_STREAM, chunk)
+        rng = stream(cfg.seed, _STREAMS["ser"], chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, size, size=t)
         z = _complex_normal(rng, t)
@@ -284,8 +303,8 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 i = idx[rows]
                 _, _, _, rho2 = table.params_at(ratio[rows], i)
                 return rings.symbols(i, rho2, u[rows]), rings.detector(i, rho2)
-        elif cfg.scheme == "adaptive-qam-psk":
-            feas = ratio <= 1.0 / 3.0
+        elif facts.qam16 == "switch":
+            feas = ratio <= modulus_ratio(qam16)
             s = np.where(feas, qam16[u], psk16[u])
             slack = _SAFE_RADIUS * np.where(feas, qam16_med, psk16_med) - 1e-9
             def pick(rows):
@@ -293,10 +312,10 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 return s[rows], lambda wr, wi: np.where(
                     qam[:wr.size], _qam16_decide(wr, wi),
                     _psk_decide(wr, wi, 16))
-        else:  # fixed-qam16, egt-qam16
+        else:
             s = qam16[u]
             slack = _SAFE_RADIUS * qam16_med - 1e-9
-            if cfg.scheme == "fixed-qam16":  # clip each symbol into the annulus
+            if facts.qam16 == "clip":
                 mod = np.abs(s)
                 clipped = s / mod * np.clip(mod, ratio, 1.0)
                 slack = slack - np.abs(clipped - s)
@@ -331,7 +350,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         s, decide = pick(kept)
         big_r0, scale, live = big_r0[kept], scale[kept], live[kept]
         target = big_r0 * s
-        if cfg.scheme == "egt-qam16":
+        if facts.qam16 == "egt":
             a = target / scale  # linear precoding reaches R*s exactly
         else:
             d0 = _receive(h[kept], transmit(h[kept], 1.0, target))
@@ -371,14 +390,14 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     chunk by chunk, in a fixed order, so the values do not depend on
     cfg.threads.
     """
-    if SCHEMES[cfg.scheme][0] != "ser" or not SCHEMES[cfg.scheme][1]:
+    if check_scheme(cfg, "ser").table is None:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
     _check_two_ring_table(table)
     sps = [math.sqrt(p) for p in cfg.powers()]
 
     def one_chunk(chunk: int, t: int):
-        h = _draw_channel(stream(cfg.seed, _FIXED_RATE_STREAM, chunk), cfg.m,
-                          t, PATH_LOSS)
+        h = _draw_channel(stream(cfg.seed, _STREAMS["ser"], chunk), cfg.m, t,
+                          PATH_LOSS)
         _, big_r0, ratio = _annulus(h)
         d_cell = table.d_min_at(ratio)
         bound = np.zeros(len(sps))
@@ -445,18 +464,13 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     w - q_u = (sd delta . e q_u / sqrt(M) + n / sqrt(p)) / R, with |e_i| = 1,
     obeys the bound because |q_u| <= 1.
     """
-    if len(cfg.snr_db) != 1:
-        raise ValueError("csit sweep uses a single data SNR")
-    if cfg.scheme not in ("proposed-optimal", "proposed-suboptimal", "egt-qam16"):
-        raise ValueError(f"csit sweep not defined for scheme {cfg.scheme!r}")
+    rings = _RingTables(table) if check_scheme(cfg, "csit").table else None
     training = tuple(float(s) for s in training_snr_db)
     if not all(map(math.isfinite, training)):
         raise ValueError("training SNRs must be finite")
-    rings = _RingTables(table) if SCHEMES[cfg.scheme][1] else None
     size = 16 if rings is None else table.size
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
-    sid = 3  # shared across csit-swept schemes (common random numbers)
     axis = list(training) + [math.inf]
     # MMSE estimation: error variance beta / (1 + training SNR) per antenna
     err_sd = [math.sqrt(PATH_LOSS / (1.0 + 10.0 ** (s / 10.0))) for s in axis]
@@ -500,7 +514,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
                                          != u[far])
 
     def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, sid, chunk)
+        rng = stream(cfg.seed, _STREAMS["csit"], chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, size, size=t)
         noise = _complex_normal(rng, t)
@@ -593,10 +607,8 @@ def run_variable_rate(cfg: SimConfig,
     trials, whose temporaries stay in cache.  The bit steps of SIZES are
     integers, so the block sums are exact.
     """
-    if SCHEMES[cfg.scheme][0] != "rate":
-        raise ValueError(f"not a variable-rate scheme: {cfg.scheme!r}")
-    if SCHEMES[cfg.scheme][1] and (tables is None
-                                   or any(n not in tables for n in SIZES)):
+    per_size = check_scheme(cfg, "rate").table
+    if per_size and (tables is None or any(n not in tables for n in SIZES)):
         raise ValueError(f"{cfg.scheme} needs a region table per size")
     powers = cfg.powers()
     sizes = np.asarray(SIZES)
@@ -606,18 +618,17 @@ def run_variable_rate(cfg: SimConfig,
                                                  NOISE_POWER) for n in sizes])
     least = _least_feasible(np.sqrt(powers), thresholds)
     searches = [_CellSearch(cuts) for cuts in least[::-1].T]
-    sid = 2  # shared between variable-rate schemes (common random numbers)
-    if cfg.scheme == "variable-qam":
+    if not per_size:
         feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
 
     def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, sid, chunk)
+        rng = stream(cfg.seed, _STREAMS["rate"], chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         blocks = []
         for lo in range(0, t, _BLOCK):
             _, big_r0, ratio = _annulus(h[lo:lo + _BLOCK])
             # per-trial R*d_min for each size in turn (0 = infeasible)
-            if cfg.scheme == "variable-apsk":
+            if per_size:
                 xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
             else:
                 xs = (np.where(ratio <= fr, big_r0 * d, 0.0)

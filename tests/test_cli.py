@@ -144,6 +144,35 @@ def test_ser_unknown_scheme(capsys):
     assert "proposed-optimal" in err and "egt-qam16" in err
 
 
+@pytest.mark.parametrize("scheme", ["fixed-qam16", "adaptive-qam-psk",
+                                    "variable-apsk"])
+def test_csit_sweep_scheme_rejected_before_any_write(scheme, tmp_path,
+                                                     capsys):
+    out = tmp_path / "X"
+    assert main(["ser", "--scheme", scheme, "--snr", "20", "--trials", "1e3",
+                 "--csit-sweep", "0:10:5", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for csit_scheme in ("proposed-optimal", "proposed-suboptimal",
+                        "egt-qam16"):
+        assert csit_scheme in err[0]
+    assert not out.exists()
+
+
+def test_csit_sweep_several_snrs_rejected_before_any_build(monkeypatch,
+                                                           tmp_path, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_region_table",
+                        lambda n: built.append(n))
+    out = tmp_path / "X"
+    assert main(["ser", "--scheme", "proposed-optimal", "--snr", "20:24:2",
+                 "--trials", "1e3", "--csit-sweep", "0:10:5",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: csit sweep uses a single data SNR"]
+    assert not out.exists() and not built
+
+
 def test_ser_help_lists_schemes(capsys):
     assert main(["ser", "--help"]) == 0
     out = capsys.readouterr().out

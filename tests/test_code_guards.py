@@ -1,7 +1,7 @@
 """Static guards: no unused imports in the package or its tests, no assert
-statements in the package, no file read but the --config file, and every
-package name the benchmark harness in perfbench/ or the README's examples
-reach still resolves."""
+statements in the package, no scheme name outside the scheme table, no file
+read but the --config file, and every package name the benchmark harness in
+perfbench/ or the README's examples reach still resolves."""
 
 import ast
 import importlib
@@ -49,6 +49,35 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of the module and its classes and
+    functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_scheme_names_only_in_the_scheme_table():
+    # code branches on a scheme's facts in sim.SCHEMES, never on its name
+    names, in_table, found = set(ceapsk.SCHEMES), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "SCHEMES" for t in node.targets):
+                in_table += [n.value for n in ast.walk(node.value)
+                             if isinstance(n, ast.Constant)]
+                skip |= {id(n) for n in ast.walk(node.value)}
+        found += [f"{path.name}:{n.lineno} {n.value}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value in names
+                  and id(n) not in skip]
+    assert names <= set(in_table)  # the scan found the SCHEMES literal
     assert not found, found
 
 

@@ -132,8 +132,8 @@ def test_union_bound_present_for_proposed(table16, set_chunk):
     # perfbench's "bound >= SER" output check reads the bound this way, and
     # skips the check when it finds none
     set_chunk(4_000)
-    for scheme, (cmd, kind) in sim.SCHEMES.items():
-        if cmd != "ser" or kind is None:
+    for scheme, facts in sim.SCHEMES.items():
+        if facts.command != "ser" or facts.table is None:
             continue
         cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=10 ** 4,
                         scheme=scheme)
@@ -316,6 +316,33 @@ def test_variable_rate_needs_tables():
                     scheme="variable-apsk")
     with pytest.raises(ValueError):
         run_variable_rate(cfg, None)
+
+
+# the schemes each entry point runs
+_ENTRY_SCHEMES = {
+    "run_fixed_rate_ser": {"proposed-optimal", "proposed-suboptimal",
+                           "fixed-qam16", "adaptive-qam-psk", "egt-qam16"},
+    "run_csit_sweep": {"proposed-optimal", "proposed-suboptimal",
+                       "egt-qam16"},
+    "run_variable_rate": {"variable-apsk", "variable-qam"},
+    "union_bound_curve": {"proposed-optimal", "proposed-suboptimal"},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(sim.SCHEMES))
+def test_entry_points_reject_schemes_they_do_not_run(scheme, entry):
+    # each call gets the table(s) its scheme needs, so that only the
+    # scheme can be at fault; a scheme the entry point runs goes through
+    cfg = SimConfig(m=2, snr_db=(20.0,), trials=1000, scheme=scheme)
+    tables = (_rate_tables() if scheme == "variable-apsk"
+              else _scheme_table(scheme))
+    args = (cfg, tables) + (((10.0,),) if entry == "run_csit_sweep" else ())
+    if scheme in _ENTRY_SCHEMES[entry]:
+        getattr(sim, entry)(*args)
+    else:
+        with pytest.raises(ValueError, match=f"'{scheme}'"):
+            getattr(sim, entry)(*args)
 
 
 def test_snr_at_ser_interpolation():
@@ -844,7 +871,7 @@ def _engine_cases(schemes):
     return pytest.mark.parametrize("scheme,n,m,seed", cases, ids=ids)
 
 
-@_engine_cases([s for s, (cmd, _) in sim.SCHEMES.items() if cmd == "ser"])
+@_engine_cases([s for s, f in sim.SCHEMES.items() if f.command == "ser"])
 def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
     zeroed = _zero_some_rows(monkeypatch)
     set_chunk(8_000)
