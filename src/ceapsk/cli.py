@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
-from .constellation import _special
 from .optimizer import build_region_table, build_suboptimal_table, solve_p2
 from .sim import (ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig, check_scheme,
                   run_csit_sweep, run_fixed_rate_ser, run_variable_rate)
@@ -158,8 +157,6 @@ def cmd_ser(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg, facts = _sim_config(args, "rate", target_ser=args.pe)
-    # the engine's rate thresholds need scipy: import it here, in set-up
-    _special()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()

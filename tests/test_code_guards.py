@@ -99,7 +99,7 @@ def _import_time_imports(tree: ast.Module):
 
 def test_scipy_imported_only_inside_functions():
     # scipy.special is most of the package's import time, and only the
-    # union bound and the rate thresholds need it
+    # union bound needs it
     found = {path.name: list(_import_time_imports(ast.parse(path.read_text())))
              for path in sorted(SRC.glob("*.py"))}
     # the scan itself works

@@ -228,11 +228,10 @@ _SCIPY_LOADED = {
     "ser": (["ser", "--scheme", "proposed-optimal", "--snr", "16:20:4",
              "--trials", "2e3", "--out-dir", "OUT"],
             dict(engine=_NONE, run=_NONE, bound=_BOTH), [True]),
-    # the rate thresholds need erfcinv; scipy is loaded in set-up, so its
-    # import never counts as engine time
+    # the rate thresholds' erfcinv is constellation's own Cephes port
     "rate": (["rate", "--scheme", "variable-qam", "--snr", "0:10:5",
               "--trials", "2e3", "--out-dir", "OUT"],
-             dict(engine=_BOTH, run=_BOTH, bound=_BOTH), [False]),
+             dict(engine=_NONE, run=_NONE, bound=_NONE), [False]),
 }
 
 
@@ -669,6 +668,22 @@ def test_union_bound_threshold_round_trip():
         assert above < 1e-3 < below
     assert union_bound_threshold(2, 0.5, sigma2) == 0.0
     assert union_bound_threshold(3, 0.5, sigma2) > 0.0
+
+
+# union_bound_threshold(n, 1e-3, NOISE_POWER) for the rate schemes' sizes,
+# recorded with scipy.special.erfcinv before the thresholds stopped using it
+_PINNED_THRESHOLDS = {
+    2: "0x1.7218edd0dce02p-19", 4: "0x1.978c2a7b4c8f2p-19",
+    8: "0x1.b27e2446fde32p-19", 16: "0x1.c985f05983e78p-19",
+    32: "0x1.de88aa688b8d9p-19", 64: "0x1.f248cc438b3d8p-19",
+}
+
+
+def test_default_thresholds_pinned():
+    assert sim.SIZES == tuple(_PINNED_THRESHOLDS)
+    got = {n: union_bound_threshold(n, 1e-3, sim.NOISE_POWER).hex()
+           for n in sim.SIZES}
+    assert got == _PINNED_THRESHOLDS
 
 
 def test_select_rate_shares_the_array_rule():
