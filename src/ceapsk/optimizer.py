@@ -192,6 +192,8 @@ class _CellSearch:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if not self.size:  # a single cell: every x, NaN included, maps to 0
+            return np.zeros(x.shape, dtype=np.intp)[()]
         flat = x.reshape(-1)
         cell = flat.view(np.int64) >> _CELL_SHIFT
         cell -= self.lo

@@ -22,9 +22,10 @@ the first, noisiest point, and detects only the (trial, point) pairs where
 it may.  Its averaged union bound is computed (union_bound_curve) only when
 SerCurve.union_bound is first read.
 
-The CSIT sweep and the variable-rate engine draw each chunk at once, in
-stream order, then work through it in blocks of precoder._BLOCK rows, so
-their temporaries stay in cache.  Variable-rate selection places each
+All three engines draw each chunk at once, in stream order, then work
+through it in blocks of precoder._BLOCK rows, so their temporaries stay in
+cache; the fixed-rate engine keeps each block's trials that may err and
+detects them a chunk at a time.  Variable-rate selection places each
 trial's R * d_min among per-size SNR cuts with an exact table lookup
 (optimizer._CellSearch) built once per run.
 """
@@ -213,7 +214,7 @@ class _RingTables:
     def detector(self, idx, rho2):
         """ML detector of the trials' constellations.  It takes the receive
         points of any leading prefix of those trials."""
-        (f1, f2), (o1, o2) = self.scale[:, idx], self.offset[:, idx]
+        (f1, f2), (o1, o2) = self.scale.take(idx, 1), self.offset.take(idx, 1)
 
         def decide(wr, wi):
             rows = wr.size
@@ -274,8 +275,10 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     0.05 d_cell margin dwarfs float rounding, and on the N = 8 to 64 tables
     d_min_at overstates the true MED by at most 1e-12 (relative).
     c_k |b| never rises with k, so a trial safe at the first point is never
-    precoded.  The averaged union bound of the proposed schemes is the
-    returned curve's union_bound, computed when it is first read.
+    precoded.  Each chunk is drawn whole, screened in blocks of _BLOCK
+    trials, precoded in batches of consecutive blocks and detected whole.
+    The averaged union bound of the proposed schemes is the returned
+    curve's union_bound, computed when it is first read.
     """
     facts = check_scheme(cfg, "ser")
     rings = _RingTables(table) if facts.table else None
@@ -286,32 +289,24 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
     qam16_med, psk16_med = med(qam16), med(psk16)
 
-    def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, _STREAMS["ser"], chunk)
-        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
-        u = rng.integers(0, size, size=t)
-        z = _complex_normal(rng, t)
-        z /= np.sqrt(2.0)
+    def detector(*state):
+        """The ML detector of the trials of this screen() state; it takes
+        the receive points of any leading prefix of those trials."""
+        if rings is not None:
+            return rings.detector(*state)
+        return _qam16_decide if not state else lambda wr, wi: np.where(
+            state[0][:wr.size], _qam16_decide(wr, wi), _psk_decide(wr, wi, 16))
+
+    def screen(h, u, z):
+        """((h, s, r, R), (b, sent label, unsafe count, *detector state)) of
+        the trials of one block that may err at the first point."""
         r0, big_r0, ratio = _annulus(h)
-        # each trial's slack, and pick(rows): the symbols s and the ML
-        # detector of the trials `rows`, which takes the receive points of
-        # any leading prefix of those trials
         if rings is not None:
             idx = table.index(ratio)
             slack = _SAFE_RADIUS * table.d_min_at(ratio, idx) - 1e-9
-            def pick(rows):  # only the trials that reach the precoder
-                i = idx[rows]
-                _, _, _, rho2 = table.params_at(ratio[rows], i)
-                return rings.symbols(i, rho2, u[rows]), rings.detector(i, rho2)
         elif facts.qam16 == "switch":
             feas = ratio <= modulus_ratio(qam16)
-            s = np.where(feas, qam16[u], psk16[u])
             slack = _SAFE_RADIUS * np.where(feas, qam16_med, psk16_med) - 1e-9
-            def pick(rows):
-                qam = feas[rows]
-                return s[rows], lambda wr, wi: np.where(
-                    qam[:wr.size], _qam16_decide(wr, wi),
-                    _psk_decide(wr, wi, 16))
         else:
             s = qam16[u]
             slack = _SAFE_RADIUS * qam16_med - 1e-9
@@ -320,54 +315,80 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 clipped = s / mod * np.clip(mod, ratio, 1.0)
                 slack = slack - np.abs(clipped - s)
                 s = clipped
-            def pick(rows):
-                return s[rows], _qam16_decide
         # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
         # a zero-norm channel receives only noise: an error at every point
         live = big_r0 > 0
-        scale = np.where(live, big_r0, 1.0)
-        b = np.divide(z, scale, out=z)
+        b = np.divide(z, np.where(live, big_r0, 1.0), out=z)
         mb = np.abs(b)
         # a zero-norm trial is never safe: it is detected, and errs, everywhere
         slack = np.where(live, slack, -np.inf)
-        # the trials that may err at the first point, the only ones that may
-        # err at all
-        pre = np.flatnonzero(~(cs[0] * mb < slack))
-        mb, slack = mb[pre], slack[pre]
-        # unsafe[i]: the number of points at which trial pre[i] may err.
-        # c_k * |b| never rises with k, so those points are the first
-        # unsafe[i] ones.
-        unsafe = np.ones(pre.size, dtype=np.min_scalar_type(len(cs)))
+        # the trials that may err at the first point: all that may err at all
+        kept = np.flatnonzero(~(cs[0] * mb < slack))
+        mb, slack = mb[kept], slack[kept]
+        # kept[i] may err at the first unsafe[i] points: c_k |b| falls in k
+        unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
         for c in cs[1:]:
             unsafe += ~(c * mb < slack)
-        # most unsafe first; a small key dtype lets numpy radix-sort
-        order = np.argsort(len(cs) - unsafe, kind="stable")
-        # prefix[k]: the trials unsafe at point k are kept[:prefix[k]]
-        hist = np.bincount(unsafe, minlength=len(cs) + 1)
-        prefix = np.cumsum(hist[::-1])[-2::-1]
-        # all arrays below are over these trials, in this order
-        kept = pre[order]
-        s, decide = pick(kept)
-        big_r0, scale, live = big_r0[kept], scale[kept], live[kept]
+        u = u[kept]
+        if rings is not None:
+            idx = idx[kept]
+            _, _, _, rho2 = table.params_at(ratio[kept], idx)
+            s, state = rings.symbols(idx, rho2, u), (idx, rho2)
+        elif facts.qam16 == "switch":
+            s, state = np.where(feas[kept], qam16[u], psk16[u]), (feas[kept],)
+        else:
+            s, state = s[kept], ()
+        # take, not h[kept]: numpy's fancy row indexing is far slower
+        return ((h.take(kept, 0), s, r0[kept], big_r0[kept]),
+                (b[kept], np.where(live[kept], u, -1), unsafe, *state))
+
+    def precode(h, s, r0, big_r0):
+        """a, the noise-free receive point over R, of screened trials."""
+        live = big_r0 > 0
+        scale = np.where(live, big_r0, 1.0)
         target = big_r0 * s
         if facts.qam16 == "egt":
-            a = target / scale  # linear precoding reaches R*s exactly
-        else:
-            d0 = _receive(h[kept], transmit(h[kept], 1.0, target))
-            a = d0 / scale
-            r0 = r0[kept]
-            for lo in range(0, kept.size, _BLOCK):  # no chunk-sized |d0|
-                rows = slice(lo, lo + _BLOCK)
-                mods, big_r = np.abs(d0[rows]), big_r0[rows]
-                if not (np.all(mods <= big_r * (1 + 1e-9)) and
-                        np.all(mods >= r0[rows] * (1 - 1e-9) - 1e-12 * big_r)):
-                    raise RuntimeError("precoder output left the annulus")
-                # the skip rests on |a - s| <= 1e-9; a zero-norm trial has
-                # a = 0 and is never skipped
-                if not np.all((np.abs(a[rows] - s[rows]) <= 1e-9) | ~live[rows]):
-                    raise RuntimeError("precoder output missed its target")
-        b = b[kept]
-        sent = np.where(live, u[kept], -1)
+            return target / scale  # linear precoding reaches R*s exactly
+        d0 = _receive(h, transmit(h, 1.0, target))
+        a = d0 / scale
+        mods = np.abs(d0)
+        if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
+                np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
+            raise RuntimeError("precoder output left the annulus")
+        # the skip rests on |a - s| <= 1e-9; a zero-norm trial has a = 0 and
+        # is never skipped
+        if not np.all((np.abs(a - s) <= 1e-9) | ~live):
+            raise RuntimeError("precoder output missed its target")
+        return a
+
+    def one_chunk(chunk: int, t: int):
+        rng = stream(cfg.seed, _STREAMS["ser"], chunk)
+        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
+        u = rng.integers(0, size, size=t)
+        z = _complex_normal(rng, t)
+        z /= np.sqrt(2.0)
+        # blocks keep few trials at large M, so consecutive blocks are
+        # precoded together, up to the _BLOCK trials transmit takes at once
+        a, rest, batch, rows = [], [], [], 0
+        for lo in range(0, t, _BLOCK):
+            pre, more = screen(h[lo:lo + _BLOCK], u[lo:lo + _BLOCK],
+                               z[lo:lo + _BLOCK])
+            rest.append(more)
+            if batch and rows + len(pre[0]) > _BLOCK:
+                a.append(precode(*map(np.concatenate, zip(*batch))))
+                batch, rows = [], 0
+            batch.append(pre)
+            rows += len(pre[0])
+        a.append(precode(*map(np.concatenate, zip(*batch))))
+        del h, u, z, batch  # free the draws before the parts are joined
+        a, b, sent, unsafe, *state = map(np.concatenate, [a, *zip(*rest)])
+        # most unsafe first; a small key dtype lets numpy radix-sort
+        order = np.argsort(len(cs) - unsafe, kind="stable")
+        # prefix[k]: the trials unsafe at point k are the first prefix[k]
+        hist = np.bincount(unsafe, minlength=len(cs) + 1)
+        prefix = np.cumsum(hist[::-1])[-2::-1]
+        decide = detector(*(x[order] for x in state))
+        a, b, sent = a[order], b[order], sent[order]
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         errors = np.zeros(len(cs), dtype=np.int64)
         for k, (c, n) in enumerate(zip(cs, prefix)):

@@ -454,3 +454,18 @@ def test_cell_search_matches_searchsorted(parts, dup, data):
         assert type(search(value)) is type(one)
         assert search(value) == one
         assert search(np.array(value)) == one
+
+
+def test_cell_search_without_edges():
+    # a single-region table's lookup answers 0 for every x, with no table
+    search = _CellSearch([])
+    x = np.array([0.5, np.nan, -0.0, -1.0, np.inf, -np.inf, 0.0])
+    with np.errstate(invalid="ignore"):
+        want = np.searchsorted([], x, side="right")
+    got = search(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    for value in x.tolist():
+        one = np.searchsorted([], value, side="right")
+        assert type(search(value)) is type(one)
+        assert search(value) == one

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -511,6 +512,56 @@ def test_fixed_rate_error_counts_pinned(scheme, m, set_chunk):
     assert curve.errors.tolist() == _PINNED_FIXED[scheme, m]
 
 
+# The same counts, recorded with each chunk screened and precoded whole
+# (seed 5, 45,000 trials in chunks of 20,000, SNR 12/18/24 dB).  A 20,000-
+# trial chunk spans blocks of 8192 + 8192 + 3616 rows, and the last chunk
+# holds 5,000 trials.  Consecutive blocks are precoded together while their
+# kept trials fit in one block.
+_PINNED_FIXED_BLOCKS = {
+    ("adaptive-qam-psk", 2): [9423, 1761, 164],
+    ("adaptive-qam-psk", 4): [2637, 99, 1],
+    ("adaptive-qam-psk", 8): [260, 1, 0],
+    ("egt-qam16", 2): [9144, 1560, 132],
+    ("egt-qam16", 4): [2633, 94, 1],
+    ("egt-qam16", 8): [260, 1, 0],
+    ("fixed-qam16", 2): [10084, 2795, 1262],
+    ("fixed-qam16", 4): [2637, 97, 2],
+    ("fixed-qam16", 8): [260, 1, 0],
+    ("proposed-optimal", 2): [6906, 1088, 80],
+    ("proposed-optimal", 4): [1333, 34, 1],
+    ("proposed-optimal", 8): [83, 0, 0],
+    ("proposed-suboptimal", 2): [7388, 1253, 116],
+    ("proposed-suboptimal", 4): [1333, 35, 1],
+    ("proposed-suboptimal", 8): [83, 0, 0],
+}
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED_BLOCKS))
+def test_fixed_rate_blocks_pinned(scheme, m, set_chunk):
+    set_chunk(20_000)
+    kw = dict(m=m, snr_db=(12.0, 18.0, 24.0), trials=45_000, scheme=scheme,
+              seed=5)
+    curve = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
+    assert curve.errors.tolist() == _PINNED_FIXED_BLOCKS[scheme, m]
+    two = run_fixed_rate_ser(SimConfig(threads=2, **kw), _scheme_table(scheme))
+    np.testing.assert_array_equal(two.errors, curve.errors)
+
+
+def test_fixed_rate_memory_is_bounded(table16):
+    # ser-apsk16-m2's configuration at 2e5 trials: the engine's per-trial
+    # work runs in row blocks, so its traced peak stays near the chunk's
+    # draws (5.6 MB) and kept trials, not a multiple of the chunk
+    cfg = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
+                    trials=200_000, scheme="proposed-optimal")
+    tracemalloc.start()
+    try:
+        run_fixed_rate_ser(cfg, table16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
 # Union-bound column summed over whole chunks, recorded before the sum was
 # blocked over rows (seed 5, 2e4 trials at SNR 12/18/24 dB); chunks of 2e4
 # span several row blocks.
@@ -886,16 +937,32 @@ def _engine_cases(schemes):
     return pytest.mark.parametrize("scheme,n,m,seed", cases, ids=ids)
 
 
-@_engine_cases([s for s, f in sim.SCHEMES.items() if f.command == "ser"])
-def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
+def _check_skipped_pairs(scheme, n, m, seed, chunk, monkeypatch, set_chunk,
+                         lowest_snr=0):
     zeroed = _zero_some_rows(monkeypatch)
-    set_chunk(8_000)
-    cfg = SimConfig(m=m, snr_db=tuple(float(s) for s in range(0, 39, 2)),
-                    trials=20_000, scheme=scheme, seed=seed)
+    set_chunk(chunk)
+    snr_db = tuple(float(s) for s in range(lowest_snr, 39, 2))
+    cfg = SimConfig(m=m, snr_db=snr_db, trials=20_000, scheme=scheme,
+                    seed=seed)
     table = _scheme_table(scheme, n)
     curve = run_fixed_rate_ser(cfg, table)
     np.testing.assert_array_equal(curve.errors, _detect_every_pair(cfg, table))
     assert curve.errors[-1] >= zeroed
+
+
+@_engine_cases([s for s, f in sim.SCHEMES.items() if f.command == "ser"])
+def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
+    _check_skipped_pairs(scheme, n, m, seed, 8_000, monkeypatch, set_chunk)
+
+
+@pytest.mark.parametrize("m,lowest_snr", [(2, 0), (8, 10)])
+@pytest.mark.parametrize("scheme", ["proposed-optimal", "fixed-qam16"])
+def test_skipped_pairs_never_err_across_blocks(scheme, m, lowest_snr,
+                                               monkeypatch, set_chunk):
+    # one 20,000-trial chunk spans blocks of 8192 + 8192 + 3616 rows; at
+    # M=8 from 10 dB they keep so few trials that all are precoded together
+    _check_skipped_pairs(scheme, 16, m, 0, 20_000, monkeypatch, set_chunk,
+                         lowest_snr)
 
 
 @pytest.mark.parametrize("suboptimal", [False, True])
