@@ -3,10 +3,11 @@
 Constellations are normalized so the largest point modulus is 1; a set fits
 an annulus with radius ratio q iff its min/max modulus ratio is >= q.
 
-The rate thresholds' inverse complementary error function is a port of the
-Cephes `ndtri` (S. L. Moshier, *Methods and Programs for Mathematical
-Functions*, 1989; BSD-licensed as distributed with SciPy), and gives
-`scipy.special.erfcinv`'s value bit for bit.
+The complementary error function and its inverse are ports of the Cephes
+`ndtr` `erfc` and `ndtri` (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989; BSD-licensed as distributed with SciPy).
+The inverse gives `scipy.special.erfcinv`'s value bit for bit; `erfc` gives
+`scipy.special.erfc`'s to a few ulps, as numpy's `exp` may differ by one.
 """
 
 from __future__ import annotations
@@ -14,13 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def _special():
-    """scipy.special, imported on first use: it is most of the package's
-    import time, and only the union bound needs it."""
-    import scipy.special
-    return scipy.special
 
 
 def med(points: np.ndarray) -> float:
@@ -71,16 +65,21 @@ def qam_family(n: int) -> np.ndarray:
 
 def qfunc(x):
     """Standard normal tail probability via the complementary error function."""
-    return 0.5 * _special().erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    out = _erfc(np.divide(x, math.sqrt(2.0)))
+    out *= 0.5
+    return out
 
 
 def ser_union_bound(n: int, d_min, outer_radius, noise_power):
-    """min(1, (N-1) Q(R d_min / (sigma sqrt 2)))."""
+    """min(1, (N-1) Q(R d_min / (sigma sqrt 2))), elementwise over the
+    broadcast of d_min and outer_radius."""
     if n < 2:
         raise ValueError("need N >= 2")
-    arg = np.asarray(outer_radius) * np.asarray(d_min) / np.sqrt(2.0 * noise_power)
-    out = np.asarray(np.minimum((n - 1) * qfunc(arg), 1.0))
-    return float(out) if out.ndim == 0 else out
+    arg = np.multiply(outer_radius, d_min, dtype=float)
+    arg /= np.sqrt(2.0 * noise_power)
+    out = qfunc(arg)
+    out *= n - 1
+    return min(out, 1.0) if np.ndim(out) == 0 else np.minimum(out, 1, out=out)
 
 
 def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> float:
@@ -131,11 +130,14 @@ _Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
-def _polevl(x: float, coef) -> float:
-    """Horner's rule, highest power first (Cephes polevl)."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+def _polevl(x, coef):
+    """Horner's rule, highest power first (Cephes polevl); an array x gets
+    one new array, updated in place."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -173,3 +175,57 @@ def _erfcinv(y: float) -> float:
     it (and so scipy.special.erfcinv): -ndtri(y / 2) / sqrt(2)."""
     return -_ndtri(0.5 * y) * math.sqrt(0.5)
 
+
+# Cephes ndtr.c erfc coefficients, highest power first, leading 1s written out
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
+# |a| < 1: erf(a) = a T(a^2) / U(a^2)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+      2.23200534594684319226E3, 7.00332514112805075473E3,
+      5.55923013010394962768E4)
+_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+      4.59432382970980127987E3, 2.26290000613890934246E4,
+      4.92673942608635921086E4)
+# 1 <= |a| < 8: erfc(|a|) = exp(-a^2) P(|a|) / Q(|a|)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+      7.46321056442269912687E0, 4.86371970985681366614E1,
+      1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3,
+      5.57535335369399327526E2)
+_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+      3.54937778887819891062E2, 9.75708501743205489753E2,
+      1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+# |a| >= 8: the same with R / S
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+      5.01905042251180477414E0, 6.16021097993053585195E0,
+      7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+      1.20489539808096656605E1, 1.70814450747565897222E1,
+      9.60896809063285878198E0, 3.36907645100081516050E0)
+
+
+def _erfc(a):
+    """Cephes erfc, elementwise; a float for a scalar a.  Every element takes
+    the 1 <= |a| < 8 branch, and the other branches then overwrite theirs."""
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    neg = flat < 0.0
+    x = np.abs(flat) if neg.any() else flat
+    with np.errstate(all="ignore"):
+        out = np.square(x)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out *= _polevl(x, _P)
+        out /= _polevl(x, _Q)
+        far = np.flatnonzero(x >= 8.0)
+        xf = x[far]
+        z = np.square(xf)
+        yf = np.exp(-z) * _polevl(xf, _R) / _polevl(xf, _S)
+        yf[z > _MAXLOG] = 0.0  # Cephes's underflow: 0, or 2 for a < 0
+        out[far] = yf
+        np.subtract(2.0, out, out=out, where=neg)
+        near = np.flatnonzero(x < 1.0)  # 1 - erf(a)
+        an = flat[near]
+        z = np.square(an)
+        out[near] = 1.0 - an * _polevl(z, _T) / _polevl(z, _U)
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)

@@ -407,27 +407,26 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     point of run_fixed_rate_ser(cfg, table), for a proposed scheme.
 
     The channel is the first draw of each chunk's stream, so only it is
-    redrawn; the bound is summed over the engine's trials in row blocks,
-    chunk by chunk, in a fixed order, so the values do not depend on
-    cfg.threads.
+    redrawn; the bound is taken on one (SNR point, trial) array per row
+    block and summed chunk by chunk, in a fixed order, so the values do not
+    depend on cfg.threads.
     """
     if check_scheme(cfg, "ser").table is None:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
     _check_two_ring_table(table)
-    sps = [math.sqrt(p) for p in cfg.powers()]
+    sps = np.sqrt(cfg.powers())
 
     def one_chunk(chunk: int, t: int):
-        h = _draw_channel(stream(cfg.seed, _STREAMS["ser"], chunk), cfg.m, t,
-                          PATH_LOSS)
-        _, big_r0, ratio = _annulus(h)
+        # the channel draw is dropped once its annulus is taken
+        _, big_r0, ratio = _annulus(_draw_channel(
+            stream(cfg.seed, _STREAMS["ser"], chunk), cfg.m, t, PATH_LOSS))
         d_cell = table.d_min_at(ratio)
         bound = np.zeros(len(sps))
         for lo in range(0, t, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            for k, sp in enumerate(sps):
-                bound[k] += ser_union_bound(table.size, d_cell[block],
-                                            sp * big_r0[block],
-                                            NOISE_POWER).sum()
+            bound += ser_union_bound(table.size, d_cell[block],
+                                     np.multiply.outer(sps, big_r0[block]),
+                                     NOISE_POWER).sum(axis=1)
         return (bound,)
 
     bound, = _reduce_chunks(cfg, one_chunk)
@@ -436,12 +435,14 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
 
 def _reduce_chunks(cfg: SimConfig, one_chunk):
     """Element-wise sums, added in chunk order, of the tuples of arrays that
-    one_chunk(chunk, trials) returns for the chunks of cfg.trials."""
+    one_chunk(chunk, trials) returns for the chunks of cfg.trials, on at
+    most one worker thread per chunk."""
     size = CHUNK_SIZE
     bounds = [(c, min(size, cfg.trials - c * size))
               for c in range((cfg.trials + size - 1) // size)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+    workers = min(cfg.threads, len(bounds))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(lambda ct: one_chunk(*ct), bounds))
     else:
         results = [one_chunk(*ct) for ct in bounds]
@@ -515,18 +516,21 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         bound = sd * spread[0] + spread[1]
         rows = np.flatnonzero((bound >= _SAFE_RADIUS * d_cell * big_r0) & live)
         # the full-block arrays are dropped as their kept rows are taken
-        h_hat, mags, u, big_r0 = h_hat[rows], mags[rows], u[rows], big_r0[rows]
+        # with take, ~10x faster than fancy indexing on (8192, M) rows
+        h_hat, mags = h_hat.take(rows, 0), mags.take(rows, 0)
+        u, big_r0 = u.take(rows), big_r0.take(rows)
         if rings is None:
             s = qam16[u]
             y = (np.sqrt(p / cfg.m)
-                 * np.sum(h[rows] * np.exp(-1j * np.angle(h_hat)), axis=1)
-                 * s + noise[rows])
+                 * np.sum(h.take(rows, 0) * np.exp(-1j * np.angle(h_hat)),
+                          axis=1)
+                 * s + noise.take(rows))
         else:
-            idx, d_cell = idx[rows], d_cell[rows]
-            _, _, _, rho2 = table.params_at(ratio[rows], idx)
+            idx, d_cell = idx.take(rows), d_cell.take(rows)
+            _, _, _, rho2 = table.params_at(ratio.take(rows), idx)
             s = rings.symbols(idx, rho2, u)
             x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
-            y = sp * _receive(h[rows], x) + noise[rows]
+            y = sp * _receive(h.take(rows, 0), x) + noise.take(rows)
         w = y / (sp * big_r0)
         far = np.flatnonzero(np.abs(w - s) >= _SAFE_RADIUS * d_cell)
         decide = (_qam16_decide if rings is None

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import ceapsk
@@ -108,6 +109,37 @@ def test_scipy_imported_only_inside_functions():
                  for module, line in imports
                  if module.split(".")[0] == "scipy"]
     assert not at_import, at_import
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    """The lines of every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return lines
+
+
+def test_no_scipy_in_src():
+    # the package runs on numpy alone: scipy is named only in docstrings
+    # (credits and what the ports agree with), never imported, not even
+    # inside a function, and never reached by a string or a name
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        docs = _docstring_lines(ast.parse(text))
+        with tokenize.open(path) as f:
+            tokens = list(tokenize.generate_tokens(f.readline))
+        found += [f"{path.name}:{tok.start[0]} {tok.string.strip()[:40]}"
+                  for tok in tokens if "scipy" in tok.string.lower()
+                  and not (tok.type == tokenize.STRING
+                           and tok.start[0] in docs)]
+    # the scan itself works: constellation's docstring credits SciPy
+    assert "scipy" in (SRC / "constellation.py").read_text().lower()
+    assert not found, found
 
 
 def _file_reads(tree: ast.Module):

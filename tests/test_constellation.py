@@ -7,9 +7,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceapsk.constellation import (_EXP_M2, _erfcinv, med, modulus_ratio,
-                                  qam_family, qfunc, ser_union_bound,
-                                  union_bound_threshold)
+from ceapsk.constellation import (_EXP_M2, _MAXLOG, _erfc, _erfcinv, med,
+                                  modulus_ratio, qam_family, qfunc,
+                                  ser_union_bound, union_bound_threshold)
 from ceapsk.optimizer import RegionTable, build_region_table
 from ceapsk.sim import NOISE_POWER, _RingTables
 
@@ -234,3 +234,69 @@ def test_union_bound_threshold_matches_scipy_formula():
 @given(y=st.floats(0.0, 2.0))
 def test_erfcinv_matches_scipy_property(y):
     _assert_erfcinv_bits([y])
+
+
+# _erfc is a port of Cephes ndtr.c erfc, which is what scipy.special.erfc
+# computes.  numpy's exp may differ from the C library's by an ulp, so the
+# two agree to a few ulps rather than bit for bit: relative to the value, or
+# to the smallest normal float for subnormal results, whose precision is
+# lower.  Both give zero at the same arguments.
+
+
+def _assert_erfc_close(xs):
+    xs = np.asarray(xs, dtype=float)
+    got, want = _erfc(xs), scipy.special.erfc(xs)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+    err = np.abs(got - want)[ok] / scale[ok]
+    assert err.max(initial=0.0) <= 1e-14, xs[ok][err.argmax()]
+
+
+def test_erfc_matches_scipy_on_every_branch():
+    rng = np.random.default_rng(0)
+    # |x| < 1: 1 - erf(x); 1 <= |x| < 8 and |x| >= 8: the two exp(-x^2)
+    # rationals; beyond sqrt(MAXLOG) = 26.64 Cephes gives 0 (2 for x < 0)
+    for lo, hi in [(0.0, 1.0), (1.0, 8.0), (8.0, 30.0)]:
+        xs = np.concatenate([np.linspace(lo, hi, 20_001),
+                             rng.uniform(lo, hi, 50_000)])
+        _assert_erfc_close(xs)
+        _assert_erfc_close(-xs)
+    _assert_erfc_close(10.0 ** rng.uniform(-300.0, 300.0, 10_000))
+    _assert_erfc_close(-(10.0 ** rng.uniform(-300.0, 300.0, 10_000)))
+
+
+@pytest.mark.parametrize("edge", [0.0, 1.0, 8.0, math.sqrt(_MAXLOG)])
+def test_erfc_matches_scipy_at_branch_edges(edge):
+    xs = np.array(_ulps_around(edge))
+    _assert_erfc_close(xs)
+    _assert_erfc_close(-xs)
+
+
+def test_erfc_underflow_edge():
+    # results turn subnormal near 26.55 and stop at sqrt(MAXLOG) = 26.64
+    xs = np.linspace(26.5, 26.7, 200_001)
+    _assert_erfc_close(xs)
+    _assert_erfc_close(-xs)
+    want = scipy.special.erfc(xs)
+    assert 0.0 < want[want > 0].min() < np.finfo(float).tiny
+    assert _erfc(math.sqrt(_MAXLOG) * (1 + 1e-15)) == 0.0
+    assert _erfc(-30.0) == 2.0
+
+
+def test_erfc_special_values():
+    for x, want in [(0.0, 1.0), (-0.0, 1.0), (math.inf, 0.0),
+                    (-math.inf, 2.0)]:
+        got = _erfc(x)
+        assert type(got) is float and got == want
+    assert math.isnan(_erfc(math.nan))
+    # shapes pass through
+    assert _erfc(np.zeros((2, 3))).shape == (2, 3)
+    assert _erfc(np.array([])).shape == (0,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True))
+def test_erfc_matches_scipy_property(x):
+    _assert_erfc_close([x])

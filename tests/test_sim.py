@@ -212,7 +212,7 @@ has_bound = [getattr(c, "union_bound", None) is not None for c in curves]
 seen["bound"] = loaded()
 print(json.dumps({"code": code, "seen": seen, "has_bound": has_bound}))
 """
-_NONE, _BOTH = [], ["scipy", "scipy.special"]
+_NONE = []
 _SCIPY_LOADED = {
     # command: (args, where scipy is loaded, has_bound)
     "design": (["design", "--n", "16", "--ratio", "0.4"],
@@ -225,10 +225,11 @@ _SCIPY_LOADED = {
                   "--csit-sweep", "0:10:10", "--trials", "2e3",
                   "--out-dir", "OUT"],
                  dict(engine=_NONE, run=_NONE, bound=_NONE), [False]),
-    # the bound is read after the engine returns: only then is scipy needed
+    # the bound, read after the engine returns, uses constellation's own
+    # Cephes erfc port
     "ser": (["ser", "--scheme", "proposed-optimal", "--snr", "16:20:4",
              "--trials", "2e3", "--out-dir", "OUT"],
-            dict(engine=_NONE, run=_NONE, bound=_BOTH), [True]),
+            dict(engine=_NONE, run=_NONE, bound=_NONE), [True]),
     # the rate thresholds' erfcinv is constellation's own Cephes port
     "rate": (["rate", "--scheme", "variable-qam", "--snr", "0:10:5",
               "--trials", "2e3", "--out-dir", "OUT"],
@@ -593,8 +594,8 @@ def test_union_bound_pinned(scheme, m, chunk, set_chunk):
 
 
 def test_union_bound_lazy_import_under_threads():
-    # in a new interpreter both worker threads reach qfunc's first import
-    # of scipy.special together; each must get the whole module
+    # in a new interpreter with no scipy loaded, the first bound runs on two
+    # worker threads: it must equal the single-threaded bound and the pin
     script = textwrap.dedent("""
         import dataclasses, json, sys
         import ceapsk.sim as sim
@@ -625,6 +626,64 @@ def test_csit_sweep_error_counts_pinned(scheme, set_chunk):
                     seed=5)
     curve = run_csit_sweep(cfg, _scheme_table(scheme), (0.0, 10.0, 20.0))
     assert curve.errors.tolist() == _PINNED_CSIT[scheme]
+
+
+# The same sweep across block boundaries, recorded with the kept rows
+# gathered by fancy indexing (seed 5, 45,000 trials in chunks of 20,000:
+# blocks of 8192 + 8192 + 3616 rows, and a last chunk of 5,000 trials).
+_PINNED_CSIT_BLOCKS = {
+    ("egt-qam16", 2): [25209, 8502, 1418, 737],
+    ("egt-qam16", 4): [22258, 3248, 90, 15],
+    ("proposed-optimal", 2): [29986, 11325, 1544, 509],
+    ("proposed-optimal", 4): [25909, 3952, 70, 3],
+    ("proposed-suboptimal", 2): [29652, 11607, 1732, 599],
+    ("proposed-suboptimal", 4): [25909, 3961, 72, 4],
+}
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_CSIT_BLOCKS))
+def test_csit_sweep_blocks_pinned(scheme, m, set_chunk):
+    set_chunk(20_000)
+    kw = dict(m=m, snr_db=(20.0,), trials=45_000, scheme=scheme, seed=5)
+    training = (0.0, 10.0, 20.0)
+    curve = run_csit_sweep(SimConfig(**kw), _scheme_table(scheme), training)
+    assert curve.errors.tolist() == _PINNED_CSIT_BLOCKS[scheme, m]
+    two = run_csit_sweep(SimConfig(threads=2, **kw), _scheme_table(scheme),
+                         training)
+    np.testing.assert_array_equal(two.errors, curve.errors)
+
+
+class _InlinePool:
+    """ThreadPoolExecutor stand-in that runs every task inline, in order,
+    and records the max_workers it was opened with."""
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads,chunks,workers", [
+    (64, 2, [2]), (2, 5, [2]), (3, 3, [3]), (4, 1, []), (1, 4, [])])
+def test_pool_has_at_most_one_worker_per_chunk(threads, chunks, workers,
+                                               monkeypatch, set_chunk):
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "opened", [])
+    set_chunk(2_000)  # the last chunk holds 1,500 trials
+    cfg = SimConfig(m=2, snr_db=(10.0,), trials=2_000 * chunks - 500,
+                    scheme="proposed-optimal", threads=threads)
+    sums = sim._reduce_chunks(cfg, lambda c, t: (np.array([1, c, t]),))
+    assert _InlinePool.opened == workers
+    assert sums[0].tolist() == [chunks, chunks * (chunks - 1) // 2,
+                                cfg.trials]
 
 
 # ---------------------------------------------------------------------------
