@@ -28,6 +28,7 @@ from .sim import (ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig, check_scheme,
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
+MAX_POINTS = 10**4  # most points of an SNR range or of `cdf --points`
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -44,8 +45,10 @@ def parse_range(text: str) -> tuple[float, ...]:
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     # never past hi; 1e-9 keeps a hi that rounding puts a hair short (0:0.9:0.3)
-    n = math.floor((hi - lo) / step + 1e-9)
-    return tuple(lo + i * step for i in range(n + 1))
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_POINTS:  # counted before any grid is built
+        raise ValueError(f"bad range {text!r}; more than {MAX_POINTS} points")
+    return tuple(lo + i * step for i in range(math.floor(span) + 1))
 
 
 def parse_trials(text: str) -> int:
@@ -171,8 +174,8 @@ def cmd_rate(args) -> int:
 
 def cmd_cdf(args) -> int:
     trials = parse_trials(args.trials)
-    if args.points < 1:
-        raise ValueError("--points must be at least 1")
+    if not 1 <= args.points <= MAX_POINTS:
+        raise ValueError(f"--points must lie in [1, {MAX_POINTS}]")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()

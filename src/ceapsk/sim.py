@@ -16,11 +16,11 @@ by equal-gain transmission.  check_scheme is the one scheme check.
 Channel draws, symbols and unit noise are P-independent, and transmit
 phases are invariant under a common power scaling, so each chunk maps its
 symbols through the precoder once and replays the same realizations across
-the whole SNR grid.  The fixed-rate engine precodes only the trials whose
-noise may carry the receive point out of the sent point's decision cell at
-the first, noisiest point, and detects only the (trial, point) pairs where
-it may.  Its averaged union bound is computed (union_bound_curve) only when
-SerCurve.union_bound is first read.
+the whole SNR grid.  Both SER engines share one front end, _ser_steps: its
+screen counts a zero-norm channel as an error at every point and passes on
+only the (trial, point) pairs whose noise, plus an engine's extra term,
+may leave the sent point's decision cell.  The fixed-rate union bound
+(union_bound_curve) is computed when SerCurve.union_bound is first read.
 
 All three engines draw each chunk at once, in stream order, then work
 through it in blocks of precoder._BLOCK rows, so their temporaries stay in
@@ -71,6 +71,8 @@ PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
 CHUNK_SIZE = 100_000  # trials per chunk, and so per random stream
+# SimConfig's upper bounds: no input opens unbounded chunk lists or pools
+MAX_TRIALS, MAX_THREADS = 10**9, 256
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,10 @@ class SimConfig:
         for name in ("m", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.trials < 1000:
-            raise ValueError("need at least 1e3 trials")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be at most {MAX_THREADS}")
+        if not 1000 <= self.trials <= MAX_TRIALS:
+            raise ValueError("trials must lie in [1e3, 1e9]")
         if not (0.0 < self.target_ser < 1.0):
             raise ValueError("target_ser must lie in (0, 1)")
         snrs = tuple(float(s) for s in self.snr_db)
@@ -164,7 +168,7 @@ class RateCurve:
 
 
 # ---------------------------------------------------------------------------
-# Exact ML detection: w = y / (sqrt(P) R) -> label of the nearest point
+# SER front end: the screen, and exact ML detection of w = y / (sqrt(P) R)
 
 # a receive point within this many MEDs of the sent point is detected as sent
 _SAFE_RADIUS = 0.45
@@ -229,10 +233,16 @@ class _RingTables:
         return decide
 
 
+# the 16-point sets of the schemes without a region table, and their MEDs
+_QAM16, _PSK16 = qam_family(16), np.exp(2j * np.pi * np.arange(16) / 16)
+_QAM16_MED, _PSK16_MED = med(_QAM16), med(_PSK16)
+_QAM16_EDGES = np.array([-2.0, 0.0, 2.0]) / (3.0 * math.sqrt(2.0))
+
+
 def _qam16_decide(wr, wi) -> np.ndarray:
     """qam_family(16) label (4 * real level + imaginary level) by slicing."""
-    edges = np.array([-2.0, 0.0, 2.0]) / (3.0 * math.sqrt(2.0))
-    return 4 * np.searchsorted(edges, wr) + np.searchsorted(edges, wi)
+    return (4 * np.searchsorted(_QAM16_EDGES, wr)
+            + np.searchsorted(_QAM16_EDGES, wi))
 
 
 def _psk_decide(wr, wi, n: int) -> np.ndarray:
@@ -249,6 +259,83 @@ def _annulus(h, mags=None):
     return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
 
 
+def _ser_steps(facts: Scheme, table: RegionTable | None, cs):
+    """(size, screen, detector) of an SER engine for the scheme with
+    `facts`; its noise scales cs never rise from the first point on.
+
+    screen(g, u, mz, extra=0.0, mags=None) takes one block: g the channels
+    the transmitter designs for (mags, when given, is |g|), u the labels,
+    mz the noise moduli.  It returns the indices of the trials that may err
+    at the first point, the count of zero-norm trials (R = 0: nothing to
+    design in, so an error at every point), and for the kept trials u, s,
+    lim, r, R, the number of leading points at which each may err, and the
+    state of their detector(*state), which takes the receive points of any
+    leading prefix of them.
+
+    Let R be g's outer radius at unit power, s the target over R (the symbol
+    at unit outer radius, clipped into the annulus for fixed-qam16), center
+    the label's own point (for fixed-qam16 the unclipped 16-QAM point) and
+    d_cell the MED of the trial's constellation.  The precoder hits R s to
+    within 1e-9 R, so each engine's receive point w over R obeys |w - s| <=
+    1e-9 + (c_k mz + extra) / R at point k.  A pair is skipped unless
+    c_k mz + extra >= lim R, where
+
+        lim = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
+
+    A skipped pair has |w - center| < 0.45 d_cell < d_cell / 2, so the
+    exact ML detectors return the sent label.  The 0.05 d_cell margin dwarfs
+    float rounding, and on the N = 8 to 64 tables d_min_at overstates the
+    true MED by at most 1e-12 (relative).  c_k mz falls with k, so a trial
+    safe at the first point is safe at every point.
+    """
+    rings = _RingTables(table) if facts.table else None
+
+    def screen(g, u, mz, extra=0.0, mags=None):
+        r0, big_r0, ratio = _annulus(g, mags)
+        if rings is not None:
+            idx = table.index(ratio)
+            lim = _SAFE_RADIUS * table.d_min_at(ratio, idx) - 1e-9
+        elif facts.qam16 == "switch":
+            feas = ratio <= modulus_ratio(_QAM16)
+            lim = _SAFE_RADIUS * np.where(feas, _QAM16_MED, _PSK16_MED) - 1e-9
+        else:
+            s = _QAM16[u]
+            lim = np.full(s.shape, _SAFE_RADIUS * _QAM16_MED - 1e-9)
+            if facts.qam16 == "clip":
+                mod = np.abs(s)
+                clipped = s / mod * np.clip(mod, ratio, 1.0)
+                lim -= np.abs(clipped - s)
+                s = clipped
+        live = big_r0 > 0
+        reach = lim * big_r0 - extra
+        kept = np.flatnonzero(~(cs[0] * mz < reach) & live)
+        mz, reach = mz.take(kept), reach.take(kept)
+        # kept[i] may err at the first unsafe[i] points: c_k mz falls in k
+        unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
+        for c in cs[1:]:
+            unsafe += ~(c * mz < reach)
+        u = u.take(kept)
+        if rings is not None:
+            idx = idx.take(kept)
+            _, _, _, rho2 = table.params_at(ratio.take(kept), idx)
+            s, state = rings.symbols(idx, rho2, u), (idx, rho2)
+        elif facts.qam16 == "switch":
+            feas = feas.take(kept)
+            s, state = np.where(feas, _QAM16[u], _PSK16[u]), (feas,)
+        else:
+            s, state = s.take(kept), ()
+        return (kept, big_r0.size - np.count_nonzero(live), u, s,
+                *(x.take(kept) for x in (lim, r0, big_r0)), unsafe, *state)
+
+    def detector(*state):
+        if rings is not None:
+            return rings.detector(*state)
+        return _qam16_decide if not state else lambda wr, wi: np.where(
+            state[0][:wr.size], _qam16_decide(wr, wi), _psk_decide(wr, wi, 16))
+
+    return 16 if rings is None else table.size, screen, detector
+
+
 # ---------------------------------------------------------------------------
 # Fixed-rate SER
 
@@ -258,106 +345,31 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
 
     At SNR point k the detector sees w = a + c_k b: a is the noise-free
     receive point and b the noise, both over sqrt(p) R, and c_k falls as the
-    SNR rises.  Only the (trial, point) pairs where the noise may carry w
-    out of the sent label's decision cell reach the detector, and only the
-    trials with such a pair reach the precoder; every other pair is
-    provably detected correctly.  Let s be the trial's target over R (its
-    symbol at unit outer radius, clipped into the annulus for fixed-qam16),
-    `center` the label's own point (for fixed-qam16 the unclipped 16-QAM
-    point) and d_cell the MED of the trial's constellation.  The precoder
-    hits its target to within 1e-9 R, |a - s| <= 1e-9, which is checked on
-    every precoded trial.  A pair is skipped at point k when
-
-        c_k |b| < slack = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
-
-    Then |w - center| < 0.45 d_cell < d_cell / 2, so `center` is the unique
-    nearest point and the exact ML detectors return the sent label.  The
-    0.05 d_cell margin dwarfs float rounding, and on the N = 8 to 64 tables
-    d_min_at overstates the true MED by at most 1e-12 (relative).
-    c_k |b| never rises with k, so a trial safe at the first point is never
-    precoded.  Each chunk is drawn whole, screened in blocks of _BLOCK
+    SNR rises.  _ser_steps' screen (mz = |b| R, no extra) passes only the
+    trials that may err at the first point to the precoder, and only their
+    pairs that may err to the detector; |a - s| <= 1e-9 is checked on every
+    precoded trial.  Each chunk is drawn whole, screened in blocks of _BLOCK
     trials, precoded in batches of consecutive blocks and detected whole.
     The averaged union bound of the proposed schemes is the returned
     curve's union_bound, computed when it is first read.
     """
     facts = check_scheme(cfg, "ser")
-    rings = _RingTables(table) if facts.table else None
-    size = 16 if rings is None else table.size
     sigma = math.sqrt(NOISE_POWER)
     cs = [sigma / math.sqrt(p) for p in cfg.powers()]
-    qam16 = qam_family(16)
-    psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
-    qam16_med, psk16_med = med(qam16), med(psk16)
-
-    def detector(*state):
-        """The ML detector of the trials of this screen() state; it takes
-        the receive points of any leading prefix of those trials."""
-        if rings is not None:
-            return rings.detector(*state)
-        return _qam16_decide if not state else lambda wr, wi: np.where(
-            state[0][:wr.size], _qam16_decide(wr, wi), _psk_decide(wr, wi, 16))
-
-    def screen(h, u, z):
-        """((h, s, r, R), (b, sent label, unsafe count, *detector state)) of
-        the trials of one block that may err at the first point."""
-        r0, big_r0, ratio = _annulus(h)
-        if rings is not None:
-            idx = table.index(ratio)
-            slack = _SAFE_RADIUS * table.d_min_at(ratio, idx) - 1e-9
-        elif facts.qam16 == "switch":
-            feas = ratio <= modulus_ratio(qam16)
-            slack = _SAFE_RADIUS * np.where(feas, qam16_med, psk16_med) - 1e-9
-        else:
-            s = qam16[u]
-            slack = _SAFE_RADIUS * qam16_med - 1e-9
-            if facts.qam16 == "clip":
-                mod = np.abs(s)
-                clipped = s / mod * np.clip(mod, ratio, 1.0)
-                slack = slack - np.abs(clipped - s)
-                s = clipped
-        # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every SNR point;
-        # a zero-norm channel receives only noise: an error at every point
-        live = big_r0 > 0
-        b = np.divide(z, np.where(live, big_r0, 1.0), out=z)
-        mb = np.abs(b)
-        # a zero-norm trial is never safe: it is detected, and errs, everywhere
-        slack = np.where(live, slack, -np.inf)
-        # the trials that may err at the first point: all that may err at all
-        kept = np.flatnonzero(~(cs[0] * mb < slack))
-        mb, slack = mb[kept], slack[kept]
-        # kept[i] may err at the first unsafe[i] points: c_k |b| falls in k
-        unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
-        for c in cs[1:]:
-            unsafe += ~(c * mb < slack)
-        u = u[kept]
-        if rings is not None:
-            idx = idx[kept]
-            _, _, _, rho2 = table.params_at(ratio[kept], idx)
-            s, state = rings.symbols(idx, rho2, u), (idx, rho2)
-        elif facts.qam16 == "switch":
-            s, state = np.where(feas[kept], qam16[u], psk16[u]), (feas[kept],)
-        else:
-            s, state = s[kept], ()
-        # take, not h[kept]: numpy's fancy row indexing is far slower
-        return ((h.take(kept, 0), s, r0[kept], big_r0[kept]),
-                (b[kept], np.where(live[kept], u, -1), unsafe, *state))
+    size, screen, detector = _ser_steps(facts, table, cs)
 
     def precode(h, s, r0, big_r0):
         """a, the noise-free receive point over R, of screened trials."""
-        live = big_r0 > 0
-        scale = np.where(live, big_r0, 1.0)
         target = big_r0 * s
         if facts.qam16 == "egt":
-            return target / scale  # linear precoding reaches R*s exactly
+            return target / big_r0  # linear precoding reaches R*s exactly
         d0 = _receive(h, transmit(h, 1.0, target))
-        a = d0 / scale
+        a = d0 / big_r0
         mods = np.abs(d0)
         if not (np.all(mods <= big_r0 * (1 + 1e-9)) and
                 np.all(mods >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
             raise RuntimeError("precoder output left the annulus")
-        # the skip rests on |a - s| <= 1e-9; a zero-norm trial has a = 0 and
-        # is never skipped
-        if not np.all((np.abs(a - s) <= 1e-9) | ~live):
+        if not np.all(np.abs(a - s) <= 1e-9):  # the screen rests on this
             raise RuntimeError("precoder output missed its target")
         return a
 
@@ -367,20 +379,26 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         u = rng.integers(0, size, size=t)
         z = _complex_normal(rng, t)
         z /= np.sqrt(2.0)
+        errors = np.zeros(len(cs), dtype=np.int64)
         # blocks keep few trials at large M, so consecutive blocks are
         # precoded together, up to the _BLOCK trials transmit takes at once
         a, rest, batch, rows = [], [], [], 0
         for lo in range(0, t, _BLOCK):
-            pre, more = screen(h[lo:lo + _BLOCK], u[lo:lo + _BLOCK],
-                               z[lo:lo + _BLOCK])
-            rest.append(more)
-            if batch and rows + len(pre[0]) > _BLOCK:
+            zb = z[lo:lo + _BLOCK]
+            kept, zero, ub, s, _, r0, big_r0, unsafe, *state = screen(
+                h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], np.abs(zb))
+            errors += zero
+            # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every point
+            b = zb.take(kept)
+            rest.append((np.divide(b, big_r0, out=b), ub, unsafe, *state))
+            if batch and rows + kept.size > _BLOCK:
                 a.append(precode(*map(np.concatenate, zip(*batch))))
                 batch, rows = [], 0
-            batch.append(pre)
-            rows += len(pre[0])
+            # take, not h[kept]: numpy's fancy row indexing is far slower
+            batch.append((h[lo:lo + _BLOCK].take(kept, 0), s, r0, big_r0))
+            rows += kept.size
         a.append(precode(*map(np.concatenate, zip(*batch))))
-        del h, u, z, batch  # free the draws before the parts are joined
+        del h, u, z, zb, batch  # free the draws before the parts are joined
         a, b, sent, unsafe, *state = map(np.concatenate, [a, *zip(*rest)])
         # most unsafe first; a small key dtype lets numpy radix-sort
         order = np.argsort(len(cs) - unsafe, kind="stable")
@@ -390,16 +408,15 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         decide = detector(*(x[order] for x in state))
         a, b, sent = a[order], b[order], sent[order]
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        errors = np.zeros(len(cs), dtype=np.int64)
         for k, (c, n) in enumerate(zip(cs, prefix)):
-            errors[k] = np.count_nonzero(
+            errors[k] += np.count_nonzero(
                 decide(ar[:n] + c * br[:n], ai[:n] + c * bi[:n]) != sent[:n])
         return (errors,)
 
     errors, = _reduce_chunks(cfg, one_chunk)
     return SerCurve(snr_db=np.asarray(cfg.snr_db, dtype=float), errors=errors,
                     trials=np.full(len(cs), cfg.trials, dtype=np.int64),
-                    bound_args=None if rings is None else (cfg, table))
+                    bound_args=None if facts.table is None else (cfg, table))
 
 
 def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
@@ -466,75 +483,47 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     binomial noise.
 
     The precoder and the detector run only on the (trial, training point)
-    pairs that may err.  Write delta for the unit error draw, so that
-    h = h_hat + sd delta, and let s be the symbol at unit outer radius and
-    R the estimate's outer radius at unit power.  The precoder hits its
-    target, h_hat . x = R s, with every |x_i| = 1 / sqrt(M); so w - s =
-    (sd delta . x + n / sqrt(p)) / R and
-
-        |w - s| <= (sd |delta|_1 / sqrt(M) + |n| / sqrt(p)) / R.
-
-    A pair is skipped, with no transmit signal formed, when that bound is
-    below _SAFE_RADIUS d_cell (d_cell the MED of the trial's constellation):
-    then |w - s| < 0.45 d_cell < d_cell / 2 and the exact ML detectors
-    return the sent label, as in run_fixed_rate_ser.  On a skipped pair
-    |h|_1 <= (1 + 0.45 d_cell) |h_hat|_1 <= 1.9 |h_hat|_1, so float rounding
-    stays at ulp scale, far below the 0.05 d_cell margin.  The pairs left
-    go through the precoder, and on to the detector only if |w - s| >=
-    _SAFE_RADIUS d_cell.  A zero-norm estimate (R = 0) is an error, never
-    detected.  egt-qam16 takes the same test with the 16-QAM MED: its
-    w - q_u = (sd delta . e q_u / sqrt(M) + n / sqrt(p)) / R, with |e_i| = 1,
-    obeys the bound because |q_u| <= 1.
+    pairs that may err.  With delta the unit error draw, h = h_hat + sd
+    delta, and every |x_i| <= 1 / sqrt(M) (|q_u| / sqrt(M) for egt-qam16),
+    so the receive point over R is h_hat . x / R + (sd delta . x +
+    n / sqrt(p)) / R with |delta . x| <= |delta|_1 / sqrt(M).  So
+    _ser_steps' screen takes mz = |n| / sqrt(p), c = 1 and extra = sd
+    |delta|_1 / sqrt(M), with no transmit signal formed; on a pair it drops,
+    |h|_1 <= 1.9 |h_hat|_1, so float rounding stays at ulp scale.  The
+    pairs left are precoded, and detected only if |w - s| >= lim.
     """
-    rings = _RingTables(table) if check_scheme(cfg, "csit").table else None
+    facts = check_scheme(cfg, "csit")
+    size, screen, detector = _ser_steps(facts, table, [1.0])
     training = tuple(float(s) for s in training_snr_db)
     if not all(map(math.isfinite, training)):
         raise ValueError("training SNRs must be finite")
-    size = 16 if rings is None else table.size
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
     axis = list(training) + [math.inf]
     # MMSE estimation: error variance beta / (1 + training SNR) per antenna
     err_sd = [math.sqrt(PATH_LOSS / (1.0 + 10.0 ** (s / 10.0))) for s in axis]
-    qam16 = qam_family(16)
-    qam16_med = med(qam16)
 
     def one_point(h, dh_unit, u, noise, spread, sd):
         """Errors at one training point over one block of trials; spread is
-        the bound's (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
+        (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
         h_hat = h - sd * dh_unit
         mags = np.abs(h_hat)
-        _, big_r0, ratio = _annulus(h_hat, mags)
-        if rings is None:  # egt-qam16
-            d_cell = qam16_med
-        else:
-            idx = table.index(ratio)
-            d_cell = table.d_min_at(ratio, idx)
-        # a zero-norm estimate leaves nothing to scale by: an error
-        live = big_r0 > 0
-        errors = big_r0.size - np.count_nonzero(live)
-        bound = sd * spread[0] + spread[1]
-        rows = np.flatnonzero((bound >= _SAFE_RADIUS * d_cell * big_r0) & live)
+        rows, errors, u, s, lim, _, big_r0, _, *state = screen(
+            h_hat, u, spread[1], sd * spread[0], mags)
         # the full-block arrays are dropped as their kept rows are taken
         # with take, ~10x faster than fancy indexing on (8192, M) rows
         h_hat, mags = h_hat.take(rows, 0), mags.take(rows, 0)
-        u, big_r0 = u.take(rows), big_r0.take(rows)
-        if rings is None:
-            s = qam16[u]
+        if facts.qam16 == "egt":
             y = (np.sqrt(p / cfg.m)
                  * np.sum(h.take(rows, 0) * np.exp(-1j * np.angle(h_hat)),
                           axis=1)
                  * s + noise.take(rows))
         else:
-            idx, d_cell = idx.take(rows), d_cell.take(rows)
-            _, _, _, rho2 = table.params_at(ratio.take(rows), idx)
-            s = rings.symbols(idx, rho2, u)
             x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
             y = sp * _receive(h.take(rows, 0), x) + noise.take(rows)
         w = y / (sp * big_r0)
-        far = np.flatnonzero(np.abs(w - s) >= _SAFE_RADIUS * d_cell)
-        decide = (_qam16_decide if rings is None
-                  else rings.detector(idx[far], rho2[far]))
+        far = np.flatnonzero(np.abs(w - s) >= lim)
+        decide = detector(*(v.take(far) for v in state))
         return errors + np.count_nonzero(decide(w.real[far], w.imag[far])
                                          != u[far])
 

@@ -1,9 +1,11 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import ceapsk.sim as sim
 from ceapsk import cli
 from ceapsk.cli import main, parse_range, parse_trials
 from ceapsk.optimizer import build_region_table
@@ -21,6 +23,44 @@ def test_parse_range():
     # (hi - lo) / step is 2.9999999999999996 here; hi is still reached
     grid = parse_range("0:0.9:0.3")
     assert len(grid) == 4 and grid[-1] == pytest.approx(0.9)
+
+
+def test_parse_range_counts_points_before_building_the_grid():
+    assert len(parse_range("0:9999:1")) == cli.MAX_POINTS == 10**4
+    # one point too many; were the bound gone, this grid would still be small
+    with pytest.raises(ValueError, match="more than 10000 points"):
+        parse_range("0:10000:1")
+    # so these are refused before any grid is built: 1e9 points, 1e300
+    # points, and a span that overflows to inf
+    tracemalloc.start()
+    try:
+        for text in ("0:1e9:1", "0:1:1e-300", "-1e308:1e308:1"):
+            with pytest.raises(ValueError, match="more than 10000 points"):
+                parse_range(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def _no_engine_run(cfg, one_chunk):
+    raise AssertionError("an engine ran")
+
+
+@pytest.mark.parametrize("args", [
+    ["ser", "--scheme", "fixed-qam16", "--snr", "0:1e5:1"],
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20",
+     "--csit-sweep", "0:1e5:1"],
+    ["rate", "--scheme", "variable-qam", "--snr", "0:1e5:1"],
+    ["cdf", "--points", "10001"],
+], ids=["ser-snr", "csit-sweep", "rate-snr", "cdf-points"])
+def test_point_counts_are_bounded(args, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sim, "_reduce_chunks", _no_engine_run)
+    out = tmp_path / "out"
+    assert main(args + ["--trials", "1e3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "10000" in err[0]
+    assert not out.exists()
 
 
 def test_parse_trials():

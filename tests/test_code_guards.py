@@ -231,3 +231,23 @@ def test_perfbench_layer_targets_resolve():
             "precoder.reconstruct", "precoder.transmit", "rng.stream",
             "sim.run_fixed_rate_ser", "sim.run_csit_sweep",
             "sim.run_variable_rate", "cli.load_or_build_table"} <= names
+
+
+def test_safe_radius_read_only_in_the_shared_screen():
+    # one skip rule: both SER engines reach _SAFE_RADIUS only through the
+    # screen that sim._ser_steps builds
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        steps = {id(n) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and f.name == "_ser_steps"
+                 for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if ((isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
+                 and isinstance(n.ctx, ast.Load))
+                    or (isinstance(n, ast.Attribute)
+                        and n.attr == "_SAFE_RADIUS")):
+                (inside if id(n) in steps else outside).append(
+                    f"{path.name}:{n.lineno}")
+    assert inside  # the scan itself works
+    assert not outside, outside

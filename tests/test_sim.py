@@ -686,6 +686,43 @@ def test_pool_has_at_most_one_worker_per_chunk(threads, chunks, workers,
                                 cfg.trials]
 
 
+def test_config_bounds_threads_and_trials():
+    kw = dict(m=2, snr_db=(10.0,), scheme="proposed-optimal")
+    cfg = SimConfig(trials=sim.MAX_TRIALS, threads=sim.MAX_THREADS, **kw)
+    assert (cfg.trials, cfg.threads) == (10**9, 256)
+    with pytest.raises(ValueError, match="threads must be at most 256"):
+        SimConfig(trials=10**4, threads=257, **kw)
+    for trials in (10**9 + 1, 10**300):
+        with pytest.raises(ValueError, match="trials must lie in"):
+            SimConfig(trials=trials, **kw)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--threads", "257"], ["--threads", "10000", "--trials", "1e9"],
+    ["--trials", "1000000001"], ["--trials", "1e300"]],
+    ids=["threads", "threads-and-chunks", "trials", "trials-huge"])
+@pytest.mark.parametrize("command", [
+    ["ser", "--scheme", "proposed-optimal", "--snr", "10:20:5"],
+    ["ser", "--scheme", "egt-qam16", "--snr", "20", "--csit-sweep", "0:30:10"],
+    ["rate", "--scheme", "variable-qam", "--snr", "10:20:5"]],
+    ids=["ser", "csit", "rate"])
+def test_cli_bounds_threads_and_trials(command, flags, monkeypatch, tmp_path,
+                                       capsys):
+    # refused before any chunk runs: were a bound gone, no real thread
+    # would start and the engine would fail the run rather than run it
+    def no_engine_run(cfg, one_chunk):
+        raise AssertionError("an engine ran")
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "opened", [])
+    monkeypatch.setattr(sim, "_reduce_chunks", no_engine_run)
+    out = tmp_path / "out"
+    assert ceapsk.cli.main(command + ["--trials", "1e3", *flags,
+                                      "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert _InlinePool.opened == [] and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Rate selection against the per-SNR-point oracle
 
@@ -918,6 +955,27 @@ def test_zero_norm_channel_is_an_error(scheme, monkeypatch):
     assert np.all(curve.errors <= plain.errors + zeroed)
     if plain.errors[1] == 0:  # noise-free: exactly the zero-norm trials fail
         assert curve.errors[1] == zeroed
+
+
+@pytest.mark.parametrize("scheme", sim.ENGINE_SCHEMES["ser"])
+def test_zero_norm_rows_never_reach_the_precoder(scheme, monkeypatch):
+    # the shared screen counts a zero-norm trial as an error and drops it
+    zeroed = _zero_some_rows(monkeypatch)
+    transmit = sim.transmit
+
+    def nonzero_rows_only(h, *args, **kw):
+        if not np.any(h != 0, axis=1).all():
+            raise AssertionError("a zero-norm channel reached the precoder")
+        return transmit(h, *args, **kw)
+    monkeypatch.setattr(sim, "transmit", nonzero_rows_only)
+    kw = dict(m=2, snr_db=(20.0, 120.0), trials=2000, scheme=scheme)
+    curve = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
+    assert np.all(curve.errors >= zeroed)
+    if scheme in sim.ENGINE_SCHEMES["csit"]:
+        # the perfect-CSIT point designs from the zero channels
+        sweep = run_csit_sweep(SimConfig(**{**kw, "snr_db": (120.0,)}),
+                               _scheme_table(scheme), (30.0,))
+        assert sweep.errors[-1] >= zeroed
 
 
 @pytest.mark.parametrize("scheme", ["variable-apsk", "variable-qam"])
