@@ -1,8 +1,9 @@
 """Command-line frontend: design | table | ser | rate | cdf.
 
-Every run writes its outputs plus a JSON manifest, and nothing else.  The
-manifest's parameters are the run's parsed flags; replaying it (--config
-MANIFEST) reproduces the outputs byte for byte regardless of --threads.
+Every run writes its outputs plus a JSON manifest, and nothing else, all in
+_write_run once the run has succeeded.  The manifest's parameters are the
+run's parsed flags; replaying it (--config MANIFEST) reproduces the outputs
+byte for byte regardless of --threads.
 
 Exit codes: 0 success, 2 bad arguments, 3 runtime failure.
 """
@@ -29,6 +30,9 @@ from .sim import (ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig, check_scheme,
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
 MAX_POINTS = 10**4  # most points of an SNR range or of `cdf --points`
+# most `cdf --trials`: cdf draws them all at once, about 80 B a trial
+# (76 MiB at 10^6, by tracemalloc), so about 0.8 GB at the bound
+MAX_CDF_TRIALS = 10**7
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -97,24 +101,31 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    started = time.time()
-    table = build_region_table(args.n)  # a bad N exits before any write
+def _write_run(args, stem: str, outputs: dict, started: float) -> None:
+    """Make --out-dir, call each write(path) of outputs (file name -> write)
+    in order, write stem.manifest.json and print the paths.  Called once a
+    run has succeeded, so a failed run writes nothing, not even its out dir."""
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = {f"table_n{args.n}": table}
+    paths = [outdir / name for name in outputs]
+    for path, write in zip(paths, outputs.values()):
+        write(path)
+    write_manifest(outdir / f"{stem}.manifest.json", args, paths, started)
+    for path in paths:
+        print(f"wrote {path}")
+
+
+def cmd_table(args) -> int:
+    started = time.time()
+    table = build_region_table(args.n)
+    tables = {f"table_n{args.n}": table}
     if args.suboptimal:
-        written[f"table_n{args.n}_suboptimal"] = build_suboptimal_table(table)
-    outputs = []
-    for name, tab in written.items():
-        base = outdir / name
-        base.with_suffix(".json").write_text(tab.to_json())
-        tab.write_csv(base.with_suffix(".csv"))
-        outputs += [base.with_suffix(".json"), base.with_suffix(".csv")]
-    write_manifest(outdir / f"table_n{args.n}.manifest.json", args, outputs,
-                   started)
-    for o in outputs:
-        print(f"wrote {o}")
+        tables[f"table_n{args.n}_suboptimal"] = build_suboptimal_table(table)
+    outputs = {}
+    for name, tab in tables.items():
+        outputs[f"{name}.json"] = lambda p, t=tab: p.write_text(t.to_json())
+        outputs[f"{name}.csv"] = tab.write_csv
+    _write_run(args, f"table_n{args.n}", outputs, started)
     return 0
 
 
@@ -139,65 +150,68 @@ def load_or_build_table(need: str | None):
 
 
 def cmd_ser(args) -> int:
+    started = time.time()
     cfg, facts = _sim_config(args, "csit" if args.csit_sweep else "ser")
     tr_grid = parse_range(args.csit_sweep) if args.csit_sweep else None
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
     table = load_or_build_table(facts.table)
-    if tr_grid is not None:
-        curve = run_csit_sweep(cfg, table, tr_grid)
-        name = f"ser_{cfg.scheme}_m{cfg.m}_csit"
-    else:
-        curve = run_fixed_rate_ser(cfg, table)
-        name = f"ser_{cfg.scheme}_m{cfg.m}"
-    out = outdir / f"{name}.csv"
-    curve.write_csv(out)
-    write_manifest(outdir / f"{name}.manifest.json", args, [out], started)
-    print(f"wrote {out}")
+    curve = (run_fixed_rate_ser(cfg, table) if tr_grid is None
+             else run_csit_sweep(cfg, table, tr_grid))
+    name = f"ser_{cfg.scheme}_m{cfg.m}" + ("" if tr_grid is None else "_csit")
+    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started)
     return 0
 
 
 def cmd_rate(args) -> int:
-    cfg, facts = _sim_config(args, "rate", target_ser=args.pe)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    cfg, facts = _sim_config(args, "rate", target_ser=args.pe)
     curve = run_variable_rate(cfg, load_or_build_table(facts.table))
     name = f"rate_{cfg.scheme}_m{cfg.m}"
-    out = outdir / f"{name}.csv"
-    curve.write_csv(out)
-    write_manifest(outdir / f"{name}.manifest.json", args, [out], started)
-    print(f"wrote {out}")
+    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started)
     return 0
 
 
 def cmd_cdf(args) -> int:
+    started = time.time()
     trials = parse_trials(args.trials)
+    if trials > MAX_CDF_TRIALS:
+        raise ValueError(f"cdf --trials must be at most {MAX_CDF_TRIALS}")
     if not 1 <= args.points <= MAX_POINTS:
         raise ValueError(f"--points must lie in [1, {MAX_POINTS}]")
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
     h = sample_rayleigh(2, 1.0, args.seed, trials=trials)
     inner, outer = annulus_arrays(h, 1.0)
     ratio = np.sort(inner / outer)
     grid = np.linspace(0.0, 1.0, args.points)
     emp = np.searchsorted(ratio, grid, side="right") / ratio.size
     ana = ratio_cdf_m2(grid)
-    out = outdir / "ratio_cdf_m2.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "empirical_cdf", "analytic_cdf"])
-        for x, e, a in zip(grid, emp, ana):
-            w.writerow([f"{x:.6f}", f"{e:.8f}", f"{a:.8f}"])
-    write_manifest(outdir / "ratio_cdf_m2.manifest.json", args, [out], started)
-    print(f"wrote {out}; max deviation "
-          f"{np.abs(emp - ana).max():.5f}")
+
+    def write(path):
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["x", "empirical_cdf", "analytic_cdf"])
+            for x, e, a in zip(grid, emp, ana):
+                w.writerow([f"{x:.6f}", f"{e:.8f}", f"{a:.8f}"])
+    _write_run(args, "ratio_cdf_m2", {"ratio_cdf_m2.csv": write}, started)
+    print(f"max deviation {np.abs(emp - ana).max():.5f}")
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+
+def _engine_parser(sub, cmd: str, func, snr: str, help: str):
+    """The `ser` or `rate` subparser with the flags the two share."""
+    e = sub.add_parser(cmd, help=help,
+                       formatter_class=argparse.RawTextHelpFormatter)
+    e.add_argument("--scheme", required=True,
+                   help="one of:\n" + "\n".join(ENGINE_SCHEMES[cmd]))
+    e.add_argument("--m", type=int, default=2)
+    e.add_argument("--snr", default=snr, help="dB range lo:hi:step")
+    e.add_argument("--trials", default="1e6")
+    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--out-dir", default="out")
+    e.set_defaults(func=func)
+    return e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,32 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out-dir", default="out")
     t.set_defaults(func=cmd_table)
 
-    s = sub.add_parser("ser", help="fixed-rate SER sweep (or CSIT sweep)",
-                       formatter_class=argparse.RawTextHelpFormatter)
-    s.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(ENGINE_SCHEMES["ser"]))
-    s.add_argument("--m", type=int, default=2)
-    s.add_argument("--snr", default="10:40:1", help="dB range lo:hi:step")
-    s.add_argument("--trials", default="1e6")
-    s.add_argument("--seed", type=int, default=0)
+    s = _engine_parser(sub, "ser", cmd_ser, "10:40:1",
+                       "fixed-rate SER sweep (or CSIT sweep)")
     s.add_argument("--csit-sweep", default=None,
                    help="training-SNR dB range; data SNR then comes from --snr")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--out-dir", default="out")
-    s.set_defaults(func=cmd_ser)
 
-    r = sub.add_parser("rate", help="variable-rate spectral efficiency sweep",
-                       formatter_class=argparse.RawTextHelpFormatter)
-    r.add_argument("--scheme", required=True,
-                   help="one of:\n" + "\n".join(ENGINE_SCHEMES["rate"]))
-    r.add_argument("--m", type=int, default=2)
-    r.add_argument("--snr", default="0:30:1")
-    r.add_argument("--trials", default="1e6")
-    r.add_argument("--seed", type=int, default=0)
+    r = _engine_parser(sub, "rate", cmd_rate, "0:30:1",
+                       "variable-rate spectral efficiency sweep")
     r.add_argument("--pe", type=float, default=1e-3)
-    r.add_argument("--threads", type=int, default=1)
-    r.add_argument("--out-dir", default="out")
-    r.set_defaults(func=cmd_rate)
 
     c = sub.add_parser("cdf", help="empirical vs analytic r/R CDF for M=2")
     c.add_argument("--trials", default="1e6")

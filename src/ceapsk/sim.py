@@ -18,8 +18,9 @@ phases are invariant under a common power scaling, so each chunk maps its
 symbols through the precoder once and replays the same realizations across
 the whole SNR grid.  Both SER engines share one front end, _ser_steps: its
 screen counts a zero-norm channel as an error at every point and passes on
-only the (trial, point) pairs whose noise, plus an engine's extra term,
-may leave the sent point's decision cell.  The fixed-rate union bound
+only the trials whose noise at one point, plus an engine's extra term, may
+leave the sent point's decision cell; the fixed-rate engine then counts
+the points at which each kept trial may err.  The fixed-rate union bound
 (union_bound_curve) is computed when SerCurve.union_bound is first read.
 
 All three engines draw each chunk at once, in stream order, then work
@@ -259,34 +260,31 @@ def _annulus(h, mags=None):
     return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
 
 
-def _ser_steps(facts: Scheme, table: RegionTable | None, cs):
-    """(size, screen, detector) of an SER engine for the scheme with
-    `facts`; its noise scales cs never rise from the first point on.
+def _ser_steps(facts: Scheme, table: RegionTable | None):
+    """(size, screen, detector) of an SER engine for a scheme's `facts`.
 
     screen(g, u, mz, extra=0.0, mags=None) takes one block: g the channels
     the transmitter designs for (mags, when given, is |g|), u the labels,
-    mz the noise moduli.  It returns the indices of the trials that may err
-    at the first point, the count of zero-norm trials (R = 0: nothing to
+    mz the noise moduli at one point.  It returns the indices of the trials
+    that may err there, the count of zero-norm trials (R = 0: nothing to
     design in, so an error at every point), and for the kept trials u, s,
-    lim, r, R, the number of leading points at which each may err, and the
-    state of their detector(*state), which takes the receive points of any
-    leading prefix of them.
+    lim, r, R and the state of their detector(*state), which takes the
+    receive points of any leading prefix of them.
 
     Let R be g's outer radius at unit power, s the target over R (the symbol
     at unit outer radius, clipped into the annulus for fixed-qam16), center
     the label's own point (for fixed-qam16 the unclipped 16-QAM point) and
     d_cell the MED of the trial's constellation.  The precoder hits R s to
     within 1e-9 R, so each engine's receive point w over R obeys |w - s| <=
-    1e-9 + (c_k mz + extra) / R at point k.  A pair is skipped unless
-    c_k mz + extra >= lim R, where
+    1e-9 + (mz + extra) / R.  A trial is skipped unless mz + extra >= lim R,
+    where
 
         lim = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
 
     A skipped pair has |w - center| < 0.45 d_cell < d_cell / 2, so the
     exact ML detectors return the sent label.  The 0.05 d_cell margin dwarfs
     float rounding, and on the N = 8 to 64 tables d_min_at overstates the
-    true MED by at most 1e-12 (relative).  c_k mz falls with k, so a trial
-    safe at the first point is safe at every point.
+    true MED by at most 1e-12 (relative).
     """
     rings = _RingTables(table) if facts.table else None
 
@@ -307,13 +305,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None, cs):
                 lim -= np.abs(clipped - s)
                 s = clipped
         live = big_r0 > 0
-        reach = lim * big_r0 - extra
-        kept = np.flatnonzero(~(cs[0] * mz < reach) & live)
-        mz, reach = mz.take(kept), reach.take(kept)
-        # kept[i] may err at the first unsafe[i] points: c_k mz falls in k
-        unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
-        for c in cs[1:]:
-            unsafe += ~(c * mz < reach)
+        kept = np.flatnonzero(~(mz < lim * big_r0 - extra) & live)
         u = u.take(kept)
         if rings is not None:
             idx = idx.take(kept)
@@ -325,7 +317,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None, cs):
         else:
             s, state = s.take(kept), ()
         return (kept, big_r0.size - np.count_nonzero(live), u, s,
-                *(x.take(kept) for x in (lim, r0, big_r0)), unsafe, *state)
+                *(x.take(kept) for x in (lim, r0, big_r0)), *state)
 
     def detector(*state):
         if rings is not None:
@@ -345,10 +337,12 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
 
     At SNR point k the detector sees w = a + c_k b: a is the noise-free
     receive point and b the noise, both over sqrt(p) R, and c_k falls as the
-    SNR rises.  _ser_steps' screen (mz = |b| R, no extra) passes only the
-    trials that may err at the first point to the precoder, and only their
-    pairs that may err to the detector; |a - s| <= 1e-9 is checked on every
-    precoded trial.  Each chunk is drawn whole, screened in blocks of _BLOCK
+    SNR rises.  _ser_steps' screen (mz = c_0 |b| R, no extra) passes only
+    the trials that may err at the first point to the precoder; a kept
+    trial may err at point k only if c_k |b| R >= lim R, and c_k |b| falls
+    with k, so each may err at a leading run of points, and only those
+    pairs reach the detector.  |a - s| <= 1e-9 is checked on every precoded
+    trial.  Each chunk is drawn whole, screened in blocks of _BLOCK
     trials, precoded in batches of consecutive blocks and detected whole.
     The averaged union bound of the proposed schemes is the returned
     curve's union_bound, computed when it is first read.
@@ -356,7 +350,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     facts = check_scheme(cfg, "ser")
     sigma = math.sqrt(NOISE_POWER)
     cs = [sigma / math.sqrt(p) for p in cfg.powers()]
-    size, screen, detector = _ser_steps(facts, table, cs)
+    size, screen, detector = _ser_steps(facts, table)
 
     def precode(h, s, r0, big_r0):
         """a, the noise-free receive point over R, of screened trials."""
@@ -385,9 +379,15 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         a, rest, batch, rows = [], [], [], 0
         for lo in range(0, t, _BLOCK):
             zb = z[lo:lo + _BLOCK]
-            kept, zero, ub, s, _, r0, big_r0, unsafe, *state = screen(
-                h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], np.abs(zb))
+            mz = np.abs(zb)
+            kept, zero, ub, s, lim, r0, big_r0, *state = screen(
+                h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], cs[0] * mz)
             errors += zero
+            # kept[i] may err at the first unsafe[i] points
+            mz, reach = mz.take(kept), lim * big_r0
+            unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
+            for c in cs[1:]:
+                unsafe += ~(c * mz < reach)
             # w = y / (sqrt(p) R) = a + (sigma / sqrt(p)) b at every point
             b = zb.take(kept)
             rest.append((np.divide(b, big_r0, out=b), ub, unsafe, *state))
@@ -487,13 +487,13 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     delta, and every |x_i| <= 1 / sqrt(M) (|q_u| / sqrt(M) for egt-qam16),
     so the receive point over R is h_hat . x / R + (sd delta . x +
     n / sqrt(p)) / R with |delta . x| <= |delta|_1 / sqrt(M).  So
-    _ser_steps' screen takes mz = |n| / sqrt(p), c = 1 and extra = sd
+    _ser_steps' screen takes mz = |n| / sqrt(p) and extra = sd
     |delta|_1 / sqrt(M), with no transmit signal formed; on a pair it drops,
     |h|_1 <= 1.9 |h_hat|_1, so float rounding stays at ulp scale.  The
     pairs left are precoded, and detected only if |w - s| >= lim.
     """
     facts = check_scheme(cfg, "csit")
-    size, screen, detector = _ser_steps(facts, table, [1.0])
+    size, screen, detector = _ser_steps(facts, table)
     training = tuple(float(s) for s in training_snr_db)
     if not all(map(math.isfinite, training)):
         raise ValueError("training SNRs must be finite")
@@ -508,7 +508,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
         h_hat = h - sd * dh_unit
         mags = np.abs(h_hat)
-        rows, errors, u, s, lim, _, big_r0, _, *state = screen(
+        rows, errors, u, s, lim, _, big_r0, *state = screen(
             h_hat, u, spread[1], sd * spread[0], mags)
         # the full-block arrays are dropped as their kept rows are taken
         # with take, ~10x faster than fancy indexing on (8192, M) rows

@@ -43,6 +43,29 @@ def test_parse_range_counts_points_before_building_the_grid():
     assert peak < 2**16
 
 
+def test_cdf_trials_bounded_before_the_draw(monkeypatch, tmp_path, capsys):
+    assert cli.MAX_CDF_TRIALS == 10**7
+    monkeypatch.setattr(cli, "sample_rayleigh", _no_draw)
+    # 1e12 trials would need about 80 TB; bound + 1 would still be drawn
+    # without the bound.  Both are refused before any draw or write.
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        for trials in ("1e12", str(cli.MAX_CDF_TRIALS + 1)):
+            assert main(["cdf", "--trials", trials, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == ["error: cdf --trials must be at most 10000000"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("cdf drew its trials")
+
+
 def _no_engine_run(cfg, one_chunk):
     raise AssertionError("an engine ran")
 
@@ -362,16 +385,38 @@ def test_config_not_an_object(conf, tmp_path, capsys):
     assert err == [f"error: config file {path} must hold a JSON object"]
 
 
+# a command, and the engine or draw of cli that it runs
+_FAULTS = {
+    "rate": (["rate", "--scheme", "variable-qam", "--snr", "10",
+              "--trials", "1e3"], "run_variable_rate"),
+    "ser": (["ser", "--scheme", "fixed-qam16", "--snr", "10",
+             "--trials", "1e3"], "run_fixed_rate_ser"),
+    "cdf": (["cdf", "--trials", "1e3"], "sample_rayleigh"),
+}
+
+
 @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
                                  AttributeError("no attribute 'items'")])
 def test_command_fault_exits_runtime(exc, monkeypatch, tmp_path, capsys):
-    def fault(cfg, tables):
+    def fault(*args, **kwargs):
         raise exc
-    monkeypatch.setattr(cli, "run_variable_rate", fault)
-    assert main(["rate", "--scheme", "variable-qam", "--snr", "10",
-                 "--trials", "1e3", "--out-dir", str(tmp_path)]) == 3
+    for cmd, (args, step) in _FAULTS.items():
+        monkeypatch.setattr(cli, step, fault)
+        out = tmp_path / cmd
+        assert main(args + ["--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {type(exc).__name__}: {exc}"]
+        # a failed run writes nothing, not even its out dir
+        assert not out.exists()
+
+
+def test_out_dir_that_is_a_file_exits_runtime(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(["table", "--n", "8", "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {type(exc).__name__}: {exc}"]
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert out.read_text() == "keep"
 
 
 def test_rate_rejects_non_finite_snr(tmp_path, capsys):

@@ -233,6 +233,25 @@ def test_perfbench_layer_targets_resolve():
             "sim.run_variable_rate", "cli.load_or_build_table"} <= names
 
 
+def test_cli_writes_only_in_the_run_writer():
+    # one place writes a run's files: cli._write_run makes the out dir and
+    # writes the manifest, so no command can write before its run succeeds
+    inside, outside = [], []
+    tree = ast.parse((SRC / "cli.py").read_text())
+    writer = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_write_run"
+              for n in ast.walk(f)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and (
+                (isinstance(n.func, ast.Attribute) and n.func.attr == "mkdir")
+                or (isinstance(n.func, ast.Name)
+                    and n.func.id == "write_manifest")):
+            (inside if id(n) in writer else outside).append(
+                f"cli.py:{n.lineno}")
+    assert not outside, outside
+    assert len(inside) == 2  # the scan itself works
+
+
 def test_safe_radius_read_only_in_the_shared_screen():
     # one skip rule: both SER engines reach _SAFE_RADIUS only through the
     # screen that sim._ser_steps builds
