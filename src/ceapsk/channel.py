@@ -14,13 +14,11 @@ import numpy as np
 from .rng import stream
 
 
-def annulus_arrays(h: np.ndarray, total_power: float, *,
-                   mags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (r, R) for a batch of channels, shape (trials, M).
-
-    mags, when given, is |h|.  Norms are summed antenna by antenna.
-    """
-    mags = np.abs(h) if mags is None else mags
+def annulus_arrays(h: np.ndarray,
+                   total_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (r, R) for a batch of channels, shape (trials, M).  Norms
+    are summed antenna by antenna."""
+    mags = np.abs(h)
     l1, top = np.array(mags[..., 0]), np.array(mags[..., 0])
     for col in np.moveaxis(mags, -1, 0)[1:]:
         l1 += col

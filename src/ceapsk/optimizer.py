@@ -22,6 +22,7 @@ import numpy as np
 
 TABLE_ALGO_VERSION = 2  # labels the table JSON; nothing reads it back
 _SOLVE_ROWS = 4096  # ratios per _solve_grid call while a table is built
+MAX_N = 256  # largest N: a table build's time grows ~8x per doubling
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +130,11 @@ def _solve_grid(n: int, ratios: np.ndarray):
 
 
 def _check_size(n: int) -> None:
-    """N must be even and at least 2; a size off the powers of two warns."""
+    """N must be even and in [2, MAX_N]; a size off the powers of two warns."""
     if n < 2 or n % 2 != 0:
         raise ValueError("N must be even and >= 2")
+    if n > MAX_N:
+        raise ValueError(f"N must be at most {MAX_N}")
     if n & (n - 1) != 0:
         warnings.warn(f"N={n} is not a power of two; the design is "
                       "best-effort", stacklevel=3)
@@ -250,12 +253,11 @@ class RegionTable:
         first region for a ratio below every lo)."""
         return self._arrays["search"](ratios)
 
-    def d_min_at(self, ratios, idx=None) -> np.ndarray:
-        """Vectorized optimal MED as a function of r/R.  idx, when given,
-        is self.index(ratios)."""
+    def d_min_at(self, ratios) -> np.ndarray:
+        """Vectorized optimal MED as a function of r/R."""
         ratios = np.asarray(ratios, dtype=float)
         col = self._arrays
-        idx = self.index(ratios) if idx is None else idx
+        idx = self.index(ratios)
         if col["const"].all():  # no region uses the formula
             return np.asarray(col["d_min"].take(idx))
         # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
@@ -263,12 +265,11 @@ class RegionTable:
             ratios ** 2 - ratios * col["c12x2"].take(idx) + 1.0, 0.0))
         return np.where(col["const"].take(idx), col["d_min"].take(idx), formula)
 
-    def params_at(self, ratios, idx=None):
-        """Vectorized (region index, n2, omega2, rho2) per ratio.  idx, when
-        given, is self.index(ratios)."""
+    def params_at(self, ratios):
+        """Vectorized (region index, n2, omega2, rho2) per ratio."""
         ratios = np.asarray(ratios, dtype=float)
         col = self._arrays
-        idx = self.index(ratios) if idx is None else idx
+        idx = self.index(ratios)
         rho2 = np.where(col["track"].take(idx), ratios, col["rho2"].take(idx))
         return idx, col["n2"].take(idx), col["omega2"].take(idx), rho2
 

@@ -72,9 +72,10 @@ def _unit_phasors(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return u
 
 
-def _transmit_block(h, mags, scale, d, out) -> None:
+def _transmit_block(h, scale, d, out) -> None:
     """transmit() on one block of rows, written into out."""
     b, m = h.shape
+    mags = np.abs(h)
     amp = scale * mags
     # stable descending rank of each antenna's amplitude within its row
     rank = [np.zeros(b, dtype=np.min_scalar_type(m)) for _ in range(m)]
@@ -99,15 +100,14 @@ def _transmit_block(h, mags, scale, d, out) -> None:
         out[zero] = scale * u[pos[zero]]
 
 
-def transmit(h: np.ndarray, total_power: float, d: np.ndarray, *,
-             mags: np.ndarray | None = None) -> np.ndarray:
+def transmit(h: np.ndarray, total_power: float, d: np.ndarray) -> np.ndarray:
     """Constant-envelope transmit signal x, shape (T, M), for targets d (T,).
 
     Every |x_i| is sqrt(P/M), and sum_i h_i x_i reconstructs each row's
     target, which is assumed feasible.  Antennas are taken in descending
     gain order (ties in antenna order); all phasors are carried as real
     cosine/sine pairs, with no trigonometric function, and rows are done in
-    blocks of _BLOCK so temporaries stay small.  mags, when given, is |h|.
+    blocks of _BLOCK so temporaries stay small.
     """
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     d = np.broadcast_to(np.asarray(d, dtype=complex), h.shape[:1])
@@ -116,8 +116,7 @@ def transmit(h: np.ndarray, total_power: float, d: np.ndarray, *,
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, h.shape[0], _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            _transmit_block(h[rows], np.abs(h[rows]) if mags is None
-                            else mags[rows], scale, d[rows], x[rows])
+            _transmit_block(h[rows], scale, d[rows], x[rows])
     return x
 
 

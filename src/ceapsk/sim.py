@@ -72,8 +72,9 @@ PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
 CHUNK_SIZE = 100_000  # trials per chunk, and so per random stream
-# SimConfig's upper bounds: no input opens unbounded chunk lists or pools
-MAX_TRIALS, MAX_THREADS = 10**9, 256
+# upper bounds: no input opens unbounded chunk lists, pools or chunk arrays
+MAX_TRIALS, MAX_THREADS, MAX_ANTENNAS = 10**9, 256, 64
+MAX_SNR_DB = 300.0  # |SNR| in dB; far beyond it the power under- or overflows
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"valid: {tuple(SCHEMES)}")
-        for name in ("m", "threads"):
+        for name, top in (("m", MAX_ANTENNAS), ("threads", MAX_THREADS)):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.threads > MAX_THREADS:
-            raise ValueError(f"threads must be at most {MAX_THREADS}")
+            if getattr(self, name) > top:
+                raise ValueError(f"{name} must be at most {top}")
         if not 1000 <= self.trials <= MAX_TRIALS:
             raise ValueError("trials must lie in [1e3, 1e9]")
         if not (0.0 < self.target_ser < 1.0):
@@ -102,6 +103,9 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if not all(map(math.isfinite, snrs)):
             raise ValueError("snr_db must be finite")
+        if any(abs(s) > MAX_SNR_DB for s in snrs):
+            raise ValueError(f"snr_db must lie in [-{MAX_SNR_DB:g}, "
+                             f"{MAX_SNR_DB:g}]")
         if not snrs:
             raise ValueError("snr_db needs at least one point")
         if any(b <= a for a, b in zip(snrs, snrs[1:])):
@@ -246,16 +250,16 @@ def _qam16_decide(wr, wi) -> np.ndarray:
             + np.searchsorted(_QAM16_EDGES, wi))
 
 
-def _psk_decide(wr, wi, n: int) -> np.ndarray:
-    """Label k of the nearest point exp(2j pi k / n) by phase rounding."""
-    return np.rint(np.arctan2(wi, wr) * (n / (2.0 * np.pi))).astype(np.intp) % n
+def _psk_decide(wr, wi) -> np.ndarray:
+    """Label k of the nearest point exp(2j pi k / 16) by phase rounding."""
+    k = np.rint(np.arctan2(wi, wr) * (16 / (2.0 * np.pi))).astype(np.intp)
+    return k % 16
 
 
-def _annulus(h, mags=None):
-    """(r, R, r/R) at unit power; mags, when given, is |h|.  A zero-norm
-    channel (R = 0) reaches only the origin; its R is returned as 0 and its
-    ratio as 0, with no 0/0."""
-    r0, big_r0 = annulus_arrays(h, 1.0, mags=mags)
+def _annulus(h):
+    """(r, R, r/R) at unit power.  A zero-norm channel (R = 0) reaches only
+    the origin; its R is returned as 0 and its ratio as 0, with no 0/0."""
+    r0, big_r0 = annulus_arrays(h, 1.0)
     live = big_r0 > 0
     return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
 
@@ -263,13 +267,13 @@ def _annulus(h, mags=None):
 def _ser_steps(facts: Scheme, table: RegionTable | None):
     """(size, screen, detector) of an SER engine for a scheme's `facts`.
 
-    screen(g, u, mz, extra=0.0, mags=None) takes one block: g the channels
-    the transmitter designs for (mags, when given, is |g|), u the labels,
-    mz the noise moduli at one point.  It returns the indices of the trials
-    that may err there, the count of zero-norm trials (R = 0: nothing to
-    design in, so an error at every point), and for the kept trials u, s,
-    lim, r, R and the state of their detector(*state), which takes the
-    receive points of any leading prefix of them.
+    screen(g, u, mz, extra=0.0) takes one block: g the channels the
+    transmitter designs for, u the labels, mz the noise moduli at one point.
+    It returns the indices of the trials that may err there, the count of
+    zero-norm trials (R = 0: nothing to design in, so an error at every
+    point), and for the kept trials u, s, lim, r, R and the state of their
+    detector(*state), which takes the receive points of any leading prefix
+    of them.
 
     Let R be g's outer radius at unit power, s the target over R (the symbol
     at unit outer radius, clipped into the annulus for fixed-qam16), center
@@ -288,11 +292,10 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
     """
     rings = _RingTables(table) if facts.table else None
 
-    def screen(g, u, mz, extra=0.0, mags=None):
-        r0, big_r0, ratio = _annulus(g, mags)
+    def screen(g, u, mz, extra=0.0):
+        r0, big_r0, ratio = _annulus(g)
         if rings is not None:
-            idx = table.index(ratio)
-            lim = _SAFE_RADIUS * table.d_min_at(ratio, idx) - 1e-9
+            lim = _SAFE_RADIUS * table.d_min_at(ratio) - 1e-9
         elif facts.qam16 == "switch":
             feas = ratio <= modulus_ratio(_QAM16)
             lim = _SAFE_RADIUS * np.where(feas, _QAM16_MED, _PSK16_MED) - 1e-9
@@ -308,8 +311,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
         kept = np.flatnonzero(~(mz < lim * big_r0 - extra) & live)
         u = u.take(kept)
         if rings is not None:
-            idx = idx.take(kept)
-            _, _, _, rho2 = table.params_at(ratio.take(kept), idx)
+            idx, _, _, rho2 = table.params_at(ratio.take(kept))
             s, state = rings.symbols(idx, rho2, u), (idx, rho2)
         elif facts.qam16 == "switch":
             feas = feas.take(kept)
@@ -323,7 +325,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
         if rings is not None:
             return rings.detector(*state)
         return _qam16_decide if not state else lambda wr, wi: np.where(
-            state[0][:wr.size], _qam16_decide(wr, wi), _psk_decide(wr, wi, 16))
+            state[0][:wr.size], _qam16_decide(wr, wi), _psk_decide(wr, wi))
 
     return 16 if rings is None else table.size, screen, detector
 
@@ -495,8 +497,9 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     facts = check_scheme(cfg, "csit")
     size, screen, detector = _ser_steps(facts, table)
     training = tuple(float(s) for s in training_snr_db)
-    if not all(map(math.isfinite, training)):
-        raise ValueError("training SNRs must be finite")
+    if not all(abs(s) <= MAX_SNR_DB for s in training):  # NaN fails too
+        raise ValueError("training SNRs must be finite and lie in "
+                         f"[-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]")
     p = float(cfg.powers()[0])
     sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
     axis = list(training) + [math.inf]
@@ -507,19 +510,18 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         """Errors at one training point over one block of trials; spread is
         (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
         h_hat = h - sd * dh_unit
-        mags = np.abs(h_hat)
         rows, errors, u, s, lim, _, big_r0, *state = screen(
-            h_hat, u, spread[1], sd * spread[0], mags)
-        # the full-block arrays are dropped as their kept rows are taken
-        # with take, ~10x faster than fancy indexing on (8192, M) rows
-        h_hat, mags = h_hat.take(rows, 0), mags.take(rows, 0)
+            h_hat, u, spread[1], sd * spread[0])
+        # the full-block array is dropped as its kept rows are taken with
+        # take, ~10x faster than fancy indexing on (8192, M) rows
+        h_hat = h_hat.take(rows, 0)
         if facts.qam16 == "egt":
             y = (np.sqrt(p / cfg.m)
                  * np.sum(h.take(rows, 0) * np.exp(-1j * np.angle(h_hat)),
                           axis=1)
                  * s + noise.take(rows))
         else:
-            x = transmit(h_hat, 1.0, big_r0 * s, mags=mags)
+            x = transmit(h_hat, 1.0, big_r0 * s)
             y = sp * _receive(h.take(rows, 0), x) + noise.take(rows)
         w = y / (sp * big_r0)
         far = np.flatnonzero(np.abs(w - s) >= lim)

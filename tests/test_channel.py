@@ -114,9 +114,9 @@ def test_mmse_estimate_error_variance(table16, monkeypatch):
     seen = []
     annulus = sim._annulus
 
-    def recording(h, mags=None):
+    def recording(h):
         seen.append(h)
-        return annulus(h, mags)
+        return annulus(h)
     monkeypatch.setattr(sim, "_annulus", recording)
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=2000,
                     scheme="proposed-optimal", seed=3)

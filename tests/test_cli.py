@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ceapsk.sim as sim
-from ceapsk import cli
+from ceapsk import cli, optimizer
 from ceapsk.cli import main, parse_range, parse_trials
 from ceapsk.optimizer import build_region_table
 
@@ -66,6 +66,27 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("cdf drew its trials")
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--n", "258"], ["table", "--n", "512", "--suboptimal"],
+    ["design", "--n", str(10**9), "--ratio", "0.5"]],
+    ids=["table-258", "table-512", "design-1e9"])
+def test_constellation_size_bounded_before_the_solve(args, monkeypatch,
+                                                     tmp_path, capsys):
+    assert optimizer.MAX_N == 256
+    # were the bound gone, the solve would fail the run, not hang or swap
+    monkeypatch.setattr(optimizer, "_solve_grid", _no_solve)
+    out = tmp_path / "out"
+    assert main(args + (["--out-dir", str(out)] if args[0] == "table"
+                        else [])) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: N must be at most 256"]
+    assert not out.exists()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the design was solved")
+
+
 def _no_engine_run(cfg, one_chunk):
     raise AssertionError("an engine ran")
 
@@ -83,6 +104,20 @@ def test_point_counts_are_bounded(args, monkeypatch, tmp_path, capsys):
     assert main(args + ["--trials", "1e3", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "10000" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("training", ["4000", "-4000", "0:400:100"])
+def test_training_snrs_are_bounded(training, monkeypatch, tmp_path, capsys):
+    # 4000 dB overflows the MMSE error variance; -4000 would run
+    monkeypatch.setattr(sim, "_reduce_chunks", _no_engine_run)
+    out = tmp_path / "out"
+    assert main(["ser", "--scheme", "proposed-optimal", "--snr", "20",
+                 "--trials", "1e3", f"--csit-sweep={training}",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: training SNRs must be finite and lie in "
+                   "[-300, 300]"]
     assert not out.exists()
 
 

@@ -364,11 +364,6 @@ def test_region_lookup_at_edges(n, suboptimal, data):
     assert (n2[0], omega2[0]) == (reg.n2, reg.omega2)
     assert rho2[0] == (ratio if reg.rho2_rule == "track_ratio" else reg.rho2)
     d = table.d_min_at(np.array([ratio]))[0]
-    # a lookup done once and passed in gives the same values
-    shared = table.index(np.array([ratio]))
-    assert [a.tolist() for a in table.params_at(np.array([ratio]), shared)] == [
-        a.tolist() for a in (idx, n2, omega2, rho2)]
-    assert table.d_min_at(np.array([ratio]), shared)[0] == d
     if reg.d_min_rule == "constant":
         assert d == reg.d_min
     else:

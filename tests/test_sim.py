@@ -474,7 +474,7 @@ def test_psk16_rounding_matches_brute_force(seed):
     angles = np.concatenate([(2.0 * np.arange(16) + 1.0) * np.pi / 16,
                              [np.pi, -np.pi]])
     w = _probe_points(rng, angles, [1.0, 0.3, rng.uniform(0.0, 2.0)], 0.8)
-    _assert_ml(_psk_decide(w.real, w.imag, 16), w, pts)
+    _assert_ml(_psk_decide(w.real, w.imag), w, pts)
 
 
 # Error counts of the brute-force detector, recorded before the structured
@@ -695,12 +695,28 @@ def test_config_bounds_threads_and_trials():
     for trials in (10**9 + 1, 10**300):
         with pytest.raises(ValueError, match="trials must lie in"):
             SimConfig(trials=trials, **kw)
+    kw = dict(scheme="proposed-optimal", trials=10**4)
+    cfg = SimConfig(m=sim.MAX_ANTENNAS,
+                    snr_db=(-sim.MAX_SNR_DB, sim.MAX_SNR_DB), **kw)
+    assert (cfg.m, cfg.snr_db) == (64, (-300.0, 300.0))
+    for m in (65, 10**6):
+        with pytest.raises(ValueError, match="m must be at most 64"):
+            SimConfig(m=m, snr_db=(10.0,), **kw)
+    for snr in (300.5, -300.5, 4000.0, -4000.0, 1e308):
+        with pytest.raises(ValueError,
+                           match=r"snr_db must lie in \[-300, 300\]"):
+            SimConfig(m=2, snr_db=(snr,), **kw)
+    # a non-finite SNR is named as such, before the range check
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        SimConfig(m=2, snr_db=(math.inf,), **kw)
 
 
 @pytest.mark.parametrize("flags", [
     ["--threads", "257"], ["--threads", "10000", "--trials", "1e9"],
-    ["--trials", "1000000001"], ["--trials", "1e300"]],
-    ids=["threads", "threads-and-chunks", "trials", "trials-huge"])
+    ["--trials", "1000000001"], ["--trials", "1e300"], ["--m", "65"],
+    ["--snr", "4000"], ["--snr=-4000"]],
+    ids=["threads", "threads-and-chunks", "trials", "trials-huge",
+         "antennas", "snr-high", "snr-low"])
 @pytest.mark.parametrize("command", [
     ["ser", "--scheme", "proposed-optimal", "--snr", "10:20:5"],
     ["ser", "--scheme", "egt-qam16", "--snr", "20", "--csit-sweep", "0:30:10"],
@@ -721,6 +737,27 @@ def test_cli_bounds_threads_and_trials(command, flags, monkeypatch, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert _InlinePool.opened == [] and not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_engines_run_warning_free_at_the_snr_bounds():
+    edges = (-sim.MAX_SNR_DB, sim.MAX_SNR_DB)
+    kw = dict(m=3, snr_db=edges, trials=2_000)
+    for scheme in sim.ENGINE_SCHEMES["ser"]:
+        curve = run_fixed_rate_ser(SimConfig(scheme=scheme, **kw),
+                                   _scheme_table(scheme))
+        # every symbol errs at -300 dB up to chance; at +300 dB only a
+        # clipped fixed-qam16 point can
+        floor = 2_000 if sim.SCHEMES[scheme].qam16 == "clip" else 0
+        assert curve.errors[0] > 1_000 and curve.errors[1] <= floor
+    for scheme in sim.ENGINE_SCHEMES["csit"]:
+        for snr in edges:
+            cfg = SimConfig(scheme=scheme, **dict(kw, snr_db=(snr,)))
+            run_csit_sweep(cfg, _scheme_table(scheme), edges)
+    for scheme in sim.ENGINE_SCHEMES["rate"]:
+        curve = run_variable_rate(SimConfig(scheme=scheme, **kw),
+                                  _rate_tables())
+        assert curve.avg_bits[0] == 0.0 < curve.avg_bits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1060,7 @@ def _detect_every_pair(cfg, table):
             s = np.where(feas, qam16[u], psk16[u])
             def decide(wr, wi):
                 return np.where(feas, _qam16_decide(wr, wi),
-                                _psk_decide(wr, wi, 16))
+                                _psk_decide(wr, wi))
         else:
             s, decide = qam16[u], _qam16_decide
         if cfg.scheme == "fixed-qam16":
