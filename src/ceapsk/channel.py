@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .precoder import _BLOCK
 from .rng import stream
 
 
@@ -28,13 +29,22 @@ def annulus_arrays(h: np.ndarray,
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """re + 1j im from two standard-normal draws of `shape`, real part
-    first.  Built in place, with the bits of the sum but none of its
-    temporaries; the caller scales it in place."""
+    """re + 1j im from two standard-normal draws of `shape`, real part first,
+    built in place with the bits of the sum; the caller scales in place."""
     out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
     return out
+
+
+def _complex_normal_blocks(rng: np.random.Generator, shape):
+    """Pairs (lo, rows lo:lo + _BLOCK of _complex_normal(rng, shape)), bit
+    for bit while rng draws nothing else; the real parts come first, whole."""
+    re = rng.standard_normal(shape)
+    for lo in range(0, len(re), _BLOCK):
+        out = re[lo:lo + _BLOCK].astype(complex)
+        out.imag = rng.standard_normal(out.shape)
+        yield lo, out
 
 
 def _draw_channel(rng: np.random.Generator, m: int, t: int,

@@ -214,8 +214,13 @@ def _engine_parser(sub, cmd: str, func, snr: str, help: str):
     return e
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers are _Parsers too
+    def error(self, message):  # one line, as for every other bad input
+        self.exit(EXIT_BAD_ARGS, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ceapsk",
         description="Adaptive APSK constellation design and link simulation "
                     "for constant-envelope MISO precoding.")

@@ -23,12 +23,12 @@ leave the sent point's decision cell; the fixed-rate engine then counts
 the points at which each kept trial may err.  The fixed-rate union bound
 (union_bound_curve) is computed when SerCurve.union_bound is first read.
 
-All three engines draw each chunk at once, in stream order, then work
-through it in blocks of precoder._BLOCK rows, so their temporaries stay in
-cache; the fixed-rate engine keeps each block's trials that may err and
-detects them a chunk at a time.  Variable-rate selection places each
-trial's R * d_min among per-size SNR cuts with an exact table lookup
-(optimizer._CellSearch) built once per run.
+Each engine draws a chunk in stream order, its last draw block by block
+(channel._complex_normal_blocks), and works through it in blocks of
+precoder._BLOCK rows, so temporaries stay in cache; the fixed-rate engine
+keeps each block's trials that may err and detects them a chunk at a time.
+Variable-rate selection places each trial's R * d_min among per-size SNR
+cuts with an exact table lookup (optimizer._CellSearch) built once per run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _complex_normal, _draw_channel, annulus_arrays
+from .channel import (_complex_normal, _complex_normal_blocks, _draw_channel,
+                      annulus_arrays)
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable, _CellSearch
@@ -344,8 +345,8 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     trial may err at point k only if c_k |b| R >= lim R, and c_k |b| falls
     with k, so each may err at a leading run of points, and only those
     pairs reach the detector.  |a - s| <= 1e-9 is checked on every precoded
-    trial.  Each chunk is drawn whole, screened in blocks of _BLOCK
-    trials, precoded in batches of consecutive blocks and detected whole.
+    trial.  Each chunk is screened in blocks of _BLOCK trials, its noise
+    drawn block by block, precoded in batches of blocks and detected whole.
     The averaged union bound of the proposed schemes is the returned
     curve's union_bound, computed when it is first read.
     """
@@ -373,14 +374,12 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         rng = stream(cfg.seed, _STREAMS["ser"], chunk)
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, size, size=t)
-        z = _complex_normal(rng, t)
-        z /= np.sqrt(2.0)
         errors = np.zeros(len(cs), dtype=np.int64)
         # blocks keep few trials at large M, so consecutive blocks are
         # precoded together, up to the _BLOCK trials transmit takes at once
         a, rest, batch, rows = [], [], [], 0
-        for lo in range(0, t, _BLOCK):
-            zb = z[lo:lo + _BLOCK]
+        for lo, zb in _complex_normal_blocks(rng, t):
+            zb /= np.sqrt(2.0)
             mz = np.abs(zb)
             kept, zero, ub, s, lim, r0, big_r0, *state = screen(
                 h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], cs[0] * mz)
@@ -400,7 +399,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
             batch.append((h[lo:lo + _BLOCK].take(kept, 0), s, r0, big_r0))
             rows += kept.size
         a.append(precode(*map(np.concatenate, zip(*batch))))
-        del h, u, z, zb, batch  # free the draws before the parts are joined
+        del h, u, zb, batch  # free the draws before the parts are joined
         a, b, sent, unsafe, *state = map(np.concatenate, [a, *zip(*rest)])
         # most unsafe first; a small key dtype lets numpy radix-sort
         order = np.argsort(len(cs) - unsafe, kind="stable")
@@ -426,9 +425,9 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     point of run_fixed_rate_ser(cfg, table), for a proposed scheme.
 
     The channel is the first draw of each chunk's stream, so only it is
-    redrawn; the bound is taken on one (SNR point, trial) array per row
-    block and summed chunk by chunk, in a fixed order, so the values do not
-    depend on cfg.threads.
+    redrawn, a row block at a time; the bound is taken on one (SNR point,
+    trial) array per block and summed chunk by chunk, in a fixed order, so
+    the values do not depend on cfg.threads.
     """
     if check_scheme(cfg, "ser").table is None:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
@@ -436,15 +435,13 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     sps = np.sqrt(cfg.powers())
 
     def one_chunk(chunk: int, t: int):
-        # the channel draw is dropped once its annulus is taken
-        _, big_r0, ratio = _annulus(_draw_channel(
-            stream(cfg.seed, _STREAMS["ser"], chunk), cfg.m, t, PATH_LOSS))
-        d_cell = table.d_min_at(ratio)
         bound = np.zeros(len(sps))
-        for lo in range(0, t, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            bound += ser_union_bound(table.size, d_cell[block],
-                                     np.multiply.outer(sps, big_r0[block]),
+        for _, h in _complex_normal_blocks(
+                stream(cfg.seed, _STREAMS["ser"], chunk), (t, cfg.m)):
+            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
+            _, big_r0, ratio = _annulus(h)
+            bound += ser_union_bound(table.size, table.d_min_at(ratio),
+                                     np.multiply.outer(sps, big_r0),
                                      NOISE_POWER).sum(axis=1)
         return (bound,)
 
@@ -536,13 +533,11 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         noise = _complex_normal(rng, t)
         noise /= np.sqrt(2.0)
         noise *= sigma
-        dh_unit = _complex_normal(rng, (t, cfg.m))
-        dh_unit /= np.sqrt(2.0)
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
-        for lo in range(0, t, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            hb, db, ub, nb = h[rows], dh_unit[rows], u[rows], noise[rows]
+        for lo, db in _complex_normal_blocks(rng, (t, cfg.m)):
+            db /= np.sqrt(2.0)
+            hb, ub, nb = (x[lo:lo + _BLOCK] for x in (h, u, noise))
             spread = (np.abs(db).sum(axis=1) / math.sqrt(cfg.m),
                       np.abs(nb) / sp)
             for k, sd in enumerate(err_sd):
@@ -618,9 +613,9 @@ def run_variable_rate(cfg: SimConfig,
     monotone in SNR, so one pass finds, for every trial and size, the
     number of SNR points at which that size or a larger one is feasible; a
     histogram of those counts gives every point's bit and no-tx counts.
-    Each chunk draws its channels at once, as its stream orders them, then
-    runs the annulus, the MED lookups and the counts in blocks of _BLOCK
-    trials, whose temporaries stay in cache.  The bit steps of SIZES are
+    Each chunk draws its channels _BLOCK trials at a time, its stream's
+    only draw, and runs the annulus, the MED lookups and the counts on each
+    block, whose temporaries stay in cache.  The bit steps of SIZES are
     integers, so the block sums are exact.
     """
     per_size = check_scheme(cfg, "rate").table
@@ -638,11 +633,11 @@ def run_variable_rate(cfg: SimConfig,
         feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
 
     def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, _STREAMS["rate"], chunk)
-        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         blocks = []
-        for lo in range(0, t, _BLOCK):
-            _, big_r0, ratio = _annulus(h[lo:lo + _BLOCK])
+        for _, h in _complex_normal_blocks(
+                stream(cfg.seed, _STREAMS["rate"], chunk), (t, cfg.m)):
+            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
+            _, big_r0, ratio = _annulus(h)
             # per-trial R*d_min for each size in turn (0 = infeasible)
             if per_size:
                 xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import ceapsk.sim as sim
-from ceapsk.channel import (_complex_normal, _draw_channel, annulus_arrays,
-                            ratio_cdf_m2, sample_rayleigh)
+from ceapsk.channel import (_complex_normal, _complex_normal_blocks,
+                            _draw_channel, annulus_arrays, ratio_cdf_m2,
+                            sample_rayleigh)
 from ceapsk.optimizer import build_region_table
+from ceapsk.precoder import _BLOCK
 from ceapsk.rng import stream
 from ceapsk.sim import SimConfig, run_csit_sweep
 
@@ -159,3 +161,20 @@ def test_draw_channel_bits(m):
                 + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
         assert z.shape == want.shape
         np.testing.assert_array_equal(z.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [None, 1, 3, 8])
+@pytest.mark.parametrize("t", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+def test_complex_normal_blocks_bits(t, m):
+    # the blocks, joined, are the whole draw bit for bit, and leave the
+    # stream where the whole draw leaves it
+    shape = (t,) if m is None else (t, m)
+    rng, ref = stream(9, 3, 4), stream(9, 3, 4)
+    starts, blocks = zip(*_complex_normal_blocks(rng, shape))
+    assert starts == tuple(range(0, t, _BLOCK))
+    assert [len(b) for b in blocks] == [min(_BLOCK, t - lo) for lo in starts]
+    got, want = np.concatenate(blocks), _complex_normal(ref, shape)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(rng.standard_normal(5),
+                                  ref.standard_normal(5))

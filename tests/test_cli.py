@@ -87,6 +87,22 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("the design was solved")
 
 
+@pytest.mark.parametrize("args", [
+    ["design", "--n", "1e9"], ["ser", "--m", "x", "--scheme",
+                               "proposed-optimal"],
+    ["ser", "--m", "2"], ["bogus"],
+    ["ser", "--scheme", "proposed-optimal", "--nope", "1"]],
+    ids=["not-an-int", "bad-m", "no-scheme", "no-command", "unknown-flag"])
+def test_flags_argparse_rejects_get_one_line(args, monkeypatch, tmp_path,
+                                             capsys):
+    # argparse's own errors read like every other bad input: one line
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not any(tmp_path.iterdir())  # not even the default out dir
+
+
 def _no_engine_run(cfg, one_chunk):
     raise AssertionError("an engine ran")
 

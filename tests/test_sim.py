@@ -563,6 +563,21 @@ def test_fixed_rate_memory_is_bounded(table16):
     assert peak <= 12 * 2**20
 
 
+def test_csit_memory_is_bounded(table16):
+    # csit-apsk16-m4's configuration: the unit CSIT error, the chunk's last
+    # draw, is drawn block by block, so the peak in the precoder sits on
+    # the channel, labels and noise (8.8 MB) and the error's real parts
+    cfg = SimConfig(m=4, snr_db=(20.0,), trials=200_000,
+                    scheme="proposed-optimal")
+    tracemalloc.start()
+    try:
+        run_csit_sweep(cfg, table16, tuple(float(s) for s in range(0, 31, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.5 * 2**20
+
+
 # Union-bound column summed over whole chunks, recorded before the sum was
 # blocked over rows (seed 5, 2e4 trials at SNR 12/18/24 dB); chunks of 2e4
 # span several row blocks.
@@ -963,13 +978,25 @@ def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
 
 
 def _zero_some_rows(monkeypatch, every=97):
-    draw = sim._draw_channel
+    # the same rows of each chunk's channel, drawn whole or block by block;
+    # a block-by-block draw is a channel when it is its stream's first draw
+    # (the variable-rate engine and the union bound), not the fixed-rate
+    # noise or the unit CSIT error
+    draw, blocks = sim._draw_channel, sim._complex_normal_blocks
 
     def patched(rng, m, t, path_loss):
         h = draw(rng, m, t, path_loss)
         h[::every] = 0.0
         return h
+
+    def patched_blocks(rng, shape):
+        channel = not rng.bit_generator.state["state"]["counter"].any()
+        for lo, block in blocks(rng, shape):
+            if channel:
+                block[-lo % every::every] = 0.0
+            yield lo, block
     monkeypatch.setattr(sim, "_draw_channel", patched)
+    monkeypatch.setattr(sim, "_complex_normal_blocks", patched_blocks)
     return len(range(0, 2000, every))  # zeroed rows in a 2000-trial chunk
 
 
