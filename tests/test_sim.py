@@ -250,38 +250,26 @@ def test_scipy_loaded_only_where_needed(command):
 def test_debug_feasibility_checks(table16):
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
                     scheme="proposed-optimal")
-    run_fixed_rate_ser(cfg, table16)  # the checks inside must not fire
-    # under python -O each check still fires: on a precoder output of 2 R,
-    # and on one that stays in the annulus but misses its target
+    run_fixed_rate_ser(cfg, table16)  # the check inside must not fire
+    # under python -O the check still fires on targets outside the annulus:
+    # every symbol scaled by 2, so R s reaches 2 R on the outer ring
     script = textwrap.dedent("""
-        import math
         import sys
         import ceapsk.sim as sim
         from ceapsk.optimizer import build_region_table
         if sys.flags.optimize != 1:
             sys.exit(3)
-        transmit = sim.transmit
-        fakes = {
-            # receive point 2 R: every h_i x_i real, positive and twice the
-            # constant-envelope amplitude
-            "left the annulus": lambda h, p, d, **kw: (
-                2.0 * (p / h.shape[1]) ** 0.5 * h.conj() / abs(h)),
-            # target turned by 1e-6 rad: inside the annulus, yet it misses
-            # R s by 1e-6 |R s|, above 1e-9 R wherever |s| > 1e-3
-            "missed its target": lambda h, p, d, **kw: transmit(
-                h, p, d * complex(math.cos(1e-6), math.sin(1e-6)), **kw),
-        }
+        symbols = sim._RingTables.symbols
+        sim._RingTables.symbols = lambda self, *a: 2.0 * symbols(self, *a)
         cfg = sim.SimConfig(m=2, snr_db=(20.0,), trials=2000,
                             scheme="proposed-optimal")
-        for message, fake in fakes.items():
-            sim.transmit = fake
-            try:
-                sim.run_fixed_rate_ser(cfg, build_region_table(16))
-            except RuntimeError as e:
-                if message not in str(e):
-                    sys.exit(f"{message!r} check did not fire first: {e}")
-                continue
-            sys.exit(f"{message!r} check did not fire")
+        try:
+            sim.run_fixed_rate_ser(cfg, build_region_table(16))
+        except RuntimeError as e:
+            if "target left the annulus" not in str(e):
+                sys.exit(f"another check fired: {e}")
+        else:
+            sys.exit("the annulus check did not fire")
     """)
     run = _fresh_python(script, flags=["-O"])
     assert run.returncode == 0, run.stderr
@@ -516,8 +504,8 @@ def test_fixed_rate_error_counts_pinned(scheme, m, set_chunk):
 # The same counts, recorded with each chunk screened and precoded whole
 # (seed 5, 45,000 trials in chunks of 20,000, SNR 12/18/24 dB).  A 20,000-
 # trial chunk spans blocks of 8192 + 8192 + 3616 rows, and the last chunk
-# holds 5,000 trials.  Consecutive blocks are precoded together while their
-# kept trials fit in one block.
+# holds 5,000 trials.  Each block's kept trials are joined and detected a
+# chunk at a time.
 _PINNED_FIXED_BLOCKS = {
     ("adaptive-qam-psk", 2): [9423, 1761, 164],
     ("adaptive-qam-psk", 4): [2637, 99, 1],
@@ -1023,23 +1011,31 @@ def test_zero_norm_channel_is_an_error(scheme, monkeypatch):
 
 @pytest.mark.parametrize("scheme", sim.ENGINE_SCHEMES["ser"])
 def test_zero_norm_rows_never_reach_the_precoder(scheme, monkeypatch):
-    # the shared screen counts a zero-norm trial as an error and drops it
+    # the shared screen counts a zero-norm trial as an error and drops it;
+    # the fixed-rate engine never precodes, and the CSIT sweep precodes
+    # only the trials the screen kept
     zeroed = _zero_some_rows(monkeypatch)
-    transmit = sim.transmit
+    transmit, rows = sim.transmit, []
+
+    def no_transmit(*args, **kw):
+        raise AssertionError("the fixed-rate engine called the precoder")
 
     def nonzero_rows_only(h, *args, **kw):
         if not np.any(h != 0, axis=1).all():
             raise AssertionError("a zero-norm channel reached the precoder")
+        rows.append(len(h))
         return transmit(h, *args, **kw)
-    monkeypatch.setattr(sim, "transmit", nonzero_rows_only)
+    monkeypatch.setattr(sim, "transmit", no_transmit)
     kw = dict(m=2, snr_db=(20.0, 120.0), trials=2000, scheme=scheme)
     curve = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
     assert np.all(curve.errors >= zeroed)
     if scheme in sim.ENGINE_SCHEMES["csit"]:
+        monkeypatch.setattr(sim, "transmit", nonzero_rows_only)
         # the perfect-CSIT point designs from the zero channels
         sweep = run_csit_sweep(SimConfig(**{**kw, "snr_db": (120.0,)}),
                                _scheme_table(scheme), (30.0,))
         assert sweep.errors[-1] >= zeroed
+        assert sum(rows) > 0 or scheme == "egt-qam16"
 
 
 @pytest.mark.parametrize("scheme", ["variable-apsk", "variable-qam"])
@@ -1065,7 +1061,8 @@ def test_zero_norm_channel_sends_nothing(scheme, target_ser, monkeypatch):
 
 def _detect_every_pair(cfg, table):
     """Error counts of the fixed-rate engine's chunks with ML detection run
-    on every (trial, SNR point) pair."""
+    on every (trial, SNR point) pair, each trial sent through the precoder
+    and received, which must hit its target to 1e-9 R."""
     rings = _RingTables(table) if table is not None else None
     size = 16 if table is None else table.size
     qam16 = qam_family(16)
@@ -1098,6 +1095,9 @@ def _detect_every_pair(cfg, table):
         live = big_r0 > 0
         scale = np.where(live, big_r0, 1.0)
         a, b = d0 / scale, z / scale
+        # the engine detects s + c b: the precoder must hit R s to 1e-9 R
+        if cfg.scheme != "egt-qam16":
+            assert np.all(np.abs(a - s)[live] <= 1e-9)
         sent = np.where(live, u, -1)
         for k, p in enumerate(cfg.powers()):
             c = sigma / math.sqrt(p)
@@ -1141,7 +1141,7 @@ def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
 def test_skipped_pairs_never_err_across_blocks(scheme, m, lowest_snr,
                                                monkeypatch, set_chunk):
     # one 20,000-trial chunk spans blocks of 8192 + 8192 + 3616 rows; at
-    # M=8 from 10 dB they keep so few trials that all are precoded together
+    # M=8 from 10 dB each block keeps only a few trials
     _check_skipped_pairs(scheme, 16, m, 0, 20_000, monkeypatch, set_chunk,
                          lowest_snr)
 
@@ -1172,28 +1172,30 @@ def test_safe_radius_inside_every_cell(suboptimal):
 def test_detection_work_is_bounded(monkeypatch):
     # ser-apsk16-m2's configuration: about 14.5% of the (trial, point) pairs
     # can err at all, and only those reach the detector; about 45% of the
-    # trials can err at the first point, and only those reach the precoder
-    seen, precoded = [], []
-    build, transmit = _RingTables.detector, sim.transmit
+    # trials can err at the first point, and no trial reaches the precoder
+    seen, chunks = [], []
+    build = _RingTables.detector
 
-    def counting_transmit(h, *args, **kw):
-        precoded.append(len(h))
-        return transmit(h, *args, **kw)
+    def no_transmit(*args, **kw):
+        raise AssertionError("the fixed-rate engine called the precoder")
 
     def counting(self, idx, rho2):
-        decide = build(self, idx, rho2)
+        decide, calls = build(self, idx, rho2), []
+        chunks.append(calls)  # one detector per chunk, one call per point
 
         def counted(wr, wi):
             seen.append(wr.size)
+            calls.append(wr.size)
             return decide(wr, wi)
         return counted
     monkeypatch.setattr(_RingTables, "detector", counting)
-    monkeypatch.setattr(sim, "transmit", counting_transmit)
+    monkeypatch.setattr(sim, "transmit", no_transmit)
     cfg = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
                     trials=200_000, scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, _table(16))
     assert 0 < sum(seen) <= 0.2 * cfg.trials * len(cfg.snr_db)
-    assert 0 < sum(precoded) <= 0.5 * cfg.trials
+    # the first point's call sees every trial the screen kept
+    assert 0 < sum(calls[0] for calls in chunks) <= 0.5 * cfg.trials
 
 
 # ---------------------------------------------------------------------------
