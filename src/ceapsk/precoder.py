@@ -8,6 +8,11 @@ The final two antennas close the residual exactly via the two-circle
 intersection.  Everything is written on arrays so a million targets
 vectorize cleanly, and in real arithmetic: each step's phasor comes from
 the step's cosine and sine, never from an angle.
+
+transmit() is what the CSIT sweep runs, with _receive() forming its
+noise-free receive points.  phases_for_targets() and reconstruct() are the
+same map written as per-antenna phases, in direct form: no engine or CLI
+command calls them; they are the benchmark's phase-synthesis layer.
 """
 
 from __future__ import annotations
@@ -122,15 +127,9 @@ def transmit(h: np.ndarray, total_power: float, d: np.ndarray) -> np.ndarray:
 
 def phases_for_targets(h: np.ndarray, total_power: float,
                        d: np.ndarray) -> np.ndarray:
-    """Vectorized transmit phases theta, shape (T, M), for targets d (T,).
-
-    The weighted phasor sum sqrt(P/M) sum_i h_i exp(j theta_i) reconstructs
-    each row's target.  Targets are assumed feasible.
-    """
-    x = transmit(h, total_power, d)
-    theta = np.arctan2(x.imag, x.real)
-    # theta lies in [-pi, pi], so this equals np.mod(theta, 2 pi)
-    return np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+    """Transmit phases theta, shape (T, M), for targets d (T,): the angles
+    of transmit()'s x, mod 2 pi, so that reconstruct() returns d."""
+    return np.mod(np.angle(transmit(h, total_power, d)), 2.0 * np.pi)
 
 
 def _receive(h, x):
@@ -145,18 +144,7 @@ def _receive(h, x):
 
 def reconstruct(h: np.ndarray, total_power: float,
                 theta: np.ndarray) -> np.ndarray:
-    """Noise-free receive points sqrt(P/M) sum_i h_i exp(j theta_i), formed
-    _BLOCK rows at a time."""
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), h.shape)
-    out = np.empty(h.shape[0], dtype=complex)
-    buf = np.empty((min(_BLOCK, h.shape[0]), h.shape[1]), dtype=complex)
-    for lo in range(0, h.shape[0], _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        th = theta[rows]
-        phasor = buf[:len(th)]
-        np.cos(th, out=phasor.real)
-        np.sin(th, out=phasor.imag)
-        out[rows] = _receive(h[rows], phasor)
-    out *= np.sqrt(total_power / h.shape[1])
-    return out
+    """Noise-free receive points sqrt(P/M) sum_i h_i exp(j theta_i)."""
+    h = np.atleast_2d(h)
+    return (np.sqrt(total_power / h.shape[1])
+            * np.sum(h * np.exp(1j * np.asarray(theta)), axis=1))

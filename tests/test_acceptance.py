@@ -9,19 +9,22 @@ against closed forms by the two oracle tests.
 
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+import ceapsk
 from ceapsk.channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from ceapsk.optimizer import (_solve_n2, build_region_table,
                               build_suboptimal_table, solve_p2, solve_p21)
-from ceapsk.precoder import phases_for_targets, reconstruct
+from ceapsk.precoder import _receive, transmit
 from ceapsk.sim import (SimConfig, run_csit_sweep, run_fixed_rate_ser,
                         run_variable_rate, snr_at_bits, snr_at_ser)
 
@@ -373,7 +376,7 @@ def test_criterion_07_ratio_distribution():
 def test_criterion_08_precoder_reconstruction():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = envelope = 0.0
     targets_per_channel = 1000
     for m in (2, 3, 4, 8):
         h = sample_rayleigh(m, 1.0, 100 + m, trials=10 ** 4)
@@ -385,12 +388,16 @@ def test_criterion_08_precoder_reconstruction():
             big = np.repeat(outer, targets_per_channel)
             mod = r + (big - r) * rng.uniform(size=r.size)
             d = mod * np.exp(2j * np.pi * rng.uniform(size=r.size))
-            theta = phases_for_targets(hh, 1.0, d)
-            got = reconstruct(hh, 1.0, theta)
+            x = transmit(hh, 1.0, d)
+            # every |x_i| is sqrt(P/M), P = 1
+            envelope = max(envelope,
+                           float(np.max(np.abs(np.abs(x) * np.sqrt(m) - 1.0))))
+            got = _receive(hh, x)  # overwrites x
             worst = max(worst, float(np.max(np.abs(got - d) / big)))
     dt = time.perf_counter() - t0
-    report(8, worst < 1e-9 and dt < 60,
-           f"4e7 targets (M=2,3,4,8), max residual {worst:.2e} R, {dt:.1f}s")
+    report(8, worst < 1e-9 and envelope < 1e-12 and dt < 60,
+           f"4e7 targets (M=2,3,4,8), max residual {worst:.2e} R, "
+           f"envelope error {envelope:.1e}, {dt:.1f}s")
 
 
 def test_exact_ser_oracle_bpsk_craig():
@@ -529,10 +536,14 @@ def test_criterion_12_csit_sweep():
 
 def test_criterion_13_determinism(tmp_path):
     base = [sys.executable, "-m", "ceapsk.cli"]
+    # the CLI subprocesses import this package's src, as pytest does
+    src = str(Path(ceapsk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     args = ["ser", "--scheme", "adaptive-qam-psk", "--m", "2",
             "--snr", "20:24:2", "--trials", "2e5", "--threads", "1",
             "--out-dir", str(tmp_path / "a")]
-    subprocess.run(base + args, check=True, capture_output=True)
+    subprocess.run(base + args, check=True, capture_output=True, env=env)
     name = "ser_adaptive-qam-psk_m2"
     manifest = tmp_path / "a" / f"{name}.manifest.json"
     outs = {}
@@ -540,7 +551,7 @@ def test_criterion_13_determinism(tmp_path):
         subprocess.run(base + ["--config", str(manifest), "ser",
                                "--threads", threads,
                                "--out-dir", str(tmp_path / sub)],
-                       check=True, capture_output=True)
+                       check=True, capture_output=True, env=env)
         outs[sub] = (tmp_path / sub / f"{name}.csv").read_bytes()
     orig = (tmp_path / "a" / f"{name}.csv").read_bytes()
     ok = outs["b"] == orig and outs["c"] == orig

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceapsk.channel import annulus_arrays, sample_rayleigh
-from ceapsk.precoder import (_BLOCK, phases_for_targets, reconstruct,
-                             transmit)
+from ceapsk.precoder import (_BLOCK, _receive, phases_for_targets,
+                             reconstruct, transmit)
 
 
 def _one(h, power, d):
@@ -39,8 +39,9 @@ def test_m4_random_targets():
     R = np.repeat(outer, reps)
     mod = r + (R - r) * rng.uniform(size=r.size)
     d = mod * np.exp(2j * np.pi * rng.uniform(size=r.size))
-    theta = phases_for_targets(hh, 1.0, d)
-    got = reconstruct(hh, 1.0, theta)
+    x = transmit(hh, 1.0, d)
+    assert np.max(np.abs(np.abs(x) * np.sqrt(4) - 1.0)) < 1e-12
+    got = np.sum(hh * x, axis=1)
     assert np.max(np.abs(got - d) / R) < 1e-9
 
 
@@ -65,8 +66,9 @@ def test_rotation_consistency():
     _, outer = annulus_arrays(h, 1.0)
     d = 0.7 * outer[0] + 0j
     for phi in (0.0, 0.4, 1.9, np.pi):
-        theta = phases_for_targets(h, 1.0, np.array([d * np.exp(1j * phi)]))
-        got = reconstruct(h, 1.0, theta)[0]
+        x = transmit(h, 1.0, np.array([d * np.exp(1j * phi)]))
+        assert np.max(np.abs(np.abs(x) * np.sqrt(4) - 1.0)) < 1e-12
+        got = np.sum(h * x)
         assert abs(got - d * np.exp(1j * phi)) < 1e-9 * outer[0]
 
 
@@ -80,8 +82,9 @@ def test_phases_in_range():
 
 
 def test_phases_and_reconstruct_match_direct_forms():
-    # np.mod(np.angle(x), 2 pi) and the unblocked phasor sum, over more than
-    # two row blocks and with zero gains among the rows
+    # np.mod(np.angle(x), 2 pi), the phasor sum, and _receive against the
+    # plain sum of h_i x_i, over more than two row blocks and with zero
+    # gains among the rows
     rng = np.random.default_rng(8)
     t = 2 * _BLOCK + 5
     for m in (1, 2, 3, 8):
@@ -91,11 +94,14 @@ def test_phases_and_reconstruct_match_direct_forms():
         inner, outer = annulus_arrays(h, 1.0)
         d = ((inner + (outer - inner) * rng.uniform(size=t))
              * np.exp(2j * np.pi * rng.uniform(size=t)))
+        x = transmit(h, 2.0, d)
         theta = phases_for_targets(h, 2.0, d)
-        np.testing.assert_array_equal(
-            theta, np.mod(np.angle(transmit(h, 2.0, d)), 2 * np.pi))
+        np.testing.assert_array_equal(theta, np.mod(np.angle(x), 2 * np.pi))
         want = np.sqrt(2.0 / m) * np.sum(h * np.exp(1j * theta), axis=1)
         assert np.all(np.abs(reconstruct(h, 2.0, theta) - want)
+                      <= 1e-15 * np.sqrt(2.0) * outer)
+        want = np.sum(h * x, axis=1)
+        assert np.all(np.abs(_receive(h, x) - want)
                       <= 1e-15 * np.sqrt(2.0) * outer)
 
 
