@@ -9,10 +9,11 @@ intersection.  Everything is written on arrays so a million targets
 vectorize cleanly, and in real arithmetic: each step's phasor comes from
 the step's cosine and sine, never from an angle.
 
-transmit() is what the CSIT sweep runs, with _receive() forming its
-noise-free receive points.  phases_for_targets() and reconstruct() are the
-same map written as per-antenna phases, in direct form: no engine or CLI
-command calls them; they are the benchmark's phase-synthesis layer.
+transmit() is what the CSIT sweep runs: h_hat . x is its target, so it
+forms only the error term delta . x, with _receive().  phases_for_targets()
+and reconstruct() are the same map written as per-antenna phases, in direct
+form: no engine or CLI command calls them; they are the benchmark's
+phase-synthesis layer.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ def transmit(h: np.ndarray, total_power: float, d: np.ndarray) -> np.ndarray:
     """Constant-envelope transmit signal x, shape (T, M), for targets d (T,).
 
     Every |x_i| is sqrt(P/M), and sum_i h_i x_i reconstructs each row's
-    target, which is assumed feasible.  Antennas are taken in descending
-    gain order (ties in antenna order); all phasors are carried as real
-    cosine/sine pairs, with no trigonometric function, and rows are done in
-    blocks of _BLOCK so temporaries stay small.
+    target, which must lie in the annulus: the caller's screen checks it.
+    Antennas go in descending gain order (ties in antenna order); phasors
+    are real cosine/sine pairs, with no trigonometric function, and rows go
+    in blocks of _BLOCK so temporaries stay small.
     """
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     d = np.broadcast_to(np.asarray(d, dtype=complex), h.shape[:1])
@@ -133,8 +134,9 @@ def phases_for_targets(h: np.ndarray, total_power: float,
 
 
 def _receive(h, x):
-    """Noise-free receive points sum_i h_i x_i, added antenna by antenna.
-    The products are formed in x, which the caller must not need again."""
+    """sum_i g_i x_i for any gains g (the CSIT sweep passes its error
+    draw), added antenna by antenna.  The products are formed in x, which
+    the caller must not need again."""
     np.multiply(h, x, out=x)
     total = x[:, 0].copy()
     for col in x.T[1:]:

@@ -12,5 +12,7 @@ import numpy as np
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Return an independent Generator for the given (seed, ids) key."""
+    if not (seed == int(seed) and seed >= 0):
+        raise ValueError("seed must be a non-negative integer")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in ids))
     return np.random.Generator(np.random.Philox(ss))

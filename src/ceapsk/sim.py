@@ -14,17 +14,18 @@ into the annulus, switches to 16-PSK where 16-QAM does not fit, or sends it
 by equal-gain transmission.  check_scheme is the one scheme check.
 
 Channel draws, symbols and unit noise are P-independent, so each chunk
-replays the same realizations across the whole SNR grid.  With perfect CSIT
-the transmitter reaches any target in the annulus exactly, so the
-fixed-rate engine detects each target plus scaled noise and never runs the
-precoder; the CSIT sweep maps its symbols through the precoder once per
-training point, as transmit phases are invariant under a common power
-scaling.  Both SER engines share one front end, _ser_steps: its screen
-counts a zero-norm channel as an error at every point and passes on
-only the trials whose noise at one point, plus an engine's extra term, may
-leave the sent point's decision cell; the fixed-rate engine then counts
-the points at which each kept trial may err.  The fixed-rate union bound
-(union_bound_curve) is computed when SerCurve.union_bound is first read.
+replays the same realizations across the whole SNR grid.  Both SER engines
+detect w = s + e / R, as the transmitter puts the noise-free receive point
+on the target R s in the annulus.  With perfect CSIT e is scaled noise, so
+the fixed-rate engine never precodes; the CSIT sweep precodes for its
+estimate h_hat of h = h_hat + sd delta once per training point, and e adds
+sd delta . x.  Both share one front end, _ser_steps: its screen counts a
+zero-norm channel as an error at every point, checks the annulus, and
+passes on only the trials whose noise at one point, plus an engine's extra
+term, may leave the sent point's decision cell; the fixed-rate engine then
+counts the points at which each kept trial may err.  The fixed-rate union
+bound (union_bound_curve) is computed when SerCurve.union_bound is first
+read.
 
 Each engine draws a chunk in stream order, its last draw block by block
 (channel._complex_normal_blocks), and works through it in blocks of
@@ -275,30 +276,31 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
     transmitter designs for, u the labels, mz the noise moduli at one point.
     It returns the indices of the trials that may err there, the count of
     zero-norm trials (R = 0: nothing to design in, so an error at every
-    point), and for the kept trials u, s, lim, r, R and the state of their
+    point), and for the kept trials u, s, lim, R and the state of their
     detector(*state), which takes the receive points of any leading prefix
-    of them.
+    of them.  It raises RuntimeError if a kept target R s leaves the
+    annulus of g (egt-qam16, which precodes linearly, is exempt).
 
     Let R be g's outer radius at unit power, s the target over R (the symbol
     at unit outer radius, clipped into the annulus for fixed-qam16), center
     the label's own point (for fixed-qam16 the unclipped 16-QAM point) and
-    d_cell the MED of the trial's constellation.  In the fixed-rate engine
-    w - s is exactly the noise term c b, of modulus mz / R, as perfect CSIT
-    reaches R s exactly; the CSIT sweep's precoder hits R s to within 1e-9
-    R.  So each engine's receive point w over R obeys |w - s| <= 1e-9 +
-    (mz + extra) / R.  A trial is skipped unless mz + extra >= lim R, where
+    d_cell the MED of the trial's constellation.  Both engines detect w = s
+    + e / R with |e| <= mz + extra: the fixed-rate engine's e is the noise
+    term c b, the CSIT sweep's sd delta . x + c z.  A trial is skipped
+    unless mz + extra >= lim R, where
 
         lim = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
 
     A skipped pair has |w - center| < 0.45 d_cell < d_cell / 2, so the
-    exact ML detectors return the sent label.  The 0.05 d_cell margin dwarfs
-    float rounding, and on the N = 8 to 64 tables d_min_at overstates the
-    true MED by at most 1e-12 (relative).
+    exact ML detectors return the sent label, also through transmit, which
+    misses R s by at most 1e-9 R (the 1e-9 term; criterion 8).  The 0.05
+    d_cell margin dwarfs float rounding, and on the N = 8 to 64 tables
+    d_min_at overstates the true MED by at most 1e-12 (relative).
     """
     rings = _RingTables(table) if facts.table else None
 
     def screen(g, u, mz, extra=0.0):
-        r0, big_r0, ratio = _annulus(g)
+        _, big_r0, ratio = _annulus(g)
         if rings is not None:
             lim = _SAFE_RADIUS * table.d_min_at(ratio) - 1e-9
         elif facts.qam16 == "switch":
@@ -314,17 +316,22 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
                 s = clipped
         live = big_r0 > 0
         kept = np.flatnonzero(~(mz < lim * big_r0 - extra) & live)
-        u = u.take(kept)
+        zero = big_r0.size - np.count_nonzero(live)
+        u, lim, big_r0, ratio = (x.take(kept) for x in (u, lim, big_r0, ratio))
         if rings is not None:
-            idx, _, _, rho2 = table.params_at(ratio.take(kept))
+            idx, _, _, rho2 = table.params_at(ratio)
             s, state = rings.symbols(idx, rho2, u), (idx, rho2)
         elif facts.qam16 == "switch":
             feas = feas.take(kept)
             s, state = np.where(feas, _QAM16[u], _PSK16[u]), (feas,)
         else:
             s, state = s.take(kept), ()
-        return (kept, big_r0.size - np.count_nonzero(live), u, s,
-                *(x.take(kept) for x in (lim, r0, big_r0)), *state)
+        # both engines' w - s = e / R rests on R s lying in the annulus
+        mod = np.abs(s)
+        if facts.qam16 != "egt" and not np.all(
+                (mod <= 1 + 1e-9) & (mod >= ratio * (1 - 1e-9) - 1e-12)):
+            raise RuntimeError("target left the annulus")
+        return (kept, zero, u, s, lim, big_r0, *state)
 
     def detector(*state):
         if rings is not None:
@@ -346,16 +353,14 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     sqrt(p) R, c_k falls as the SNR rises, and a, the noise-free receive
     point over R, is s, the target over R, as perfect CSIT reaches any
     target in the annulus exactly (criterion 8 checks transmit to 1e-9 R).
-    So no trial is precoded; each block checks that its kept targets R s
-    lie in the annulus (egt-qam16 precodes linearly, so is exempt).
-    _ser_steps' screen (mz = c_0 |b| R, no extra) keeps only the trials
-    that may err at the first point; a kept trial may err at point k only
-    if c_k |b| R >= lim R, and c_k |b| falls with k, so each may err at a
-    leading run of points, and only those pairs reach the detector.  Each
-    chunk is screened in blocks of _BLOCK trials, its noise drawn block by
-    block, and its kept trials detected whole.  The averaged union bound of
-    the proposed schemes is the returned curve's union_bound, computed when
-    it is first read.
+    So no trial is precoded.  _ser_steps' screen (mz = c_0 |b| R, no extra)
+    keeps only the trials that may err at the first point; a kept trial may
+    err at point k only if c_k |b| R >= lim R, and c_k |b| falls with k, so
+    each may err at a leading run of points, and only those pairs reach the
+    detector.  Each chunk is screened in blocks of _BLOCK trials, its noise
+    drawn block by block, and its kept trials detected whole.  The averaged
+    union bound of the proposed schemes is the returned curve's union_bound,
+    computed when it is first read.
     """
     facts = check_scheme(cfg, "ser")
     sigma = math.sqrt(NOISE_POWER)
@@ -371,15 +376,9 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         for lo, zb in _complex_normal_blocks(rng, t):
             zb /= np.sqrt(2.0)
             mz = np.abs(zb)
-            kept, zero, ub, s, lim, r0, big_r0, *state = screen(
+            kept, zero, ub, s, lim, big_r0, *state = screen(
                 h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], cs[0] * mz)
             errors += zero
-            # the screen and w = s + c b rest on R s lying in the annulus
-            mod = big_r0 * np.abs(s)
-            if facts.qam16 != "egt" and not (
-                    np.all(mod <= big_r0 * (1 + 1e-9)) and
-                    np.all(mod >= r0 * (1 - 1e-9) - 1e-12 * big_r0)):
-                raise RuntimeError("target left the annulus")
             # kept[i] may err at the first unsafe[i] points
             mz, reach = mz.take(kept), lim * big_r0
             unsafe = np.ones(kept.size, dtype=np.min_scalar_type(len(cs)))
@@ -465,21 +464,20 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     with perfect CSIT (training SNR inf) as the last point.
 
     The transmitter designs everything (annulus, constellation choice,
-    phases, scale) from its channel estimate; the true channel produces the
-    received sample; the receiver detects against the transmitter-intended
-    scaled constellation.  A shared unit estimation-error draw couples the
-    sweep points, so the SER trend in training SNR is monotone up to
-    binomial noise.
+    phases, scale) from its channel estimate h_hat; the true channel h =
+    h_hat + sd delta, with delta a unit error draw, produces the received
+    sample; the receiver detects against the transmitter-intended scaled
+    constellation.  A shared delta couples the sweep points, so the SER
+    trend in training SNR is monotone up to binomial noise.
 
-    The precoder and the detector run only on the (trial, training point)
-    pairs that may err.  With delta the unit error draw, h = h_hat + sd
-    delta, and every |x_i| <= 1 / sqrt(M) (|q_u| / sqrt(M) for egt-qam16),
-    so the receive point over R is h_hat . x / R + (sd delta . x +
-    n / sqrt(p)) / R with |delta . x| <= |delta|_1 / sqrt(M).  So
-    _ser_steps' screen takes mz = |n| / sqrt(p) and extra = sd
-    |delta|_1 / sqrt(M), with no transmit signal formed; on a pair it drops,
-    |h|_1 <= 1.9 |h_hat|_1, so float rounding stays at ulp scale.  The
-    pairs left are precoded, and detected only if |w - s| >= lim.
+    With R the outer radius of h_hat at unit power and s the target over
+    R, x is unit-power with h_hat . x = R s: transmit(h_hat, 1, R s), or
+    exp(-j angle(h_hat)) s / sqrt(M) for egt-qam16.  So the receive point
+    over sqrt(p) R is w = s + e / R, with e = sd delta . x + c z and c =
+    sigma / sqrt(p).  Every |x_i| <= 1 / sqrt(M), so _ser_steps' screen
+    takes mz = c |z| and extra = sd |delta|_1 / sqrt(M) >= sd |delta . x|,
+    with no transmit signal formed.  Only the pairs it keeps are precoded,
+    and they are detected only if |w - s| >= lim.
     """
     facts = check_scheme(cfg, "csit")
     size, screen, detector = _ser_steps(facts, table)
@@ -487,34 +485,31 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     if not all(abs(s) <= MAX_SNR_DB for s in training):  # NaN fails too
         raise ValueError("training SNRs must be finite and lie in "
                          f"[-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]")
-    p = float(cfg.powers()[0])
-    sigma, sp = math.sqrt(NOISE_POWER), math.sqrt(p)
+    c = math.sqrt(NOISE_POWER) / math.sqrt(cfg.powers()[0])  # sigma / sqrt(p)
     axis = list(training) + [math.inf]
     # MMSE estimation: error variance beta / (1 + training SNR) per antenna
     err_sd = [math.sqrt(PATH_LOSS / (1.0 + 10.0 ** (s / 10.0))) for s in axis]
 
     def one_point(h, dh_unit, u, noise, spread, sd):
-        """Errors at one training point over one block of trials; spread is
-        (|dh_unit|_1 / sqrt(M), |noise| / sqrt(p)) per trial."""
+        """Errors at one training point over one block of trials; noise is
+        c z, and spread is (|dh_unit|_1 / sqrt(M), |c z|) per trial."""
         h_hat = h - sd * dh_unit
-        rows, errors, u, s, lim, _, big_r0, *state = screen(
+        rows, errors, u, s, lim, big_r0, *state = screen(
             h_hat, u, spread[1], sd * spread[0])
         # the full-block array is dropped as its kept rows are taken with
         # take, ~10x faster than fancy indexing on (8192, M) rows
         h_hat = h_hat.take(rows, 0)
         if facts.qam16 == "egt":
-            y = (np.sqrt(p / cfg.m)
-                 * np.sum(h.take(rows, 0) * np.exp(-1j * np.angle(h_hat)),
-                          axis=1)
-                 * s + noise.take(rows))
+            x = np.exp(-1j * np.angle(h_hat)) * (s / math.sqrt(cfg.m))[:, None]
         else:
             x = transmit(h_hat, 1.0, big_r0 * s)
-            y = sp * _receive(h.take(rows, 0), x) + noise.take(rows)
-        w = y / (sp * big_r0)
-        far = np.flatnonzero(np.abs(w - s) >= lim)
+        # w - s; delta's rows are gathered once transmit's temporaries are gone
+        dw = (sd * _receive(dh_unit.take(rows, 0), x)
+              + noise.take(rows)) / big_r0
+        far = np.flatnonzero(np.abs(dw) >= lim)
+        w = s.take(far) + dw.take(far)
         decide = detector(*(v.take(far) for v in state))
-        return errors + np.count_nonzero(decide(w.real[far], w.imag[far])
-                                         != u[far])
+        return errors + np.count_nonzero(decide(w.real, w.imag) != u.take(far))
 
     def one_chunk(chunk: int, t: int):
         rng = stream(cfg.seed, _STREAMS["csit"], chunk)
@@ -522,14 +517,13 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         u = rng.integers(0, size, size=t)
         noise = _complex_normal(rng, t)
         noise /= np.sqrt(2.0)
-        noise *= sigma
+        noise *= c
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
         for lo, db in _complex_normal_blocks(rng, (t, cfg.m)):
             db /= np.sqrt(2.0)
             hb, ub, nb = (x[lo:lo + _BLOCK] for x in (h, u, noise))
-            spread = (np.abs(db).sum(axis=1) / math.sqrt(cfg.m),
-                      np.abs(nb) / sp)
+            spread = np.abs(db).sum(axis=1) / math.sqrt(cfg.m), np.abs(nb)
             for k, sd in enumerate(err_sd):
                 errors[k] += one_point(hb, db, ub, nb, spread, sd)
         return (errors,)

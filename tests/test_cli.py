@@ -498,6 +498,19 @@ def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["ser", "--scheme", "fixed-qam16", "--snr", "20"],
+    ["rate", "--scheme", "variable-qam", "--snr", "20"],
+    ["cdf"]], ids=["ser", "rate", "cdf"])
+def test_negative_seed_exits_2(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(args + ["--trials", "1e3", "--seed", "-1",
+                        "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: seed must be a non-negative integer"]
+    assert not out.exists()
+
+
 # one run of each command; --threads 2 shows the replay keeps it too
 _RUNS = {
     "ser": ["ser", "--scheme", "proposed-suboptimal", "--snr", "20:22:2",

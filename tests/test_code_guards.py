@@ -252,9 +252,9 @@ def test_cli_writes_only_in_the_run_writer():
     assert len(inside) == 2  # the scan itself works
 
 
-def test_safe_radius_read_only_in_the_shared_screen():
-    # one skip rule: both SER engines reach _SAFE_RADIUS only through the
-    # screen that sim._ser_steps builds
+def _in_ser_steps(found) -> tuple[list[str], list[str]]:
+    """(inside, outside): the src nodes n with found(n), as file:line, split
+    by whether they lie in sim._ser_steps."""
     inside, outside = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -262,11 +262,28 @@ def test_safe_radius_read_only_in_the_shared_screen():
                  if isinstance(f, ast.FunctionDef) and f.name == "_ser_steps"
                  for n in ast.walk(f)}
         for n in ast.walk(tree):
-            if ((isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
-                 and isinstance(n.ctx, ast.Load))
-                    or (isinstance(n, ast.Attribute)
-                        and n.attr == "_SAFE_RADIUS")):
+            if found(n):
                 (inside if id(n) in steps else outside).append(
                     f"{path.name}:{n.lineno}")
+    return inside, outside
+
+
+def test_safe_radius_read_only_in_the_shared_screen():
+    # one skip rule: both SER engines reach _SAFE_RADIUS only through the
+    # screen that sim._ser_steps builds
+    inside, outside = _in_ser_steps(lambda n: (
+        (isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
+         and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == "_SAFE_RADIUS")))
     assert inside  # the scan itself works
+    assert not outside, outside
+
+
+def test_annulus_checked_only_in_the_shared_screen():
+    # one premise check: both SER engines detect w = s + e / R, which rests
+    # on R s lying in the annulus, and only the screen checks it
+    inside, outside = _in_ser_steps(lambda n: (
+        isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and "target left the annulus" in n.value))
+    assert len(inside) == 1  # the scan itself works
     assert not outside, outside

@@ -247,12 +247,22 @@ def test_scipy_loaded_only_where_needed(command):
                    "has_bound": has_bound}
 
 
-def test_debug_feasibility_checks(table16):
+def test_debug_feasibility_checks(table16, monkeypatch):
     cfg = SimConfig(m=2, snr_db=(20.0,), trials=5000,
                     scheme="proposed-optimal")
-    run_fixed_rate_ser(cfg, table16)  # the check inside must not fire
-    # under python -O the check still fires on targets outside the annulus:
-    # every symbol scaled by 2, so R s reaches 2 R on the outer ring
+    # the screen's annulus check must not fire on a normal run
+    run_fixed_rate_ser(cfg, table16)
+    run_csit_sweep(cfg, table16, (0.0,))
+    # with every symbol scaled by 2, R s reaches 2 R on the outer ring, and
+    # the check fires in both engines
+    symbols = _RingTables.symbols
+    monkeypatch.setattr(_RingTables, "symbols",
+                        lambda self, *a: 2.0 * symbols(self, *a))
+    with pytest.raises(RuntimeError, match="target left the annulus"):
+        run_fixed_rate_ser(cfg, table16)
+    with pytest.raises(RuntimeError, match="target left the annulus"):
+        run_csit_sweep(cfg, table16, (0.0,))
+    # and still under python -O
     script = textwrap.dedent("""
         import sys
         import ceapsk.sim as sim
@@ -263,13 +273,16 @@ def test_debug_feasibility_checks(table16):
         sim._RingTables.symbols = lambda self, *a: 2.0 * symbols(self, *a)
         cfg = sim.SimConfig(m=2, snr_db=(20.0,), trials=2000,
                             scheme="proposed-optimal")
-        try:
-            sim.run_fixed_rate_ser(cfg, build_region_table(16))
-        except RuntimeError as e:
-            if "target left the annulus" not in str(e):
-                sys.exit(f"another check fired: {e}")
-        else:
-            sys.exit("the annulus check did not fire")
+        table = build_region_table(16)
+        for run in (lambda: sim.run_fixed_rate_ser(cfg, table),
+                    lambda: sim.run_csit_sweep(cfg, table, (0.0,))):
+            try:
+                run()
+            except RuntimeError as e:
+                if "target left the annulus" not in str(e):
+                    sys.exit(f"another check fired: {e}")
+            else:
+                sys.exit("the annulus check did not fire")
     """)
     run = _fresh_python(script, flags=["-O"])
     assert run.returncode == 0, run.stderr
