@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 TABLE_ALGO_VERSION = 2  # labels the table JSON; nothing reads it back
-_SOLVE_ROWS = 4096  # ratios per _solve_grid call while a table is built
-MAX_N = 256  # largest N: a table build's time grows ~8x per doubling
+MAX_N = 256  # largest N: a table build's time grows ~6-8x per doubling
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +116,18 @@ def _solve_grid(n: int, ratios: np.ndarray):
     Returns (d_min, n2, rho2, tracking) arrays; `tracking` flags grid
     points where the optimum pins the inner ring to the annulus boundary
     (rho2 = r/R), which is what distinguishes formula-type regions.  Ties
-    in d_min go to the smaller inner-ring count.
+    in d_min go to the smaller inner-ring count: from N2 = 1 up, a count
+    replaces the running best only where its d_min is strictly larger.
     """
     ratios = np.asarray(ratios, dtype=float)
-    d_all, rho_all, track_all = (np.array(rows) for rows in zip(*(
-        _solve_n2(n, n2, ratios)
-        for n2 in range(1, n // 2 + 1))))
-    best = np.argmax(d_all, axis=0)  # first max -> smaller n2 on ties
-    cols = np.arange(ratios.size)
-    return (d_all[best, cols], best + 1, rho_all[best, cols],
-            track_all[best, cols])
+    d, rho2, track = _solve_n2(n, 1, ratios)
+    n2 = np.ones(ratios.shape, dtype=np.intp)
+    for k in range(2, n // 2 + 1):
+        d_k, rho_k, track_k = _solve_n2(n, k, ratios)
+        better = d_k > d
+        for best, new in ((d, d_k), (n2, k), (rho2, rho_k), (track, track_k)):
+            np.copyto(best, new, where=better)
+    return d, n2, rho2, track
 
 
 def _check_size(n: int) -> None:
@@ -325,9 +326,7 @@ def build_region_table(n: int) -> RegionTable:
     cand = np.sort(np.concatenate((cuts, np.ravel([c - half, c + half]))))
     cand = cand[(cand >= 0.0) & (cand <= 1.0) & (np.diff(cand, prepend=-1) > 0)]
     mids = 0.5 * (cand[:-1] + cand[1:])
-    d, n2, rho, track = (np.concatenate(parts) for parts in zip(*(
-        _solve_grid(n, mids[i:i + _SOLVE_ROWS])
-        for i in range(0, mids.size, _SOLVE_ROWS))))
+    d, n2, rho, track = _solve_grid(n, mids)
     first = np.flatnonzero(np.diff(2 * n2 + track, prepend=-1))  # new (n2, track)
     bounds = cand[np.append(first, mids.size)].tolist()  # as to_json writes
     regions = []

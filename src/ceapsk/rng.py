@@ -10,9 +10,14 @@ work chunk, so serial and multi-threaded runs reduce to identical results.
 import numpy as np
 
 
-def stream(seed: int, *ids: int) -> np.random.Generator:
-    """Return an independent Generator for the given (seed, ids) key."""
+def check_seed(seed: int) -> None:
+    """The one seed rule: a ValueError unless seed is a non-negative integer."""
     if not (seed == int(seed) and seed >= 0):
         raise ValueError("seed must be a non-negative integer")
+
+
+def stream(seed: int, *ids: int) -> np.random.Generator:
+    """Return an independent Generator for the given (seed, ids) key."""
+    check_seed(seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in ids))
     return np.random.Generator(np.random.Philox(ss))

@@ -52,7 +52,7 @@ from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
-from .rng import stream
+from .rng import check_seed, stream
 
 Scheme = namedtuple("Scheme", "command table csit qam16")
 SCHEMES = {
@@ -105,6 +105,7 @@ class SimConfig:
             raise ValueError("trials must lie in [1e3, 1e9]")
         if not (0.0 < self.target_ser < 1.0):
             raise ValueError("target_ser must lie in (0, 1)")
+        check_seed(self.seed)
         snrs = tuple(float(s) for s in self.snr_db)
         if not all(map(math.isfinite, snrs)):
             raise ValueError("snr_db must be finite")

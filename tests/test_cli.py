@@ -501,14 +501,20 @@ def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["ser", "--scheme", "fixed-qam16", "--snr", "20"],
     ["rate", "--scheme", "variable-qam", "--snr", "20"],
-    ["cdf"]], ids=["ser", "rate", "cdf"])
-def test_negative_seed_exits_2(args, tmp_path, capsys):
+    ["cdf"],
+    ["ser", "--scheme", "proposed-optimal", "--snr", "20"],
+    ["rate", "--scheme", "variable-apsk", "--snr", "20"]],
+    ids=["ser", "rate", "cdf", "ser-table", "rate-table"])
+def test_negative_seed_exits_2(args, tmp_path, capsys, monkeypatch):
+    # the seed is checked before any region table is built
+    built = []
+    monkeypatch.setattr(cli, "build_region_table", built.append)
     out = tmp_path / "out"
     assert main(args + ["--trials", "1e3", "--seed", "-1",
                         "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: seed must be a non-negative integer"]
-    assert not out.exists()
+    assert not out.exists() and built == []
 
 
 # one run of each command; --threads 2 shows the replay keeps it too

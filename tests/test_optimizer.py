@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ceapsk.optimizer as optimizer
 from ceapsk.channel import annulus_arrays, sample_rayleigh
 from ceapsk.constellation import med, modulus_ratio
 from ceapsk.optimizer import (_MAX_CELLS, DesignResult, _CellSearch,
@@ -209,9 +211,8 @@ def test_region_table_n2_single_region():
 
 
 def _solved_d_min(n, ratios):
-    """_solve_grid's d_min, 8192 ratios at a time."""
-    return np.concatenate([_solve_grid(n, ratios[i:i + 8192])[0]
-                           for i in range(0, ratios.size, 8192)])
+    """_solve_grid's d_min."""
+    return _solve_grid(n, ratios)[0]
 
 
 def test_region_table_consistency():
@@ -345,6 +346,42 @@ _TABLE_SHA256 = {
 def test_region_table_bytes_pinned(key):
     text = _table(*key).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_SHA256[key]
+
+
+def _stacked_solve_grid(n, ratios):
+    """Reference _solve_grid: every count's rows stacked, then the first
+    maximum (np.argmax), so a tie in d_min goes to the smaller count."""
+    ratios = np.asarray(ratios, dtype=float)
+    d_all, rho_all, track_all = (np.array(rows) for rows in zip(*(
+        _solve_n2(n, n2, ratios) for n2 in range(1, n // 2 + 1))))
+    best = np.argmax(d_all, axis=0)
+    cols = np.arange(ratios.size)
+    return (d_all[best, cols], best + 1, rho_all[best, cols],
+            track_all[best, cols])
+
+
+@pytest.mark.filterwarnings("ignore:N=.*power of two")
+def test_region_table_tie_rule_matches_stacked_argmax(monkeypatch):
+    # N=6 and N=20 have counts whose d_min tie to the ulp (their one-ulp
+    # regions), so a tie rule other than the first maximum moves them
+    sizes = range(2, 65, 2)
+    got = [build_region_table(n).to_json() for n in sizes]
+    monkeypatch.setattr(optimizer, "_solve_grid", _stacked_solve_grid)
+    want = [build_region_table(n).to_json() for n in sizes]
+    assert [n for n, a, b in zip(sizes, got, want) if a != b] == []
+
+
+def test_region_table_build_memory_is_bounded():
+    # N=256 solves about 56,000 midpoints over 128 counts: the running best
+    # holds one count's rows at a time (about 6 MiB), where stacking every
+    # count's rows would take about 20 MiB
+    tracemalloc.start()
+    try:
+        build_region_table(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 @pytest.mark.parametrize("n,suboptimal", _TABLES)
