@@ -309,6 +309,8 @@ def build_region_table(n: int) -> RegionTable:
     count, gives each piece's (N2*, rho2 rule); a region starts where that
     pair changes and takes its constants from its first piece.  Regions
     where rho2 tracks r/R carry the formula d_min rule, the rest a constant.
+    A region under 1e-12 wide, where two designs tie to the ulp, is dropped:
+    the region before it runs on (the one after it, from q = 0).
     """
     _check_size(n)
     c12s = [math.cos(solve_p21(n, n2)) for n2 in range(1, n // 2 + 1)]
@@ -328,7 +330,9 @@ def build_region_table(n: int) -> RegionTable:
     mids = 0.5 * (cand[:-1] + cand[1:])
     d, n2, rho, track = _solve_grid(n, mids)
     first = np.flatnonzero(np.diff(2 * n2 + track, prepend=-1))  # new (n2, track)
-    bounds = cand[np.append(first, mids.size)].tolist()  # as to_json writes
+    # a float tie between two designs can start a sliver region: drop it
+    first = first[np.diff(cand[np.append(first, mids.size)]) >= 1e-12]
+    bounds = [0.0, *cand[np.append(first[1:], mids.size)].tolist()]
     regions = []
     for lo_j, hi_j, n2_j, tracking, d_j, rho_j in zip(
             bounds, bounds[1:], n2[first].tolist(), track[first].tolist(),

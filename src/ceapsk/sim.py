@@ -1,11 +1,11 @@
 """Monte Carlo engines: fixed-rate SER, CSIT sensitivity, variable rate.
 
-Trials are processed in chunks of CHUNK_SIZE, each with its own
-counter-based random stream keyed by (seed, engine, chunk): common random
-numbers across an engine's schemes make inter-scheme SNR gaps far less
-noisy.  Chunk results are plain counter sums reduced in chunk order, so the
-curves are bit-identical for any worker count.  One data symbol is sent per
-channel realization.
+Trials are processed in chunks of CHUNK_SIZE.  _reduce_chunks alone forms
+each chunk's counter-based random stream, keyed by (seed, engine, chunk),
+and adds the chunks' sums in chunk order, so the curves are bit-identical
+for any worker count; the engines never see a chunk index.  An engine's
+schemes share its streams: common random numbers make inter-scheme SNR
+gaps far less noisy.  One data symbol is sent per channel realization.
 
 SCHEMES holds every per-scheme fact, as data: its CLI command, its region
 table (TABLE_SIZE points, one per size in SIZES, or none), whether the CSIT
@@ -263,11 +263,11 @@ def _psk_decide(wr, wi) -> np.ndarray:
 
 
 def _annulus(h):
-    """(r, R, r/R) at unit power.  A zero-norm channel (R = 0) reaches only
-    the origin; its R is returned as 0 and its ratio as 0, with no 0/0."""
+    """(R, r/R) at unit power.  A zero-norm channel (R = 0) reaches only the
+    origin; its R is returned as 0 and its ratio as 0, with no 0/0."""
     r0, big_r0 = annulus_arrays(h, 1.0)
     live = big_r0 > 0
-    return r0, big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
+    return big_r0, np.where(live, r0 / np.where(live, big_r0, 1.0), 0.0)
 
 
 def _ser_steps(facts: Scheme, table: RegionTable | None):
@@ -301,7 +301,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
     rings = _RingTables(table) if facts.table else None
 
     def screen(g, u, mz, extra=0.0):
-        _, big_r0, ratio = _annulus(g)
+        big_r0, ratio = _annulus(g)
         if rings is not None:
             lim = _SAFE_RADIUS * table.d_min_at(ratio) - 1e-9
         elif facts.qam16 == "switch":
@@ -368,8 +368,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     cs = [sigma / math.sqrt(p) for p in cfg.powers()]
     size, screen, detector = _ser_steps(facts, table)
 
-    def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, _STREAMS["ser"], chunk)
+    def one_chunk(rng, t: int):
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, size, size=t)
         errors = np.zeros(len(cs), dtype=np.int64)
@@ -404,7 +403,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
                 decide(ar[:n] + c * br[:n], ai[:n] + c * bi[:n]) != sent[:n])
         return (errors,)
 
-    errors, = _reduce_chunks(cfg, one_chunk)
+    errors, = _reduce_chunks(cfg, "ser", one_chunk)
     return SerCurve(snr_db=np.asarray(cfg.snr_db, dtype=float), errors=errors,
                     trials=np.full(len(cs), cfg.trials, dtype=np.int64),
                     bound_args=None if facts.table is None else (cfg, table))
@@ -414,45 +413,49 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
     """Averaged union bound min(1, (N-1) Q(R d_min / (sigma sqrt 2))) per SNR
     point of run_fixed_rate_ser(cfg, table), for a proposed scheme.
 
-    The channel is the first draw of each chunk's stream, so only it is
-    redrawn, a row block at a time; the bound is taken on one (SNR point,
-    trial) array per block and summed chunk by chunk, in a fixed order, so
-    the values do not depend on cfg.threads.
+    It redraws only the channels, the fixed-rate engine's first draw, by
+    _channel_sums on that engine's streams ("ser"), and takes the bound on
+    one (SNR point, trial) array per block.
     """
     if check_scheme(cfg, "ser").table is None:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
     _check_two_ring_table(table)
     sps = np.sqrt(cfg.powers())
-
-    def one_chunk(chunk: int, t: int):
-        bound = np.zeros(len(sps))
-        for _, h in _complex_normal_blocks(
-                stream(cfg.seed, _STREAMS["ser"], chunk), (t, cfg.m)):
-            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
-            _, big_r0, ratio = _annulus(h)
-            bound += ser_union_bound(table.size, table.d_min_at(ratio),
-                                     np.multiply.outer(sps, big_r0),
-                                     NOISE_POWER).sum(axis=1)
-        return (bound,)
-
-    bound, = _reduce_chunks(cfg, one_chunk)
+    bound, = _channel_sums(cfg, "ser", lambda big_r0, ratio: (ser_union_bound(
+        table.size, table.d_min_at(ratio), np.multiply.outer(sps, big_r0),
+        NOISE_POWER).sum(axis=1),))
     return bound / cfg.trials
 
 
-def _reduce_chunks(cfg: SimConfig, one_chunk):
+def _reduce_chunks(cfg: SimConfig, engine: str, one_chunk):
     """Element-wise sums, added in chunk order, of the tuples of arrays that
-    one_chunk(chunk, trials) returns for the chunks of cfg.trials, on at
-    most one worker thread per chunk."""
-    size = CHUNK_SIZE
-    bounds = [(c, min(size, cfg.trials - c * size))
-              for c in range((cfg.trials + size - 1) // size)]
-    workers = min(cfg.threads, len(bounds))
+    one_chunk(rng, trials) returns for the chunks of cfg.trials.  Here alone
+    a chunk's stream is formed, keyed by (cfg.seed, _STREAMS[engine], chunk)
+    in the worker that runs the chunk, at most one worker per chunk."""
+    def run(c: int):
+        return one_chunk(stream(cfg.seed, _STREAMS[engine], c),
+                         min(CHUNK_SIZE, cfg.trials - c * CHUNK_SIZE))
+    chunks = range((cfg.trials + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    workers = min(cfg.threads, len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda ct: one_chunk(*ct), bounds))
+            results = list(ex.map(run, chunks))
     else:
-        results = [one_chunk(*ct) for ct in bounds]
+        results = list(map(run, chunks))
     return [sum(parts, np.zeros_like(parts[0])) for parts in zip(*results)]
+
+
+def _channel_sums(cfg: SimConfig, engine: str, per_block):
+    """_reduce_chunks' sums of per_block(R, r/R) (_annulus) over blocks of
+    _BLOCK channels: the first draw of each chunk's stream, drawn block by
+    block with the bits of _draw_channel.  Block sums add in block order."""
+    def one_chunk(rng, t: int):
+        blocks = []
+        for _, h in _complex_normal_blocks(rng, (t, cfg.m)):
+            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
+            blocks.append(per_block(*_annulus(h)))
+        return tuple(sum(parts) for parts in zip(*blocks))
+    return _reduce_chunks(cfg, engine, one_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +515,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         decide = detector(*(v.take(far) for v in state))
         return errors + np.count_nonzero(decide(w.real, w.imag) != u.take(far))
 
-    def one_chunk(chunk: int, t: int):
-        rng = stream(cfg.seed, _STREAMS["csit"], chunk)
+    def one_chunk(rng, t: int):
         h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
         u = rng.integers(0, size, size=t)
         noise = _complex_normal(rng, t)
@@ -529,7 +531,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
                 errors[k] += one_point(hb, db, ub, nb, spread, sd)
         return (errors,)
 
-    errors, = _reduce_chunks(cfg, one_chunk)
+    errors, = _reduce_chunks(cfg, "csit", one_chunk)
     return SerCurve(snr_db=np.asarray(axis, dtype=float), errors=errors,
                     trials=np.full(len(err_sd), cfg.trials, dtype=np.int64))
 
@@ -598,10 +600,10 @@ def run_variable_rate(cfg: SimConfig,
     monotone in SNR, so one pass finds, for every trial and size, the
     number of SNR points at which that size or a larger one is feasible; a
     histogram of those counts gives every point's bit and no-tx counts.
-    Each chunk draws its channels _BLOCK trials at a time, its stream's
-    only draw, and runs the annulus, the MED lookups and the counts on each
-    block, whose temporaries stay in cache.  The bit steps of SIZES are
-    integers, so the block sums are exact.
+    The channel is the only draw (_channel_sums on engine "rate"); each
+    block runs the MED lookups and the counts, and its temporaries stay in
+    cache.  The bit steps of SIZES are integers, so the block sums are
+    exact.
     """
     per_size = check_scheme(cfg, "rate").table
     if per_size and (tables is None or any(n not in tables for n in SIZES)):
@@ -617,22 +619,16 @@ def run_variable_rate(cfg: SimConfig,
     if not per_size:
         feas_ratio, qam_dmin = np.array([_qam_limits(int(n)) for n in sizes]).T
 
-    def one_chunk(chunk: int, t: int):
-        blocks = []
-        for _, h in _complex_normal_blocks(
-                stream(cfg.seed, _STREAMS["rate"], chunk), (t, cfg.m)):
-            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
-            _, big_r0, ratio = _annulus(h)
-            # per-trial R*d_min for each size in turn (0 = infeasible)
-            if per_size:
-                xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
-            else:
-                xs = (np.where(ratio <= fr, big_r0 * d, 0.0)
-                      for fr, d in zip(feas_ratio, qam_dmin))
-            blocks.append(_rate_counts(xs, searches, step))
-        return tuple(sum(parts) for parts in zip(*blocks))
+    def per_block(big_r0, ratio):
+        # per-trial R*d_min for each size in turn (0 = infeasible)
+        if per_size:
+            xs = (big_r0 * tables[int(n)].d_min_at(ratio) for n in sizes)
+        else:
+            xs = (np.where(ratio <= fr, big_r0 * d, 0.0)
+                  for fr, d in zip(feas_ratio, qam_dmin))
+        return _rate_counts(xs, searches, step)
 
-    no_tx, bit_sum = _reduce_chunks(cfg, one_chunk)
+    no_tx, bit_sum = _channel_sums(cfg, "rate", per_block)
     return RateCurve(snr_db=np.asarray(cfg.snr_db, dtype=float),
                      avg_bits=bit_sum / cfg.trials,
                      no_tx_fraction=no_tx / cfg.trials,

@@ -103,7 +103,7 @@ def test_flags_argparse_rejects_get_one_line(args, monkeypatch, tmp_path,
     assert not any(tmp_path.iterdir())  # not even the default out dir
 
 
-def _no_engine_run(cfg, one_chunk):
+def _no_engine_run(cfg, engine, one_chunk):
     raise AssertionError("an engine ran")
 
 

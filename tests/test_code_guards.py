@@ -82,35 +82,6 @@ def test_scheme_names_only_in_the_scheme_table():
     assert not found, found
 
 
-def _import_time_imports(tree: ast.Module):
-    """(module, line) of every import that runs when the module is
-    imported: all of them outside function bodies."""
-    todo = list(tree.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            yield from ((alias.name, node.lineno) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module, node.lineno
-        todo.extend(ast.iter_child_nodes(node))
-
-
-def test_scipy_imported_only_inside_functions():
-    # scipy.special is most of the package's import time, and only the
-    # union bound needs it
-    found = {path.name: list(_import_time_imports(ast.parse(path.read_text())))
-             for path in sorted(SRC.glob("*.py"))}
-    # the scan itself works
-    assert "numpy" in {module for module, _ in found["constellation.py"]}
-    at_import = [f"{name}:{line} {module}" for name, imports in found.items()
-                 for module, line in imports
-                 if module.split(".")[0] == "scipy"]
-    assert not at_import, at_import
-
-
 def _docstring_lines(tree: ast.Module) -> set[int]:
     """The lines of every module, class and function docstring."""
     lines = set()
@@ -252,18 +223,18 @@ def test_cli_writes_only_in_the_run_writer():
     assert len(inside) == 2  # the scan itself works
 
 
-def _in_ser_steps(found) -> tuple[list[str], list[str]]:
-    """(inside, outside): the src nodes n with found(n), as file:line, split
-    by whether they lie in sim._ser_steps."""
+def _in_function(func, found, files="*.py") -> tuple[list[str], list[str]]:
+    """(inside, outside): the nodes n with found(n) in the src files matching
+    `files`, as file:line, split by whether they lie in a function `func`."""
     inside, outside = [], []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob(files)):
         tree = ast.parse(path.read_text())
-        steps = {id(n) for f in ast.walk(tree)
-                 if isinstance(f, ast.FunctionDef) and f.name == "_ser_steps"
-                 for n in ast.walk(f)}
+        body = {id(n) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == func
+                for n in ast.walk(f)}
         for n in ast.walk(tree):
             if found(n):
-                (inside if id(n) in steps else outside).append(
+                (inside if id(n) in body else outside).append(
                     f"{path.name}:{n.lineno}")
     return inside, outside
 
@@ -271,7 +242,7 @@ def _in_ser_steps(found) -> tuple[list[str], list[str]]:
 def test_safe_radius_read_only_in_the_shared_screen():
     # one skip rule: both SER engines reach _SAFE_RADIUS only through the
     # screen that sim._ser_steps builds
-    inside, outside = _in_ser_steps(lambda n: (
+    inside, outside = _in_function("_ser_steps", lambda n: (
         (isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
          and isinstance(n.ctx, ast.Load))
         or (isinstance(n, ast.Attribute) and n.attr == "_SAFE_RADIUS")))
@@ -282,8 +253,30 @@ def test_safe_radius_read_only_in_the_shared_screen():
 def test_annulus_checked_only_in_the_shared_screen():
     # one premise check: both SER engines detect w = s + e / R, which rests
     # on R s lying in the annulus, and only the screen checks it
-    inside, outside = _in_ser_steps(lambda n: (
+    inside, outside = _in_function("_ser_steps", lambda n: (
         isinstance(n, ast.Constant) and isinstance(n.value, str)
         and "target left the annulus" in n.value))
+    assert len(inside) == 1  # the scan itself works
+    assert not outside, outside
+
+
+def test_streams_formed_only_in_the_chunk_reduce():
+    # one determinism rule: sim._reduce_chunks alone forms a chunk's stream,
+    # so no engine sees a chunk index or a stream key
+    inside, outside = _in_function("_reduce_chunks", lambda n: (
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "stream"),
+        "sim.py")
+    assert len(inside) == 1  # the scan itself works
+    assert not outside, outside
+
+
+def test_channel_blocks_scaled_only_in_the_shared_pass():
+    # one channel-only pass: sim._channel_sums alone scales a drawn block by
+    # the path loss, as channel._draw_channel does, for the union bound and
+    # the variable-rate engine alike
+    inside, outside = _in_function("_channel_sums", lambda n: (
+        isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
+        and any(getattr(x, "id", None) == "PATH_LOSS"
+                for x in ast.walk(n.value))), "sim.py")
     assert len(inside) == 1  # the scan itself works
     assert not outside, outside

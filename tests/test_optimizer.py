@@ -150,8 +150,8 @@ _SIZES = (2, 4, 8, 16, 32, 64)
 
 @functools.lru_cache(maxsize=None)
 def _table(n, suboptimal=False):
-    table = build_region_table(n)
-    return build_suboptimal_table(table) if suboptimal else table
+    return (build_suboptimal_table(_table(n)) if suboptimal
+            else build_region_table(n))
 
 
 def test_solve_p2_output_feasible():
@@ -215,10 +215,12 @@ def _solved_d_min(n, ratios):
     return _solve_grid(n, ratios)[0]
 
 
+@pytest.mark.filterwarnings("ignore:N=.*power of two")
 def test_region_table_consistency():
     # every boundary is exact, so the table's MED matches the solver on a
-    # 5e-6 sweep and 2e-6 either side of every region start, up to N=256
-    for n in (*_SIZES, 128, 256):
+    # 5e-6 sweep and 2e-6 either side of every region start, up to N=256;
+    # N=6 and N=20 are the sizes whose float ties made sliver regions
+    for n in (*_SIZES, 6, 20, 128, 256):
         table = _table(n)
         lo = np.array([reg.lo for reg in table.regions])
         ratios = np.clip(np.concatenate([np.arange(200_001) * 5e-6,
@@ -362,13 +364,25 @@ def _stacked_solve_grid(n, ratios):
 
 @pytest.mark.filterwarnings("ignore:N=.*power of two")
 def test_region_table_tie_rule_matches_stacked_argmax(monkeypatch):
-    # N=6 and N=20 have counts whose d_min tie to the ulp (their one-ulp
-    # regions), so a tie rule other than the first maximum moves them
+    # N=6 and N=20 have counts whose d_min tie to the ulp; with their
+    # sliver regions dropped, a tie rule other than the first maximum still
+    # moves N=20's table
     sizes = range(2, 65, 2)
     got = [build_region_table(n).to_json() for n in sizes]
     monkeypatch.setattr(optimizer, "_solve_grid", _stacked_solve_grid)
     want = [build_region_table(n).to_json() for n in sizes]
     assert [n for n, a, b in zip(sizes, got, want) if a != b] == []
+
+
+@pytest.mark.filterwarnings("ignore:N=.*power of two")
+def test_region_tables_have_no_sliver_regions():
+    # a float tie between two designs (N=6 at q = 0, N=20 at q = 0.618) once
+    # made a region one ulp wide; the narrowest real region is 3.0e-9 (N=254)
+    narrow = [(n, reg.lo) for n in range(2, 257, 2)
+              for table in (_table(n), _table(n, True))
+              for reg in table.regions if reg.hi - reg.lo < 1e-12]
+    assert narrow == []
+    assert [reg.n2 for reg in _table(6).regions] == [3]
 
 
 def test_region_table_build_memory_is_bounded():

@@ -695,11 +695,24 @@ def test_pool_has_at_most_one_worker_per_chunk(threads, chunks, workers,
     monkeypatch.setattr(_InlinePool, "opened", [])
     set_chunk(2_000)  # the last chunk holds 1,500 trials
     cfg = SimConfig(m=2, snr_db=(10.0,), trials=2_000 * chunks - 500,
-                    scheme="proposed-optimal", threads=threads)
-    sums = sim._reduce_chunks(cfg, lambda c, t: (np.array([1, c, t]),))
+                    scheme="proposed-optimal", threads=threads, seed=7)
+    events, make = [], sim.stream
+
+    def stream(*key):
+        events.append("stream")
+        return make(*key)
+
+    def one_chunk(rng, t):
+        events.append("chunk")
+        ss = rng.bit_generator.seed_seq  # keyed (seed, engine key, chunk)
+        return (np.array([1, ss.entropy, *ss.spawn_key, t]),)
+    monkeypatch.setattr(sim, "stream", stream)
+    sums = sim._reduce_chunks(cfg, "rate", one_chunk)
     assert _InlinePool.opened == workers
-    assert sums[0].tolist() == [chunks, chunks * (chunks - 1) // 2,
-                                cfg.trials]
+    assert sums[0].tolist() == [chunks, 7 * chunks, 2 * chunks,
+                                chunks * (chunks - 1) // 2, cfg.trials]
+    # each stream is formed in the worker that runs its chunk, not up front
+    assert events == ["stream", "chunk"] * chunks
 
 
 def test_config_bounds_threads_and_trials():
@@ -742,7 +755,7 @@ def test_cli_bounds_threads_and_trials(command, flags, monkeypatch, tmp_path,
                                        capsys):
     # refused before any chunk runs: were a bound gone, no real thread
     # would start and the engine would fail the run rather than run it
-    def no_engine_run(cfg, one_chunk):
+    def no_engine_run(cfg, engine, one_chunk):
         raise AssertionError("an engine ran")
     monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "opened", [])
@@ -1088,7 +1101,7 @@ def _detect_every_pair(cfg, table):
         h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
         u = rng.integers(0, size, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
-        _, big_r0, ratio = sim._annulus(h)
+        big_r0, ratio = sim._annulus(h)
         if rings is not None:
             idx, _, _, rho2 = table.params_at(ratio)
             s, decide = rings.symbols(idx, rho2, u), rings.detector(idx, rho2)
@@ -1238,7 +1251,7 @@ def _csit_every_pair(cfg, table, training_snr_db):
         noise = math.sqrt(sim.NOISE_POWER) * z
         for k, sd in enumerate(err_sd):
             h_hat = h - sd * dh
-            _, big_r0, ratio = sim._annulus(h_hat)
+            big_r0, ratio = sim._annulus(h_hat)
             if rings is None:
                 y = (np.sqrt(p / cfg.m)
                      * np.sum(h * np.exp(-1j * np.angle(h_hat)), axis=1)
