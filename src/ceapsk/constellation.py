@@ -3,11 +3,12 @@
 Constellations are normalized so the largest point modulus is 1; a set fits
 an annulus with radius ratio q iff its min/max modulus ratio is >= q.
 
-The complementary error function and its inverse are ports of the Cephes
-`ndtr` `erfc` and `ndtri` (S. L. Moshier, *Methods and Programs for
-Mathematical Functions*, 1989; BSD-licensed as distributed with SciPy).
-The inverse gives `scipy.special.erfcinv`'s value bit for bit; `erfc` gives
-`scipy.special.erfc`'s to a few ulps, as numpy's `exp` may differ by one.
+The complementary error function is a port of the Cephes `ndtr` `erfc`
+(S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989;
+BSD-licensed as distributed with SciPy).  It gives `scipy.special.erfc`'s
+value to a few ulps, as numpy's `exp` may differ by one.  The rate
+thresholds invert the bound with the standard library's normal quantile,
+`statistics.NormalDist().inv_cdf` (Wichura, Algorithm AS 241, 1988).
 """
 
 from __future__ import annotations
@@ -84,50 +85,20 @@ def ser_union_bound(n: int, d_min, outer_radius, noise_power):
 
 def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> float:
     """Least R d_min whose raw union bound (N-1) Q(R d_min / (sigma sqrt 2))
-    meets target_ser; 0 when target_ser / (N-1) >= 1/2.
+    meets target_ser; 0 when target_ser / (N-1) >= 1/2, and inf when it
+    underflows to 0, which no R d_min meets.
 
     Rate selection deems size N feasible iff R d_min is positive and at
     least this threshold.
     """
+    from statistics import NormalDist  # about 3 ms: only rate runs pay it
+
     tail = target_ser / (n - 1)
     if tail >= 0.5:
         return 0.0
-    return math.sqrt(2.0 * noise_power) * math.sqrt(2.0) * _erfcinv(2.0 * tail)
-
-
-# Cephes ndtri.c coefficients, highest power first. Each Q's leading 1 is
-# written out: Horner's first step is then 1 * z + c, which is exactly p1evl's
-# z + c.
-_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-# y in (exp(-2), 1 - exp(-2)]: rational in y - 1/2
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-       -5.66762857469070293439E1, 1.39312609387279679503E1,
-       -1.23916583867381258016E0)
-_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
-       8.63602421390890590575E1, -2.25462687854119370527E2,
-       2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-# x = sqrt(-2 log y) in [2, 8), y down to exp(-32): rational in 1/x
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-       5.71628192246421288162E1, 4.40805073893200834700E1,
-       1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-       -8.57456785154685413611E-4)
-_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
-       4.13172038254672030440E1, 1.50425385692907503408E1,
-       2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# x >= 8
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-       3.93881025292474443415E0, 1.33303460815807542389E0,
-       2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6,
-       6.23974539184983293730E-9)
-_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
-       1.37702099489081330271E0, 2.16236993594496635890E-1,
-       1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+    if tail == 0.0:
+        return math.inf
+    return math.sqrt(2.0 * noise_power) * -NormalDist().inv_cdf(tail)
 
 
 def _polevl(x, coef):
@@ -139,41 +110,6 @@ def _polevl(x, coef):
         ans *= x
         ans += c
     return ans
-
-
-def _ndtri(y0: float) -> float:
-    """Cephes ndtri: the x with Phi(x) = y0, the standard normal quantile."""
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if y0 < 0.0 or y0 > 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
-    x = x0 - x1
-    return -x if negate else x
-
-
-def _erfcinv(y: float) -> float:
-    """Inverse complementary error function on [0, 2], as Cephes computes
-    it (and so scipy.special.erfcinv): -ndtri(y / 2) / sqrt(2)."""
-    return -_ndtri(0.5 * y) * math.sqrt(0.5)
 
 
 # Cephes ndtr.c erfc coefficients, highest power first, leading 1s written out

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -387,6 +388,17 @@ def test_rate_run(tmp_path):
     lines = (tmp_path / "rate_variable-qam_m2.csv").read_text().strip().splitlines()
     assert lines[0] == "snr_db,avg_bits,no_tx_fraction"
     assert len(lines) == 4
+
+
+def test_rate_run_with_an_underflowed_tail(tmp_path):
+    # 5e-324 / (N - 1) rounds to 0.0 for every N >= 3: those sizes are
+    # never feasible, only BPSK can be chosen, and the run still succeeds
+    assert main(["rate", "--scheme", "variable-apsk", "--m", "2",
+                 "--trials", "1e4", "--pe", "5e-324",
+                 "--out-dir", str(tmp_path)]) == 0
+    csv = (tmp_path / "rate_variable-apsk_m2.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "90f6272398558f1ce23af85680b6183ea3e8e2eb88b27fdc1010a2314ebeadff")
 
 
 def test_config_without_path(capsys):

@@ -7,11 +7,11 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceapsk.constellation import (_EXP_M2, _MAXLOG, _erfc, _erfcinv, med,
-                                  modulus_ratio, qam_family, qfunc,
-                                  ser_union_bound, union_bound_threshold)
+from ceapsk.constellation import (_MAXLOG, _erfc, med, modulus_ratio,
+                                  qam_family, qfunc, ser_union_bound,
+                                  union_bound_threshold)
 from ceapsk.optimizer import RegionTable, build_region_table
-from ceapsk.sim import NOISE_POWER, _RingTables
+from ceapsk.sim import NOISE_POWER, SIZES, _RingTables
 
 
 def _rings(*rings):
@@ -168,72 +168,25 @@ def test_qfunc():
     assert qfunc(3.0) == pytest.approx(1.3499e-3, rel=1e-3)
 
 
-
-# _erfcinv is a port of Cephes ndtri, which is what scipy.special.erfcinv
-# computes: the two must agree bit for bit, signed zeros and infinities too
-
-
-def _assert_erfcinv_bits(ys):
-    ys = np.asarray(ys, dtype=float)
-    got = np.array([_erfcinv(float(y)) for y in ys])
-    want = scipy.special.erfcinv(ys)
-    bad = got.view(np.int64) != want.view(np.int64)
-    assert not bad.any(), list(zip(ys[bad][:5], got[bad][:5], want[bad][:5]))
-
-
-def _ulps_around(x, k=8):
-    """x and the k floats on each side of it."""
-    out = [x]
-    lo = hi = x
-    for _ in range(k):
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-        out += [lo, hi]
-    return out
-
-
-def test_erfcinv_matches_scipy_on_every_branch():
-    rng = np.random.default_rng(0)
-    # erfcinv(y) = -ndtri(y / 2) / sqrt(2); ndtri's central branch holds
-    # y / 2 in (exp(-2), 1 - exp(-2)], the 1/x rationals the tails on either
-    # side, split at x = sqrt(-2 log(y / 2)) = 8, i.e. y / 2 = exp(-32)
-    _assert_erfcinv_bits(np.concatenate([
-        np.linspace(0.0, 2.0, 20_001),
-        2.0 * 10.0 ** rng.uniform(-300.0, 0.0, 10_000),
-        2.0 - 10.0 ** rng.uniform(-16.0, 0.0, 5_000),
-        2.0 * math.exp(-32.0) * (1.0 + np.linspace(-1e-3, 1e-3, 2_001))]))
-
-
-@pytest.mark.parametrize("edge", [2.0 * _EXP_M2, 2.0 * math.exp(-2.0),
-                                  2.0 * (1.0 - _EXP_M2),
-                                  2.0 * (1.0 - math.exp(-2.0)),
-                                  2.0 * math.exp(-32.0)])
-def test_erfcinv_matches_scipy_at_branch_edges(edge):
-    _assert_erfcinv_bits(_ulps_around(edge))
-
-
-def test_erfcinv_matches_scipy_at_the_ends():
-    # the subnormals, both poles and the zero, whose sign scipy gives as -0.0
-    _assert_erfcinv_bits([0.0, 5e-324, 1e-320, 1.0, 2.0])
-    assert math.copysign(1.0, _erfcinv(1.0)) == -1.0
-    assert _erfcinv(0.0) == math.inf and _erfcinv(2.0) == -math.inf
-
-
 def test_union_bound_threshold_matches_scipy_formula():
-    # every erfcinv argument that the rate thresholds make for N up to 256
-    # over a log grid of target SERs, through the whole threshold formula
+    # every tail that the rate thresholds make for N up to 256 over a log
+    # grid of target SERs, through the whole threshold formula; the standard
+    # library's normal quantile stays within a few ulps of scipy's erfcinv
     scale = math.sqrt(2.0 * NOISE_POWER) * math.sqrt(2.0)
     for pe in np.logspace(-9.0, math.log10(0.32), 60):
         for n in range(2, 257):
             tail = pe / (n - 1)
             want = scale * float(scipy.special.erfcinv(2.0 * tail))
             got = union_bound_threshold(n, float(pe), NOISE_POWER)
-            assert got.hex() == want.hex(), (n, pe)
+            assert abs(got - want) <= 2e-15 * want, (n, pe)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(y=st.floats(0.0, 2.0))
-def test_erfcinv_matches_scipy_property(y):
-    _assert_erfcinv_bits([y])
+def test_union_bound_threshold_of_an_underflowed_tail():
+    # 5e-324 / (N - 1) rounds to 0.0 for every N >= 3: no R d_min meets it
+    for n in SIZES[1:]:
+        assert union_bound_threshold(n, 5e-324, NOISE_POWER) == math.inf
+    thr = union_bound_threshold(2, 5e-324, NOISE_POWER)
+    assert 0.0 < thr < math.inf
 
 
 # _erfc is a port of Cephes ndtr.c erfc, which is what scipy.special.erfc
@@ -252,6 +205,16 @@ def _assert_erfc_close(xs):
     scale = np.maximum(np.abs(want), np.finfo(float).tiny)
     err = np.abs(got - want)[ok] / scale[ok]
     assert err.max(initial=0.0) <= 1e-14, xs[ok][err.argmax()]
+
+
+def _ulps_around(x, k=8):
+    """x and the k floats on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
 
 
 def test_erfc_matches_scipy_on_every_branch():

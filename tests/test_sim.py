@@ -188,14 +188,15 @@ def _fresh_python(script, flags=(), args=()):
 
 
 # Runs a CLI command (sys.argv[1:], "OUT" standing for a fresh output
-# directory) and prints which of scipy and scipy.special are loaded: after
-# the import, at engine entry, after the run, and after the engine's curve
-# has its union_bound read.
+# directory) and prints which of scipy, scipy.special and statistics are
+# loaded: after the import, at engine entry, after the run, and after the
+# engine's curve has its union_bound read.
 _SCIPY_PROBE = """
 import json, sys, tempfile
 
 def loaded():
-    return [m for m in ("scipy", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy", "scipy.special", "statistics")
+            if m in sys.modules]
 
 import ceapsk.cli as cli
 seen, curves = {"import": loaded()}, []
@@ -214,7 +215,7 @@ print(json.dumps({"code": code, "seen": seen, "has_bound": has_bound}))
 """
 _NONE = []
 _SCIPY_LOADED = {
-    # command: (args, where scipy is loaded, has_bound)
+    # command: (args, where scipy or statistics is loaded, has_bound)
     "design": (["design", "--n", "16", "--ratio", "0.4"],
                dict(run=_NONE, bound=_NONE), []),
     "table": (["table", "--n", "8", "--out-dir", "OUT"],
@@ -230,10 +231,12 @@ _SCIPY_LOADED = {
     "ser": (["ser", "--scheme", "proposed-optimal", "--snr", "16:20:4",
              "--trials", "2e3", "--out-dir", "OUT"],
             dict(engine=_NONE, run=_NONE, bound=_NONE), [True]),
-    # the rate thresholds' erfcinv is constellation's own Cephes port
+    # the rate thresholds take the normal quantile from statistics, which
+    # union_bound_threshold imports inside the engine
     "rate": (["rate", "--scheme", "variable-qam", "--snr", "0:10:5",
               "--trials", "2e3", "--out-dir", "OUT"],
-             dict(engine=_NONE, run=_NONE, bound=_NONE), [False]),
+             dict(engine=_NONE, run=["statistics"], bound=["statistics"]),
+             [False]),
 }
 
 
@@ -884,7 +887,8 @@ def test_union_bound_threshold_round_trip():
 
 
 # union_bound_threshold(n, 1e-3, NOISE_POWER) for the rate schemes' sizes,
-# recorded with scipy.special.erfcinv before the thresholds stopped using it
+# recorded with scipy.special.erfcinv before the thresholds stopped using
+# it; the standard library's normal quantile moves five of them by 1-4 ulps
 _PINNED_THRESHOLDS = {
     2: "0x1.7218edd0dce02p-19", 4: "0x1.978c2a7b4c8f2p-19",
     8: "0x1.b27e2446fde32p-19", 16: "0x1.c985f05983e78p-19",
@@ -894,9 +898,10 @@ _PINNED_THRESHOLDS = {
 
 def test_default_thresholds_pinned():
     assert sim.SIZES == tuple(_PINNED_THRESHOLDS)
-    got = {n: union_bound_threshold(n, 1e-3, sim.NOISE_POWER).hex()
-           for n in sim.SIZES}
-    assert got == _PINNED_THRESHOLDS
+    for n in sim.SIZES:
+        want = float.fromhex(_PINNED_THRESHOLDS[n])
+        got = union_bound_threshold(n, 1e-3, sim.NOISE_POWER)
+        assert abs(got - want) <= 2e-15 * want, n
 
 
 def test_select_rate_shares_the_array_rule():
