@@ -4,7 +4,7 @@ With M transmit antennas under a per-antenna constant-envelope constraint,
 the noise-free receive point can be steered anywhere in an annulus whose
 outer radius is sqrt(P/M)*||h||_1 and whose inner radius is
 sqrt(P/M)*max(2*||h||_inf - ||h||_1, 0).  All adaptation logic downstream
-depends on the channel only through (r, R).
+depends on the channel only through (r, R); _channel_blocks draws it.
 """
 
 from __future__ import annotations
@@ -28,18 +28,9 @@ def annulus_arrays(h: np.ndarray,
     return scale * np.maximum(2.0 * top - l1, 0.0), scale * l1
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """re + 1j im from two standard-normal draws of `shape`, real part first,
-    built in place with the bits of the sum; the caller scales in place."""
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    return out
-
-
 def _complex_normal_blocks(rng: np.random.Generator, shape):
-    """Pairs (lo, rows lo:lo + _BLOCK of _complex_normal(rng, shape)), bit
-    for bit while rng draws nothing else; the real parts come first, whole."""
+    """(lo, rows lo:lo + _BLOCK of re + 1j im) pairs, re and im standard normals
+    of `shape`: re drawn whole, im as each block is taken, to scale in place."""
     re = rng.standard_normal(shape)
     for lo in range(0, len(re), _BLOCK):
         out = re[lo:lo + _BLOCK].astype(complex)
@@ -47,13 +38,13 @@ def _complex_normal_blocks(rng: np.random.Generator, shape):
         yield lo, out
 
 
-def _draw_channel(rng: np.random.Generator, m: int, t: int,
-                  path_loss: float) -> np.ndarray:
-    """t i.i.d. CN(0, beta) channels of m antennas from rng, shape (t, m),
-    with the bits of sqrt(beta / 2) (re + 1j im)."""
-    h = _complex_normal(rng, (t, m))
-    h *= np.sqrt(path_loss / 2.0)
-    return h
+def _channel_blocks(rng: np.random.Generator, m: int, t: int,
+                    path_loss: float):
+    """The one channel draw: (lo, block) pairs of t i.i.d. CN(0, beta) channels
+    of m antennas from rng, each with the bits of sqrt(beta/2) (re + 1j im)."""
+    for lo, h in _complex_normal_blocks(rng, (t, m)):
+        h *= np.sqrt(path_loss / 2.0)
+        yield lo, h
 
 
 def sample_rayleigh(num_antennas: int, path_loss: float, rng_seed: int,
@@ -61,8 +52,11 @@ def sample_rayleigh(num_antennas: int, path_loss: float, rng_seed: int,
     """i.i.d. CN(0, beta) gains, shape (trials, M).  Deterministic per seed."""
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
-    return _draw_channel(stream(rng_seed, 0x5241), num_antennas, trials,
-                         path_loss)
+    h = np.empty((trials, num_antennas), dtype=complex)
+    for lo, block in _channel_blocks(stream(rng_seed, 0x5241), num_antennas,
+                                     trials, path_loss):
+        h[lo:lo + _BLOCK] = block
+    return h
 
 
 def ratio_cdf_m2(x):

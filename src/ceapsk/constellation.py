@@ -91,6 +91,8 @@ def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> floa
     Rate selection deems size N feasible iff R d_min is positive and at
     least this threshold.
     """
+    if n < 2:
+        raise ValueError("need N >= 2")
     from statistics import NormalDist  # about 3 ms: only rate runs pay it
 
     tail = target_ser / (n - 1)

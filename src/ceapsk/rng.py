@@ -7,17 +7,22 @@ ids, never on execution order.  Monte Carlo engines key one stream per
 work chunk, so serial and multi-threaded runs reduce to identical results.
 """
 
+from contextlib import suppress
+
 import numpy as np
 
 
-def check_seed(seed: int) -> None:
-    """The one seed rule: a ValueError unless seed is a non-negative integer."""
-    if not (seed == int(seed) and seed >= 0):
-        raise ValueError("seed must be a non-negative integer")
+def check_int(value, name: str) -> int:
+    """The one integer rule, the seed's too: value as an int if value ==
+    int(value) >= 0, else a ValueError naming the field (NaN and inf too)."""
+    with suppress(TypeError, ValueError, OverflowError):
+        if value == int(value) >= 0:
+            return int(value)
+    raise ValueError(f"{name} must be a non-negative integer")
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Return an independent Generator for the given (seed, ids) key."""
-    check_seed(seed)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in ids))
+    ss = np.random.SeedSequence(entropy=check_int(seed, "seed"),
+                                spawn_key=tuple(int(i) for i in ids))
     return np.random.Generator(np.random.Philox(ss))

@@ -27,10 +27,10 @@ counts the points at which each kept trial may err.  The fixed-rate union
 bound (union_bound_curve) is computed when SerCurve.union_bound is first
 read.
 
-Each engine draws a chunk in stream order, its last draw block by block
-(channel._complex_normal_blocks), and works through it in blocks of
-precoder._BLOCK rows, so temporaries stay in cache; the fixed-rate engine
-keeps each block's trials that may err and detects them a chunk at a time.
+Each engine draws a chunk in stream order, in blocks of precoder._BLOCK rows
+(channel._channel_blocks and _complex_normal_blocks), and works through it
+block by block, so temporaries stay in cache; the fixed-rate engine keeps
+each block's trials that may err and detects them a chunk at a time.
 Variable-rate selection places each trial's R * d_min among per-size SNR
 cuts with an exact table lookup (optimizer._CellSearch) built once per run.
 """
@@ -46,13 +46,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (_complex_normal, _complex_normal_blocks, _draw_channel,
-                      annulus_arrays)
+from .channel import _channel_blocks, _complex_normal_blocks, annulus_arrays
 from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
-from .rng import check_seed, stream
+from .rng import check_int, stream
 
 Scheme = namedtuple("Scheme", "command table csit qam16")
 SCHEMES = {
@@ -96,6 +95,8 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"valid: {tuple(SCHEMES)}")
+        for name in ("m", "trials", "threads", "seed"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         for name, top in (("m", MAX_ANTENNAS), ("threads", MAX_THREADS)):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -105,7 +106,6 @@ class SimConfig:
             raise ValueError("trials must lie in [1e3, 1e9]")
         if not (0.0 < self.target_ser < 1.0):
             raise ValueError("target_ser must lie in (0, 1)")
-        check_seed(self.seed)
         snrs = tuple(float(s) for s in self.snr_db)
         if not all(map(math.isfinite, snrs)):
             raise ValueError("snr_db must be finite")
@@ -244,9 +244,15 @@ class _RingTables:
         return decide
 
 
-# the 16-point sets of the schemes without a region table, and their MEDs
+def _qam_limits(n: int) -> tuple[float, float]:
+    """(largest feasible annulus ratio, MED) of the size-n QAM benchmark."""
+    pts = qam_family(n)
+    return modulus_ratio(pts), med(pts)
+
+
+# the tableless schemes' 16-point sets, their MEDs and 16-QAM's ratio limit
 _QAM16, _PSK16 = qam_family(16), np.exp(2j * np.pi * np.arange(16) / 16)
-_QAM16_MED, _PSK16_MED = med(_QAM16), med(_PSK16)
+(_QAM16_RATIO, _QAM16_MED), _PSK16_MED = _qam_limits(16), med(_PSK16)
 _QAM16_EDGES = np.array([-2.0, 0.0, 2.0]) / (3.0 * math.sqrt(2.0))
 
 
@@ -305,7 +311,7 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
         if rings is not None:
             lim = _SAFE_RADIUS * table.d_min_at(ratio) - 1e-9
         elif facts.qam16 == "switch":
-            feas = ratio <= modulus_ratio(_QAM16)
+            feas = ratio <= _QAM16_RATIO
             lim = _SAFE_RADIUS * np.where(feas, _QAM16_MED, _PSK16_MED) - 1e-9
         else:
             s = _QAM16[u]
@@ -369,15 +375,15 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     size, screen, detector = _ser_steps(facts, table)
 
     def one_chunk(rng, t: int):
-        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
+        h = [hb for _, hb in _channel_blocks(rng, cfg.m, t, PATH_LOSS)]
         u = rng.integers(0, size, size=t)
         errors = np.zeros(len(cs), dtype=np.int64)
         parts = []
-        for lo, zb in _complex_normal_blocks(rng, t):
+        for hb, (lo, zb) in zip(h, _complex_normal_blocks(rng, t)):
             zb /= np.sqrt(2.0)
             mz = np.abs(zb)
             kept, zero, ub, s, lim, big_r0, *state = screen(
-                h[lo:lo + _BLOCK], u[lo:lo + _BLOCK], cs[0] * mz)
+                hb, u[lo:lo + _BLOCK], cs[0] * mz)
             errors += zero
             # kept[i] may err at the first unsafe[i] points
             mz, reach = mz.take(kept), lim * big_r0
@@ -387,7 +393,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
             # w = y / (sqrt(p) R) = s + (sigma / sqrt(p)) b at every point
             b = zb.take(kept)
             parts.append((s, np.divide(b, big_r0, out=b), ub, unsafe, *state))
-        del h, u, zb  # free the draws before the parts are joined
+        del h, hb, u, zb  # free the draws before the parts are joined
         a, b, sent, unsafe, *state = map(np.concatenate, zip(*parts))
         del parts  # and the parts before detection
         # most unsafe first; a small key dtype lets numpy radix-sort
@@ -446,14 +452,11 @@ def _reduce_chunks(cfg: SimConfig, engine: str, one_chunk):
 
 
 def _channel_sums(cfg: SimConfig, engine: str, per_block):
-    """_reduce_chunks' sums of per_block(R, r/R) (_annulus) over blocks of
-    _BLOCK channels: the first draw of each chunk's stream, drawn block by
-    block with the bits of _draw_channel.  Block sums add in block order."""
+    """_reduce_chunks' sums, in block order, of per_block(R, r/R) (_annulus)
+    over the blocks of _channel_blocks, each chunk stream's first draw."""
     def one_chunk(rng, t: int):
-        blocks = []
-        for _, h in _complex_normal_blocks(rng, (t, cfg.m)):
-            h *= np.sqrt(PATH_LOSS / 2.0)  # as _draw_channel scales it
-            blocks.append(per_block(*_annulus(h)))
+        blocks = [per_block(*_annulus(h))
+                  for _, h in _channel_blocks(rng, cfg.m, t, PATH_LOSS)]
         return tuple(sum(parts) for parts in zip(*blocks))
     return _reduce_chunks(cfg, engine, one_chunk)
 
@@ -516,16 +519,17 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         return errors + np.count_nonzero(decide(w.real, w.imag) != u.take(far))
 
     def one_chunk(rng, t: int):
-        h = _draw_channel(rng, cfg.m, t, PATH_LOSS)
+        h = [hb for _, hb in _channel_blocks(rng, cfg.m, t, PATH_LOSS)]
         u = rng.integers(0, size, size=t)
-        noise = _complex_normal(rng, t)
-        noise /= np.sqrt(2.0)
-        noise *= c
+        noise = [nb for _, nb in _complex_normal_blocks(rng, t)]
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
-        for lo, db in _complex_normal_blocks(rng, (t, cfg.m)):
+        dh = _complex_normal_blocks(rng, (t, cfg.m))
+        for hb, nb, (lo, db) in zip(h, noise, dh):
+            nb /= np.sqrt(2.0)
+            nb *= c
             db /= np.sqrt(2.0)
-            hb, ub, nb = (x[lo:lo + _BLOCK] for x in (h, u, noise))
+            ub = u[lo:lo + _BLOCK]
             spread = np.abs(db).sum(axis=1) / math.sqrt(cfg.m), np.abs(nb)
             for k, sd in enumerate(err_sd):
                 errors[k] += one_point(hb, db, ub, nb, spread, sd)
@@ -538,12 +542,6 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 
 # ---------------------------------------------------------------------------
 # Variable rate
-
-
-def _qam_limits(n: int) -> tuple[float, float]:
-    """(largest feasible annulus ratio, MED) of the size-n QAM benchmark."""
-    pts = qam_family(n)
-    return modulus_ratio(pts), med(pts)
 
 
 def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import ceapsk.sim as sim
-from ceapsk.channel import (_complex_normal, _complex_normal_blocks,
-                            _draw_channel, annulus_arrays, ratio_cdf_m2,
-                            sample_rayleigh)
+from ceapsk.channel import (_channel_blocks, _complex_normal_blocks,
+                            annulus_arrays, ratio_cdf_m2, sample_rayleigh)
 from ceapsk.optimizer import build_region_table
 from ceapsk.precoder import _BLOCK
 from ceapsk.rng import stream
@@ -124,11 +123,10 @@ def test_mmse_estimate_error_variance(table16, monkeypatch):
                     scheme="proposed-optimal", seed=3)
     run_csit_sweep(cfg, table16, (0.0, 10.0))
     rng = stream(3, 3, 0)  # the sweep's stream for chunk 0
-    h = _draw_channel(rng, 2, 2000, sim.PATH_LOSS)
+    h = np.sqrt(sim.PATH_LOSS / 2.0) * _textbook(rng, (2000, 2))
     rng.integers(0, 16, size=2000)  # symbols
-    _complex_normal(rng, 2000)  # noise
-    dh_unit = _complex_normal(rng, (2000, 2))
-    dh_unit /= np.sqrt(2.0)
+    _textbook(rng, 2000)  # noise
+    dh_unit = _textbook(rng, (2000, 2)) / np.sqrt(2.0)
     variances = [sim.PATH_LOSS / 2.0, sim.PATH_LOSS / 11.0, 0.0]
     assert len(seen) == len(variances)
     for h_hat, var in zip(seen, variances):
@@ -144,37 +142,56 @@ def test_mmse_estimate_reproducible(table16):
     np.testing.assert_array_equal(a.errors, b.errors)
 
 
+# the draws' trial counts: none, one, and either side of one and two blocks
+_TRIALS = (0, 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+def _textbook(rng, shape):
+    """re + 1j im from two whole standard-normal draws, the real part first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _joined(pairs, shape):
+    """The blocks of (lo, block) pairs joined, once their starts and sizes are
+    checked against a whole draw of `shape`."""
+    starts, blocks = [lo for lo, _ in pairs], [b for _, b in pairs]
+    assert starts == list(range(0, shape[0], _BLOCK))
+    assert [len(b) for b in blocks] == [min(_BLOCK, shape[0] - lo)
+                                        for lo in starts]
+    return np.concatenate(blocks) if blocks else np.empty(shape, complex)
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_draw_channel_bits(m):
-    # the in-place draws keep the bits of the textbook sum-then-scale form:
-    # the channel, then the engines' unit noise z and unit CSIT error
-    rng, ref = stream(9, 1, 2), stream(9, 1, 2)
-    h = _draw_channel(rng, m, 5000, 1e-9)
-    want = np.sqrt(1e-9 / 2.0) * (ref.standard_normal((5000, m))
-                                  + 1j * ref.standard_normal((5000, m)))
-    assert h.shape == (5000, m)
-    np.testing.assert_array_equal(h.view(np.uint64), want.view(np.uint64))
-    for shape in (5000, (5000, m)):
-        z = _complex_normal(rng, shape)
-        z /= np.sqrt(2.0)
-        want = (ref.standard_normal(shape)
-                + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
-        assert z.shape == want.shape
-        np.testing.assert_array_equal(z.view(np.uint64), want.view(np.uint64))
+    # the one channel draw, joined, and sample_rayleigh keep the bits of the
+    # textbook sum-then-scale form, and the draw leaves the stream where the
+    # whole draw leaves it
+    for t in _TRIALS:
+        rng, ref = stream(9, 1, 2), stream(9, 1, 2)
+        want = np.sqrt(1e-9 / 2.0) * _textbook(ref, (t, m))
+        _assert_bits(_joined(list(_channel_blocks(rng, m, t, 1e-9)), (t, m)),
+                     want)
+        np.testing.assert_array_equal(rng.standard_normal(5),
+                                      ref.standard_normal(5))
+        want = np.sqrt(1e-9 / 2.0) * _textbook(stream(9, 0x5241), (t, m))
+        _assert_bits(sample_rayleigh(m, 1e-9, 9, trials=t), want)
 
 
 @pytest.mark.parametrize("m", [None, 1, 3, 8])
-@pytest.mark.parametrize("t", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("t", sorted({*_TRIALS, _BLOCK}))
 def test_complex_normal_blocks_bits(t, m):
-    # the blocks, joined, are the whole draw bit for bit, and leave the
-    # stream where the whole draw leaves it
+    # the engines' unit noise z and unit CSIT error: the blocks, joined and
+    # scaled in place, are the textbook (re + 1j im) / sqrt(2) bit for bit,
+    # and leave the stream where the whole draw leaves it
     shape = (t,) if m is None else (t, m)
     rng, ref = stream(9, 3, 4), stream(9, 3, 4)
-    starts, blocks = zip(*_complex_normal_blocks(rng, shape))
-    assert starts == tuple(range(0, t, _BLOCK))
-    assert [len(b) for b in blocks] == [min(_BLOCK, t - lo) for lo in starts]
-    got, want = np.concatenate(blocks), _complex_normal(ref, shape)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = _joined(list(_complex_normal_blocks(rng, shape)), shape)
+    got /= np.sqrt(2.0)
+    _assert_bits(got, _textbook(ref, shape) / np.sqrt(2.0))
     np.testing.assert_array_equal(rng.standard_normal(5),
                                   ref.standard_normal(5))

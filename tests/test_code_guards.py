@@ -270,13 +270,26 @@ def test_streams_formed_only_in_the_chunk_reduce():
     assert not outside, outside
 
 
-def test_channel_blocks_scaled_only_in_the_shared_pass():
-    # one channel-only pass: sim._channel_sums alone scales a drawn block by
-    # the path loss, as channel._draw_channel does, for the union bound and
-    # the variable-rate engine alike
-    inside, outside = _in_function("_channel_sums", lambda n: (
-        isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
-        and any(getattr(x, "id", None) == "PATH_LOSS"
-                for x in ast.walk(n.value))), "sim.py")
-    assert len(inside) == 1  # the scan itself works
+def test_normals_drawn_only_in_the_block_draw():
+    # one draw path: every standard normal in the package, channel, noise
+    # and CSIT error alike, is drawn by channel._complex_normal_blocks
+    inside, outside = _in_function("_complex_normal_blocks", lambda n: (
+        isinstance(n, ast.Call)
+        and getattr(n.func, "attr", None) == "standard_normal"))
+    assert len(inside) == 2  # the scan itself works: real and imaginary parts
+    assert all(site.startswith("channel.py:") for site in inside), inside
+    assert not outside, outside
+
+
+def test_path_loss_scaled_only_in_the_channel_draw():
+    # one channel draw: sqrt(beta / 2) scales a drawn channel in
+    # channel._channel_blocks alone, for every engine and the union bound
+    def scaling(n):
+        arg = n.args[0] if isinstance(n, ast.Call) and n.args else None
+        return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Div)
+                and getattr(n.func, "attr", None) == "sqrt"
+                and getattr(arg.left, "id", "").lower() == "path_loss"
+                and getattr(arg.right, "value", None) == 2.0)
+    inside, outside = _in_function("_channel_blocks", scaling)
+    assert len(inside) == 1 and inside[0].startswith("channel.py:"), inside
     assert not outside, outside

@@ -181,6 +181,14 @@ def test_union_bound_threshold_matches_scipy_formula():
             assert abs(got - want) <= 2e-15 * want, (n, pe)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_union_bound_and_its_threshold_need_two_points(n):
+    with pytest.raises(ValueError, match="need N >= 2"):
+        union_bound_threshold(n, 1e-3, NOISE_POWER)
+    with pytest.raises(ValueError, match="need N >= 2"):
+        ser_union_bound(n, 0.5, 1.0, NOISE_POWER)
+
+
 def test_union_bound_threshold_of_an_underflowed_tail():
     # 5e-324 / (N - 1) rounds to 0.0 for every N >= 3: no R d_min meets it
     for n in SIZES[1:]:

@@ -63,6 +63,38 @@ def test_config_rejects_counts_below_one(field):
         SimConfig(**{**kw, field: 0})
 
 
+@pytest.mark.parametrize("field", ["m", "trials", "threads", "seed"])
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, "8",
+                                 None, 3 + 0j],
+                         ids=["half", "nan", "inf", "-inf", "str", "none",
+                              "complex"])
+def test_config_integer_fields_follow_one_rule(field, bad):
+    # a field that is no integer is named, never passed on to the engine
+    kw = dict(m=2, snr_db=(10.0,), trials=10 ** 4, scheme="proposed-optimal")
+    with pytest.raises(ValueError, match=f"^{field} must be a non-negative"):
+        SimConfig(**{**kw, field: bad})
+
+
+def test_config_stores_whole_numbers_as_ints():
+    # 1e4 trials run as 10^4: the engines see ints, and the curve is the
+    # one of the int config
+    kw = dict(snr_db=(10.0, 20.0), scheme="variable-qam")
+    cfg = SimConfig(m=2.0, trials=1e4, seed=np.float64(7.0),
+                    threads=np.int64(2), **kw)
+    fields = (cfg.m, cfg.trials, cfg.seed, cfg.threads)
+    assert [type(v) for v in fields] == [int] * 4
+    assert fields == (2, 10**4, 7, 2)
+    want = run_variable_rate(SimConfig(m=2, trials=10**4, seed=7, **kw), None)
+    got = run_variable_rate(cfg, None)
+    assert got.avg_bits.tolist() == want.avg_bits.tolist()
+
+
+@pytest.mark.parametrize("seed", [math.inf, math.nan, 0.5, -1])
+def test_stream_seed_follows_the_integer_rule(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative"):
+        stream(seed, 1)
+
+
 def test_powers():
     cfg = SimConfig(m=2, snr_db=(0.0, 10.0), trials=10 ** 4,
                     scheme="proposed-optimal")
@@ -997,25 +1029,14 @@ def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
 
 
 def _zero_some_rows(monkeypatch, every=97):
-    # the same rows of each chunk's channel, drawn whole or block by block;
-    # a block-by-block draw is a channel when it is its stream's first draw
-    # (the variable-rate engine and the union bound), not the fixed-rate
-    # noise or the unit CSIT error
-    draw, blocks = sim._draw_channel, sim._complex_normal_blocks
+    # every 97th row of each chunk's channel, in the one channel draw
+    blocks = sim._channel_blocks
 
     def patched(rng, m, t, path_loss):
-        h = draw(rng, m, t, path_loss)
-        h[::every] = 0.0
-        return h
-
-    def patched_blocks(rng, shape):
-        channel = not rng.bit_generator.state["state"]["counter"].any()
-        for lo, block in blocks(rng, shape):
-            if channel:
-                block[-lo % every::every] = 0.0
+        for lo, block in blocks(rng, m, t, path_loss):
+            block[-lo % every::every] = 0.0
             yield lo, block
-    monkeypatch.setattr(sim, "_draw_channel", patched)
-    monkeypatch.setattr(sim, "_complex_normal_blocks", patched_blocks)
+    monkeypatch.setattr(sim, "_channel_blocks", patched)
     return len(range(0, 2000, every))  # zeroed rows in a 2000-trial chunk
 
 
@@ -1103,7 +1124,8 @@ def _detect_every_pair(cfg, table):
     for chunk, lo in enumerate(range(0, cfg.trials, sim.CHUNK_SIZE)):
         t = min(sim.CHUNK_SIZE, cfg.trials - lo)
         rng = stream(cfg.seed, 1, chunk)
-        h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
+        h = np.concatenate([b for _, b in sim._channel_blocks(
+            rng, cfg.m, t, sim.PATH_LOSS)])
         u = rng.integers(0, size, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         big_r0, ratio = sim._annulus(h)
@@ -1248,7 +1270,8 @@ def _csit_every_pair(cfg, table, training_snr_db):
     for chunk, lo in enumerate(range(0, cfg.trials, sim.CHUNK_SIZE)):
         t = min(sim.CHUNK_SIZE, cfg.trials - lo)
         rng = stream(cfg.seed, 3, chunk)
-        h = sim._draw_channel(rng, cfg.m, t, sim.PATH_LOSS)
+        h = np.concatenate([b for _, b in sim._channel_blocks(
+            rng, cfg.m, t, sim.PATH_LOSS)])
         u = rng.integers(0, size, size=t)
         z = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2.0)
         dh = (rng.standard_normal((t, cfg.m))
