@@ -74,11 +74,18 @@ def qfunc(x):
 def ser_union_bound(n: int, d_min, outer_radius, noise_power):
     """min(1, (N-1) Q(R d_min / (sigma sqrt 2))), elementwise over the
     broadcast of d_min and outer_radius."""
+    return _union_bound(n, d_min, outer_radius, noise_power)
+
+
+def _union_bound(n, d_min, outer_radius, noise_power, bufs=(None,) * 3):
+    """ser_union_bound, in bufs = (arg, then _erfc's out and work) if given."""
     if n < 2:
         raise ValueError("need N >= 2")
-    arg = np.multiply(outer_radius, d_min, dtype=float)
+    arg = np.multiply(outer_radius, d_min, out=bufs[0], dtype=float)
     arg /= np.sqrt(2.0 * noise_power)
-    out = qfunc(arg)
+    arg /= math.sqrt(2.0)  # Q(x) = erfc(x / sqrt 2) / 2, as qfunc forms it
+    out = _erfc(arg, *bufs[1:])
+    out *= 0.5
     out *= n - 1
     return min(out, 1.0) if np.ndim(out) == 0 else np.minimum(out, 1, out=out)
 
@@ -103,10 +110,10 @@ def union_bound_threshold(n: int, target_ser: float, noise_power: float) -> floa
     return math.sqrt(2.0 * noise_power) * -NormalDist().inv_cdf(tail)
 
 
-def _polevl(x, coef):
+def _polevl(x, coef, out=None):
     """Horner's rule, highest power first (Cephes polevl); an array x gets
-    one new array, updated in place."""
-    ans = coef[0] * x
+    one array (`out` if given), updated in place."""
+    ans = np.multiply(coef[0], x, out=out)
     ans += coef[1]
     for c in coef[2:]:
         ans *= x
@@ -142,19 +149,20 @@ _S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
       9.60896809063285878198E0, 3.36907645100081516050E0)
 
 
-def _erfc(a):
+def _erfc(a, out=None, work=None):
     """Cephes erfc, elementwise; a float for a scalar a.  Every element takes
-    the 1 <= |a| < 8 branch, and the other branches then overwrite theirs."""
+    the 1 <= |a| < 8 branch, and the other branches then overwrite theirs.
+    If given, out and work (flat, a's size) take the result and _polevl's."""
     a = np.asarray(a, dtype=float)
     flat = a.ravel()
     neg = flat < 0.0
     x = np.abs(flat) if neg.any() else flat
     with np.errstate(all="ignore"):
-        out = np.square(x)
+        out = np.square(x, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
-        out *= _polevl(x, _P)
-        out /= _polevl(x, _Q)
+        out *= _polevl(x, _P, work)
+        out /= _polevl(x, _Q, work)
         far = np.flatnonzero(x >= 8.0)
         xf = x[far]
         z = np.square(xf)

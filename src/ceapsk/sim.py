@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import _channel_blocks, _complex_normal_blocks, annulus_arrays
-from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
+from .constellation import (_union_bound, med, modulus_ratio, qam_family,
                             union_bound_threshold)
 from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
@@ -182,7 +183,7 @@ class RateCurve:
 # SER front end: the screen, and exact ML detection of w = y / (sqrt(P) R)
 
 # a receive point within this many MEDs of the sent point is detected as sent
-_SAFE_RADIUS = 0.45
+_SAFE_RADIUS = 0.499
 
 
 def _check_two_ring_table(table: RegionTable | None) -> None:
@@ -298,11 +299,15 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
 
         lim = _SAFE_RADIUS d_cell - |s - center| - 1e-9.
 
-    A skipped pair has |w - center| < 0.45 d_cell < d_cell / 2, so the
-    exact ML detectors return the sent label, also through transmit, which
-    misses R s by at most 1e-9 R (the 1e-9 term; criterion 8).  The 0.05
-    d_cell margin dwarfs float rounding, and on the N = 8 to 64 tables
-    d_min_at overstates the true MED by at most 1e-12 (relative).
+    The error budget of a skip: a skipped pair has |w - center| < 0.499
+    d_cell - 1e-9, and the exact ML cell of center holds the open disc of
+    radius d_true / 2 about it, d_true the true MED of the point set.  On
+    the N = 8 to 64 tables d_min_at overstates d_true by at most 1e-12
+    (relative), and transmit misses R s by at most 1e-9 R (the 1e-9 term;
+    criterion 8).  The 0.001 d_cell left is at least 3.9e-4 on the 16-point
+    sets (16-PSK's MED, 0.390, is their least) and 9.8e-5 at N = 64, over
+    10^8 times the rounding of w = s + c b or of the detectors' distance
+    compares, so the exact ML detectors return the sent label.
     """
     rings = _RingTables(table) if facts.table else None
 
@@ -421,15 +426,22 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
 
     It redraws only the channels, the fixed-rate engine's first draw, by
     _channel_sums on that engine's streams ("ser"), and takes the bound on
-    one (SNR point, trial) array per block.
+    one (SNR point, trial) array per block, in place in one buffer set per
+    worker thread, so no block leaves block-sized temporaries to free.
     """
     if check_scheme(cfg, "ser").table is None:
         raise ValueError(f"no union bound for scheme {cfg.scheme!r}")
     _check_two_ring_table(table)
-    sps = np.sqrt(cfg.powers())
-    bound, = _channel_sums(cfg, "ser", lambda big_r0, ratio: (ser_union_bound(
-        table.size, table.d_min_at(ratio), np.multiply.outer(sps, big_r0),
-        NOISE_POWER).sum(axis=1),))
+    sps, local = np.sqrt(cfg.powers()), threading.local()
+
+    def per_block(big_r0, ratio):
+        if not hasattr(local, "bufs"):  # (arg, out, work), each flat
+            local.bufs = [np.empty(sps.size * _BLOCK) for _ in range(3)]
+        arg, out, work = (b[:sps.size * big_r0.size] for b in local.bufs)
+        arg = np.multiply.outer(sps, big_r0, out=arg.reshape(sps.size, -1))
+        return (_union_bound(table.size, table.d_min_at(ratio), arg,
+                             NOISE_POWER, (arg, out, work)).sum(axis=1),)
+    bound, = _channel_sums(cfg, "ser", per_block)
     return bound / cfg.trials
 
 
@@ -546,7 +558,8 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
 
 def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """(K, J) array of the least float x > 0 with sqrt_p[k] * x >= thresholds[j]
-    as evaluated in floating point; inf where no such x exists.
+    as evaluated in floating point; inf where no such x exists, and for an
+    infinite threshold, which no R d_min meets.
 
     Floating-point multiplication is monotone in each factor, so the test
     `x > 0 and sqrt_p[k] * x >= thresholds[j]` is exactly `x >= least[k, j]`,
@@ -560,7 +573,7 @@ def _least_feasible(sqrt_p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
             x = np.where(up, np.nextafter(x, np.inf), x)
         while True:
             below = np.nextafter(x, 0.0)
-            down = (below > 0) & (sp * below >= thr)
+            down = (below > 0) & (sp * below >= thr) & (thr < np.inf)
             if not down.any():
                 return x
             x = np.where(down, below, x)

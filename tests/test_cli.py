@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -399,6 +402,28 @@ def test_rate_run_with_an_underflowed_tail(tmp_path):
     csv = (tmp_path / "rate_variable-apsk_m2.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
         "90f6272398558f1ce23af85680b6183ea3e8e2eb88b27fdc1010a2314ebeadff")
+
+
+def test_rate_with_an_underflowed_tail_at_high_snr(tmp_path):
+    # above about 34 dB sqrt(p) > 1, where the search for an infinite
+    # threshold's least feasible R d_min once walked down one ulp at a
+    # time; in a child process, so a hang fails here instead of stalling
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for snr, bits in (("30:40:5", [0.805, 0.969, 0.997]), ("300", [1.0])):
+        out = tmp_path / snr.replace(":", "_")
+        run = subprocess.run(
+            [sys.executable, "-m", "ceapsk.cli", "rate", "--scheme",
+             "variable-apsk", "--m", "2", "--snr", snr, "--trials", "1000",
+             "--pe", "5e-324", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert run.returncode == 0, run.stderr
+        rows = (out / "rate_variable-apsk_m2.csv").read_text().split()[1:]
+        got = [[float(v) for v in row.split(",")[1:]] for row in rows]
+        # only BPSK is ever sent: 1 bit on every trial that transmits
+        assert [b for b, _ in got] == bits
+        assert all(b + q == 1.0 for b, q in got)
 
 
 def test_config_without_path(capsys):

@@ -6,6 +6,7 @@ perfbench/ or the README's examples reach still resolves."""
 import ast
 import importlib
 import importlib.util
+import math
 import re
 import sys
 import tokenize
@@ -248,6 +249,23 @@ def test_safe_radius_read_only_in_the_shared_screen():
         or (isinstance(n, ast.Attribute) and n.attr == "_SAFE_RADIUS")))
     assert inside  # the scan itself works
     assert not outside, outside
+
+
+def test_safe_radius_stated_as_in_the_code():
+    # the skip radius is written out in _ser_steps' error budget and in the
+    # README: every multiple of d_cell stated there is the radius or the
+    # slack left to d_cell / 2, and every multiple of the MED in the README
+    # is the radius
+    from ceapsk import sim
+    radius = sim._SAFE_RADIUS
+    doc = [float(x) for x in re.findall(r"(\d+\.\d+)\s+d_cell",
+                                        sim._ser_steps.__doc__)]
+    readme = [float(x) for x in re.findall(r"(\d+\.\d+)\s+MED",
+                                           README.read_text())]
+    assert radius in doc and radius in readme  # the scans themselves work
+    assert all(x == radius or math.isclose(x, 0.5 - radius, abs_tol=1e-12)
+               for x in doc), doc
+    assert all(x == radius for x in readme), readme
 
 
 def test_annulus_checked_only_in_the_shared_screen():

@@ -256,6 +256,17 @@ def test_erfc_underflow_edge():
     assert _erfc(-30.0) == 2.0
 
 
+def test_erfc_into_buffers_is_bit_equal():
+    # the union bound's in-place path: the result lands in `out`, equal bit
+    # for bit to a fresh call, on every branch and for either sign
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(-30.0, 30.0, (3, 4000))
+    out, work = np.full(xs.size, np.nan), np.full(xs.size, np.nan)
+    got = _erfc(xs, out, work)
+    assert got.shape == xs.shape and np.shares_memory(got, out)
+    np.testing.assert_array_equal(got, _erfc(xs))
+
+
 def test_erfc_special_values():
     for x, want in [(0.0, 1.0), (-0.0, 1.0), (math.inf, 0.0),
                     (-math.inf, 2.0)]:

@@ -186,7 +186,7 @@ def test_union_bound_present_for_proposed(table16, set_chunk):
 
 def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
     bound_calls, curve_calls = [], []
-    bound, curve_fn = sim.ser_union_bound, sim.union_bound_curve
+    bound, curve_fn = sim._union_bound, sim.union_bound_curve
 
     def counting_bound(*args):
         bound_calls.append(1)
@@ -195,7 +195,7 @@ def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
     def counting_curve(*args):
         curve_calls.append(1)
         return curve_fn(*args)
-    monkeypatch.setattr(sim, "ser_union_bound", counting_bound)
+    monkeypatch.setattr(sim, "_union_bound", counting_bound)
     monkeypatch.setattr(sim, "union_bound_curve", counting_curve)
     cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=5000,
                     scheme="proposed-optimal")
@@ -907,6 +907,14 @@ def test_least_feasible_degenerate_powers():
     assert least[1].tolist() == [np.nextafter(0.0, 1.0), 2.0]
 
 
+def test_least_feasible_infinite_threshold_stays_inf():
+    # an infinite threshold (an underflowed tail) is met by no R d_min, also
+    # where sqrt(p) > 1 makes sqrt(p) * DBL_MAX overflow to inf
+    least = _least_feasible(np.array([2.0, 1e13]), np.array([np.inf, 1e-5]))
+    assert least[:, 0].tolist() == [np.inf, np.inf]
+    assert np.all(np.array([2.0, 1e13]) * least[:, 1] >= 1e-5)
+
+
 def test_union_bound_threshold_round_trip():
     sigma2 = sim.NOISE_POWER
     for n in (2, 3, 4, 8, 16, 32, 64, 256):
@@ -1199,12 +1207,23 @@ def test_skipped_pairs_never_err_across_blocks(scheme, m, lowest_snr,
                          lowest_snr)
 
 
+def _set_meds(pts):
+    """MED of each row's point set, a few hundred rows at a time."""
+    n, meds = pts.shape[1], []
+    for part in np.array_split(pts, -(-len(pts) // 256)):
+        dist = np.abs(part[:, :, None] - part[:, None, :])
+        dist[:, np.arange(n), np.arange(n)] = np.inf
+        meds.append(dist.min(axis=(1, 2)))
+    return np.concatenate(meds)
+
+
 @pytest.mark.parametrize("suboptimal", [False, True])
 def test_safe_radius_inside_every_cell(suboptimal):
     # the skip rests on SAFE_RADIUS * d_min_at(ratio) < med / 2 for the
-    # points the engine assembles, on a dense sweep and at every region edge,
-    # for each table size the engine tests run
-    for n in (8, 16, 32):
+    # points the engine assembles, with at least half of the 0.001 med slack
+    # that _ser_steps' error budget takes, on a dense sweep and at every
+    # region edge, for each table size the engine tests run and for N=64
+    for n in (8, 16, 32, 64):
         table = _table(n, suboptimal)
         lo = np.array([reg.lo for reg in table.regions])
         ratios = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001), lo,
@@ -1214,17 +1233,89 @@ def test_safe_radius_inside_every_cell(suboptimal):
         pts = _RingTables(table).symbols(
             np.repeat(idx, n), np.repeat(rho2, n),
             np.tile(np.arange(n), ratios.size)).reshape(-1, n)
-        dist = np.abs(pts[:, :, None] - pts[:, None, :])
-        dist[:, np.arange(n), np.arange(n)] = np.inf
-        true_med = dist.min(axis=(1, 2))
+        true_med = _set_meds(pts)
         d_min = table.d_min_at(ratios)
-        assert np.all(sim._SAFE_RADIUS * d_min < 0.5 * true_med), n
+        assert np.all(0.5 * true_med - sim._SAFE_RADIUS * d_min
+                      >= 5e-4 * true_med), n
         assert np.all(d_min <= true_med * (1.0 + 1e-6)), n
 
 
+def test_safe_radius_inside_every_tableless_cell():
+    # the same margin for the sets without a table: 16-QAM (fixed-qam16 and
+    # egt-qam16), and the switch rule's 16-QAM up to its ratio limit and
+    # 16-PSK beyond it (adaptive-qam-psk)
+    qam_med, psk_med = _set_meds(np.stack([
+        qam_family(16), np.exp(2j * np.pi * np.arange(16) / 16)]))
+    assert sim._QAM16_MED == pytest.approx(qam_med, rel=1e-15)
+    assert sim._PSK16_MED == pytest.approx(psk_med, rel=1e-15)
+    edge = sim._QAM16_RATIO
+    ratios = np.concatenate([np.linspace(0.0, 1.0, 4001),
+                             [edge, np.nextafter(edge, 2.0)]])
+    feas = ratios <= edge  # the switch rule
+    d_cell = np.where(feas, sim._QAM16_MED, sim._PSK16_MED)
+    true_med = np.where(feas, qam_med, psk_med)
+    assert feas.any() and not feas.all()
+    assert np.all(0.5 * true_med - sim._SAFE_RADIUS * d_cell
+                  >= 5e-4 * true_med)
+
+
+def _screened(scheme, table, ratios, u):
+    """(s, lim, decide) of _ser_steps' screen and detector for `scheme` on
+    the two-antenna channels [1, t] of the given annulus ratios, sending
+    labels u, with every trial kept."""
+    _, screen, detector = sim._ser_steps(sim.SCHEMES[scheme], table)
+    t = (1.0 - ratios) / (1.0 + ratios)  # [1, t] has ratio (1 - t) / (1 + t)
+    g = np.stack([np.ones_like(t), t], axis=1).astype(complex)
+    kept, zero, _, s, lim, _, *state = screen(g, u, np.full(u.size, np.inf))
+    assert kept.size == u.size and zero == 0
+    return s, lim, detector(*state)
+
+
+_EDGE_SETS = [("proposed-optimal", n) for n in (8, 16, 32)] + [
+    ("proposed-suboptimal", 16), ("egt-qam16", 16), ("adaptive-qam-psk", 16),
+    ("fixed-qam16", 16)]
+
+
+@pytest.mark.parametrize("scheme,n", _EDGE_SETS,
+                         ids=[f"{s}-n{n}" for s, n in _EDGE_SETS])
+def test_screen_edge_is_detected_as_sent(scheme, n):
+    # every skipped pair has |w - s| < lim: put w at s + lim e^(j phi), with
+    # phi toward every other cell center of the set (so toward each nearest
+    # neighbour) and on a 64-direction grid, at ratios inside every region
+    # of a table, or across [0, 1] and at 16-QAM's ratio limit without one
+    # (16-QAM, the switch rule's 16-PSK, and clipped 16-QAM); the engine's
+    # detector must return the sent label
+    table = _scheme_table(scheme, n)
+    if table is None:
+        edge = sim._QAM16_RATIO
+        ratios = np.concatenate([np.linspace(0.0, 1.0, 101),
+                                 [edge, np.nextafter(edge, 2.0)]])
+    else:
+        lo, hi = np.array([(reg.lo, reg.hi) for reg in table.regions]).T
+        ratios = (lo[:, None] + np.array([1e-6, 0.5, 1.0 - 1e-6])
+                  * (hi - lo)[:, None]).ravel()
+    u = np.tile(np.arange(n), ratios.size)
+    s, _, _ = _screened(scheme, table, np.repeat(ratios, n), u)
+    # the cell centers: the sent points, or 16-QAM's before clipping
+    center = qam_family(16)[u] if scheme == "fixed-qam16" else s
+    s, center = s.reshape(-1, n), center.reshape(-1, n)
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    phi = np.concatenate([np.angle(center[:, None, :] - s[:, :, None]),
+                          np.broadcast_to(grid, (ratios.size, n, 64))], axis=2)
+    k = phi.shape[2]
+    sent = np.repeat(u, k)
+    s, lim, decide = _screened(scheme, table, np.repeat(ratios, n * k), sent)
+    w = s + lim * np.exp(1j * phi.ravel())
+    # lim <= 0 (a 16-QAM point clipped far from its center): nothing skipped
+    inside = lim > 0
+    assert inside.mean() > 0.5
+    np.testing.assert_array_equal(decide(w.real, w.imag)[inside],
+                                  sent[inside])
+
+
 def test_detection_work_is_bounded(monkeypatch):
-    # ser-apsk16-m2's configuration: about 14.5% of the (trial, point) pairs
-    # can err at all, and only those reach the detector; about 45% of the
+    # ser-apsk16-m2's configuration: about 11.8% of the (trial, point) pairs
+    # can err at all, and only those reach the detector; about 39% of the
     # trials can err at the first point, and no trial reaches the precoder
     seen, chunks = [], []
     build = _RingTables.detector
@@ -1323,7 +1414,8 @@ def test_csit_sweep_rejects_non_finite_training_snr(scheme, bad):
 
 def test_csit_work_is_bounded(monkeypatch):
     # csit-apsk16-m4's configuration: only the pairs the bound cannot clear
-    # reach the precoder, and only those still unclear reach the detector
+    # reach the precoder (about 40.6%), and only those still unclear reach
+    # the detector (about 15.9%)
     precoded, detected = [], []
     transmit, build = sim.transmit, _RingTables.detector
 
