@@ -11,8 +11,7 @@ resulting link over Rayleigh fading.
 __version__ = "1.0.0"
 
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
-from .constellation import (med, modulus_ratio, qam_family, qfunc,
-                            ser_union_bound)
+from .constellation import med, modulus_ratio, qam_family, ser_union_bound
 from .optimizer import (DesignResult, Region, RegionTable,
                         build_region_table, build_suboptimal_table, solve_p2,
                         solve_p21)
@@ -24,7 +23,7 @@ from .sim import (SCHEMES, RateCurve, SerCurve, SimConfig, run_csit_sweep,
 __all__ = [
     "__version__",
     "annulus_arrays", "ratio_cdf_m2", "sample_rayleigh",
-    "med", "modulus_ratio", "qam_family", "qfunc", "ser_union_bound",
+    "med", "modulus_ratio", "qam_family", "ser_union_bound",
     "DesignResult", "Region", "RegionTable", "build_region_table",
     "build_suboptimal_table", "solve_p2", "solve_p21",
     "phases_for_targets", "reconstruct", "transmit",

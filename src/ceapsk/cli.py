@@ -264,10 +264,14 @@ def _apply_config_file(argv):
     them in any form it accepts: full, `--flag=value` or a unique prefix.
     A run manifest is also accepted as a config file (its "parameters"
     block is used), so any command can be replayed from its manifest.
-    Both `--config PATH` and `--config=PATH` are accepted.
+    Both `--config PATH` and `--config=PATH` are accepted, and a range flag
+    takes a following "-10:0:5" as its value, where argparse sees a flag.
     """
     argv = [part for tok in argv for part in (
         tok.split("=", 1) if tok.startswith("--config=") else [tok])]
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--snr", "--csit-sweep") and argv[i][:1] == "-":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -304,9 +308,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    fmt = warnings.formatwarning
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
+            warnings.formatwarning = lambda msg, *_, **__: f"warning: {msg}\n"
             return args.func(args)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -317,6 +323,8 @@ def main(argv=None) -> int:
     except Exception as e:  # a fault in the command: one line, no traceback
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:  # catch_warnings does not restore formatwarning
+        warnings.formatwarning = fmt
 
 
 if __name__ == "__main__":

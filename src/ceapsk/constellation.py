@@ -64,26 +64,15 @@ def qam_family(n: int) -> np.ndarray:
     return pts / np.abs(pts).max()
 
 
-def qfunc(x):
-    """Standard normal tail probability via the complementary error function."""
-    out = _erfc(np.divide(x, math.sqrt(2.0)))
-    out *= 0.5
-    return out
-
-
-def ser_union_bound(n: int, d_min, outer_radius, noise_power):
+def ser_union_bound(n, d_min, outer_radius, noise_power, bufs=(None,) * 3):
     """min(1, (N-1) Q(R d_min / (sigma sqrt 2))), elementwise over the
-    broadcast of d_min and outer_radius."""
-    return _union_bound(n, d_min, outer_radius, noise_power)
-
-
-def _union_bound(n, d_min, outer_radius, noise_power, bufs=(None,) * 3):
-    """ser_union_bound, in bufs = (arg, then _erfc's out and work) if given."""
+    broadcast of d_min and outer_radius; in bufs = (arg, then _erfc's out
+    and work) if given."""
     if n < 2:
         raise ValueError("need N >= 2")
     arg = np.multiply(outer_radius, d_min, out=bufs[0], dtype=float)
     arg /= np.sqrt(2.0 * noise_power)
-    arg /= math.sqrt(2.0)  # Q(x) = erfc(x / sqrt 2) / 2, as qfunc forms it
+    arg /= math.sqrt(2.0)  # Q(x) = erfc(x / sqrt 2) / 2
     out = _erfc(arg, *bufs[1:])
     out *= 0.5
     out *= n - 1

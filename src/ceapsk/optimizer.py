@@ -73,6 +73,11 @@ def _rho_bar(b2: float, c12: float) -> float:
     return (c12 - math.sqrt(disc)) / (1.0 - 2.0 * b2)
 
 
+def _f(q, c12x2):
+    """Inter-ring distance f(q) = sqrt(q^2 - 2 c12 q + 1), given 2 c12."""
+    return np.sqrt(np.maximum(q ** 2 - q * c12x2 + 1.0, 0.0))
+
+
 def _solve_n2(n: int, n2: int, ratios: np.ndarray):
     """Best (d_min, rho2, tracking) arrays over a ratio grid for a fixed
     inner-ring count.
@@ -89,7 +94,7 @@ def _solve_n2(n: int, n2: int, ratios: np.ndarray):
     if b1 is None:  # single-point outer ring: n = 2, where c12 = -1
         return (np.full(ratios.shape, d_at1), np.ones(ratios.shape),
                 np.zeros(ratios.shape, dtype=bool))
-    f_at_ratio = np.sqrt(np.maximum(ratios ** 2 + 1.0 - 2.0 * ratios * c12, 0.0))
+    f_at_ratio = _f(ratios, 2.0 * c12)
     rho_cross = c12 - math.sqrt(max(c12 * c12 - 1.0 + 2.0 * b1, 0.0))
     if b2 is not None:
         rho_bar = _rho_bar(b2, c12)
@@ -261,10 +266,8 @@ class RegionTable:
         idx = self.index(ratios)
         if col["const"].all():  # no region uses the formula
             return np.asarray(col["d_min"].take(idx))
-        # 2 ratio c12 == ratio (2 c12) exactly: doubling is exact
-        formula = np.sqrt(np.maximum(
-            ratios ** 2 - ratios * col["c12x2"].take(idx) + 1.0, 0.0))
-        return np.where(col["const"].take(idx), col["d_min"].take(idx), formula)
+        return np.where(col["const"].take(idx), col["d_min"].take(idx),
+                        _f(ratios, col["c12x2"].take(idx)))
 
     def params_at(self, ratios):
         """Vectorized (region index, n2, omega2, rho2) per ratio."""

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import _channel_blocks, _complex_normal_blocks, annulus_arrays
-from .constellation import (_union_bound, med, modulus_ratio, qam_family,
+from .constellation import (med, modulus_ratio, qam_family, ser_union_bound,
                             union_bound_threshold)
 from .optimizer import RegionTable, _CellSearch
 from .precoder import _BLOCK, _receive, transmit
@@ -439,8 +439,8 @@ def union_bound_curve(cfg: SimConfig, table: RegionTable | None) -> np.ndarray:
             local.bufs = [np.empty(sps.size * _BLOCK) for _ in range(3)]
         arg, out, work = (b[:sps.size * big_r0.size] for b in local.bufs)
         arg = np.multiply.outer(sps, big_r0, out=arg.reshape(sps.size, -1))
-        return (_union_bound(table.size, table.d_min_at(ratio), arg,
-                             NOISE_POWER, (arg, out, work)).sum(axis=1),)
+        return (ser_union_bound(table.size, table.d_min_at(ratio), arg,
+                                NOISE_POWER, (arg, out, work)).sum(axis=1),)
     bound, = _channel_sums(cfg, "ser", per_block)
     return bound / cfg.trials
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,37 @@ def test_table_non_power_of_two_warns(tmp_path):
         assert main(["table", "--n", "6", "--out-dir", str(tmp_path)]) == 0
 
 
+def test_warning_prints_as_one_line(tmp_path):
+    # in a child process: under pytest the warning would be recorded, not
+    # printed
+    for args in (("design", "--n", "6", "--ratio", "0.5"),
+                 ("table", "--n", "6", "--out-dir", str(tmp_path))):
+        run = _child_cli(*args)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ("warning: N=6 is not a power of two; "
+                              "the design is best-effort\n")
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning):
+        assert main(["design", "--n", "6", "--ratio", "0.5"]) == 0
+    assert warnings.formatwarning is formatwarning  # put back after the run
+
+
+@pytest.mark.parametrize("cmd, flag, extra", [
+    ("ser", "--snr", ("--scheme", "proposed-optimal")),
+    ("ser", "--csit-sweep", ("--scheme", "proposed-optimal", "--snr", "20")),
+    ("rate", "--snr", ("--scheme", "variable-apsk"))],
+    ids=["ser-snr", "ser-csit-sweep", "rate-snr"])
+def test_negative_range_after_its_flag(cmd, flag, extra, tmp_path):
+    # "-10:30:20" is no plain negative number, so argparse alone takes it
+    # for a flag; it is the range flag's value, as in "--snr=-10:30:20"
+    common = [cmd, *extra, "--m", "2", "--trials", "1e3"]
+    split, joined = tmp_path / "split", tmp_path / "joined"
+    assert main([*common, flag, "-10:30:20", "--out-dir", str(split)]) == 0
+    assert main([*common, f"{flag}=-10:30:20", "--out-dir", str(joined)]) == 0
+    csv, = split.glob("*.csv")
+    assert csv.read_bytes() == (joined / csv.name).read_bytes()
+
+
 def test_ser_unknown_scheme(capsys):
     code = main(["ser", "--scheme", "nope", "--snr", "20",
                  "--trials", "1e3"])
@@ -404,20 +436,24 @@ def test_rate_run_with_an_underflowed_tail(tmp_path):
         "90f6272398558f1ce23af85680b6183ea3e8e2eb88b27fdc1010a2314ebeadff")
 
 
+def _child_cli(*args):
+    """`python -m ceapsk.cli args` in a child process, on this src."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "ceapsk.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
 def test_rate_with_an_underflowed_tail_at_high_snr(tmp_path):
     # above about 34 dB sqrt(p) > 1, where the search for an infinite
     # threshold's least feasible R d_min once walked down one ulp at a
     # time; in a child process, so a hang fails here instead of stalling
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for snr, bits in (("30:40:5", [0.805, 0.969, 0.997]), ("300", [1.0])):
         out = tmp_path / snr.replace(":", "_")
-        run = subprocess.run(
-            [sys.executable, "-m", "ceapsk.cli", "rate", "--scheme",
-             "variable-apsk", "--m", "2", "--snr", snr, "--trials", "1000",
-             "--pe", "5e-324", "--out-dir", str(out)],
-            env=env, capture_output=True, text=True, timeout=30)
+        run = _child_cli("rate", "--scheme", "variable-apsk", "--m", "2",
+                         "--snr", snr, "--trials", "1000", "--pe", "5e-324",
+                         "--out-dir", str(out))
         assert run.returncode == 0, run.stderr
         rows = (out / "rate_variable-apsk_m2.csv").read_text().split()[1:]
         got = [[float(v) for v in row.split(",")[1:]] for row in rows]

@@ -1,7 +1,8 @@
 """Static guards: no unused imports in the package or its tests, no assert
 statements in the package, no scheme name outside the scheme table, no file
-read but the --config file, and every package name the benchmark harness in
-perfbench/ or the README's examples reach still resolves."""
+read but the --config file, every package name the benchmark harness in
+perfbench/ or the README's examples reach still resolves, and every public
+name has a caller."""
 
 import ast
 import importlib
@@ -198,11 +199,35 @@ def test_perfbench_layer_targets_resolve():
     # the functions the benchmark's workloads report as layers
     assert {"channel.annulus_arrays", "channel.sample_rayleigh",
             "optimizer.params_at", "optimizer.d_min_at",
-            "optimizer.build_region_table", "constellation.qfunc",
-            "constellation.qam_family", "precoder.phases_for_targets",
-            "precoder.reconstruct", "precoder.transmit", "rng.stream",
-            "sim.run_fixed_rate_ser", "sim.run_csit_sweep",
-            "sim.run_variable_rate", "cli.load_or_build_table"} <= names
+            "optimizer.build_region_table", "constellation.qam_family",
+            "precoder.phases_for_targets", "precoder.reconstruct",
+            "precoder.transmit", "rng.stream", "sim.run_fixed_rate_ser",
+            "sim.run_csit_sweep", "sim.run_variable_rate",
+            "cli.load_or_build_table"} <= names
+
+
+def _references(node, inside=frozenset()):
+    """(name, names of the enclosing defs and classes) per Name and per
+    Attribute under node."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        yield node.id if isinstance(node, ast.Name) else node.attr, inside
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_public_names_have_callers():
+    # a public name is used in the package outside its own definition, by
+    # the benchmark or by the acceptance tests; strings (__all__) do not count
+    paths = [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py")),
+             TESTS / "test_acceptance.py"]
+    used = {name for path in paths
+            for name, inside in _references(ast.parse(path.read_text()))
+            if name not in inside}
+    public = set(ceapsk.__all__) - {"__version__"}
+    assert "solve_p2" in public  # the scan itself works
+    assert sorted(public - used) == []
 
 
 def test_cli_writes_only_in_the_run_writer():

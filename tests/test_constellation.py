@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceapsk.constellation import (_MAXLOG, _erfc, med, modulus_ratio,
-                                  qam_family, qfunc, ser_union_bound,
+                                  qam_family, ser_union_bound,
                                   union_bound_threshold)
 from ceapsk.optimizer import RegionTable, build_region_table
 from ceapsk.sim import NOISE_POWER, SIZES, _RingTables
@@ -161,11 +161,6 @@ def test_union_bound_values():
                                                               rel=1e-3)
     # vanishing noise: bound -> 0
     assert ser_union_bound(16, 0.5, 1.0, 1e-30) == 0.0
-
-
-def test_qfunc():
-    assert qfunc(0.0) == pytest.approx(0.5)
-    assert qfunc(3.0) == pytest.approx(1.3499e-3, rel=1e-3)
 
 
 def test_union_bound_threshold_matches_scipy_formula():

@@ -374,15 +374,50 @@ def test_region_table_tie_rule_matches_stacked_argmax(monkeypatch):
     assert [n for n, a, b in zip(sizes, got, want) if a != b] == []
 
 
+@pytest.fixture(scope="module")
+def even_tables():
+    """(n, table) for the optimal and the suboptimal table of every even
+    N <= 256, each built once."""
+    return [(n, _table(n, sub)) for n in range(2, 257, 2)
+            for sub in (False, True)]
+
+
 @pytest.mark.filterwarnings("ignore:N=.*power of two")
-def test_region_tables_have_no_sliver_regions():
+def test_region_tables_have_no_sliver_regions(even_tables):
     # a float tie between two designs (N=6 at q = 0, N=20 at q = 0.618) once
     # made a region one ulp wide; the narrowest real region is 3.0e-9 (N=254)
-    narrow = [(n, reg.lo) for n in range(2, 257, 2)
-              for table in (_table(n), _table(n, True))
+    narrow = [(n, reg.lo) for n, table in even_tables
               for reg in table.regions if reg.hi - reg.lo < 1e-12]
     assert narrow == []
     assert [reg.n2 for reg in _table(6).regions] == [3]
+
+
+# SHA-256 of the to_json() of every table in even_tables, in order; pruning
+# the table build must keep these bytes
+_EVEN_TABLES_SHA256 = (
+    "e98fbdfc25814f60db6fb2bd62a474fbd12ec599d2041878ea621d9656455962")
+
+
+@pytest.mark.filterwarnings("ignore:N=.*power of two")
+def test_every_even_table_pinned(even_tables):
+    digest = hashlib.sha256()
+    for _, table in even_tables:
+        digest.update(table.to_json().encode())
+    assert digest.hexdigest() == _EVEN_TABLES_SHA256
+
+
+def test_solver_and_lookup_share_the_formula():
+    # inside a formula region the table's MED is the solver's f(q), bit for
+    # bit: one expression serves both
+    for n in (8, 16, 32, 64, 128):
+        table = _table(n)
+        formula = [reg for reg in table.regions if reg.d_min_rule == "formula"]
+        assert formula, n  # the check itself reaches a formula region
+        for reg in formula:
+            ratios = np.linspace(reg.lo, reg.hi, 2003)[1:-1]
+            np.testing.assert_array_equal(_solve_n2(n, reg.n2, ratios)[0],
+                                          table.d_min_at(ratios),
+                                          err_msg=f"N={n} N2={reg.n2}")
 
 
 def test_region_table_build_memory_is_bounded():

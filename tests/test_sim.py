@@ -186,7 +186,7 @@ def test_union_bound_present_for_proposed(table16, set_chunk):
 
 def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
     bound_calls, curve_calls = [], []
-    bound, curve_fn = sim._union_bound, sim.union_bound_curve
+    bound, curve_fn = sim.ser_union_bound, sim.union_bound_curve
 
     def counting_bound(*args):
         bound_calls.append(1)
@@ -195,7 +195,7 @@ def test_union_bound_computed_only_when_read(table16, monkeypatch, tmp_path):
     def counting_curve(*args):
         curve_calls.append(1)
         return curve_fn(*args)
-    monkeypatch.setattr(sim, "_union_bound", counting_bound)
+    monkeypatch.setattr(sim, "ser_union_bound", counting_bound)
     monkeypatch.setattr(sim, "union_bound_curve", counting_curve)
     cfg = SimConfig(m=2, snr_db=(16.0, 20.0), trials=5000,
                     scheme="proposed-optimal")
