@@ -33,6 +33,10 @@ MAX_POINTS = 10**4  # most points of an SNR range or of `cdf --points`
 # most `cdf --trials`: cdf draws them all at once, about 80 B a trial
 # (76 MiB at 10^6, by tracemalloc), so about 0.8 GB at the bound
 MAX_CDF_TRIALS = 10**7
+# the spellings argparse takes for a flag: the flag or a prefix, "--x" up
+_CONFIG_SPELLINGS = {"--config"[:k] for k in range(3, 9)}
+_RANGE_SPELLINGS = {flag[:k] for flag in ("--snr", "--csit-sweep")
+                    for k in range(3, 13)}
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -264,20 +268,25 @@ def _apply_config_file(argv):
     them in any form it accepts: full, `--flag=value` or a unique prefix.
     A run manifest is also accepted as a config file (its "parameters"
     block is used), so any command can be replayed from its manifest.
-    Both `--config PATH` and `--config=PATH` are accepted, and a range flag
-    takes a following "-10:0:5" as its value, where argparse sees a flag.
+    `--config PATH` and `--config=PATH` are read anywhere, and ahead of the
+    subcommand any prefix (`--c` up) is too; after it `--c` is `--csit-sweep`.
+    A range flag, however spelt, takes "-10:0:5" as its value.
     """
-    argv = [part for tok in argv for part in (
-        tok.split("=", 1) if tok.startswith("--config=") else [tok])]
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--snr", "--csit-sweep") and argv[i][:1] == "-":
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValueError("--config needs a path")
-    path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    rest, path, cmd = [], None, -1  # cmd: the subcommand's index in rest
+    toks = iter(argv)
+    for tok in toks:
+        flag, eq, value = tok.partition("=")
+        if flag == "--config" or cmd < 0 and flag in _CONFIG_SPELLINGS:
+            path = value if eq else next(toks, None)
+            if path is None:
+                raise ValueError("--config needs a path")
+        elif tok[:1] == "-" and rest and rest[-1] in _RANGE_SPELLINGS:
+            rest[-1] += "=" + tok
+        else:
+            cmd = len(rest) if cmd < 0 and tok[:1] != "-" else cmd
+            rest.append(tok)
+    if path is None:
+        return rest
     with open(path) as f:
         conf = json.load(f)
     if isinstance(conf, dict) and "parameters" in conf:
@@ -292,8 +301,6 @@ def _apply_config_file(argv):
         elif val is not None and val is not False:
             # one token, so a value such as "-5:10:1" is not read as a flag
             extra.append(f"{flag}={val}")
-    cmd = next((i for i, tok in enumerate(rest) if not tok.startswith("-")),
-               len(rest) - 1)
     return rest[:cmd + 1] + extra + rest[cmd + 1:]
 
 

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -281,12 +281,7 @@ class RegionTable:
         return json.dumps({
             "size": self.size,
             "algorithm_version": TABLE_ALGO_VERSION,
-            "regions": [{
-                "lo": reg.lo, "hi": reg.hi, "n2": reg.n2,
-                "omega2": reg.omega2, "c12": reg.c12,
-                "rho2_rule": reg.rho2_rule, "rho2": reg.rho2,
-                "d_min_rule": reg.d_min_rule, "d_min": reg.d_min,
-            } for reg in self.regions],
+            "regions": [asdict(reg) for reg in self.regions],
         }, indent=2)
 
     def write_csv(self, path) -> None:
@@ -354,12 +349,9 @@ def build_suboptimal_table(optimal: RegionTable) -> RegionTable:
     regs = optimal.regions
     if len(regs) <= 1:
         return optimal
-    first = regs[0]
-    last = regs[-1]
-    if last.rho2_rule != "constant":
+    first, last = regs[0], regs[-1]
+    if (last.rho2_rule, last.d_min_rule) != ("constant", "constant"):
         raise ValueError("last region must carry a constant design")
-    rest = Region(lo=first.hi, hi=1.0, n2=last.n2, omega2=last.omega2,
-                  c12=last.c12, rho2_rule="constant", rho2=last.rho2,
-                  d_min_rule="constant", d_min=last.d_min)
+    rest = replace(last, lo=first.hi, hi=1.0)
     return RegionTable(size=optimal.size, regions=(first, rest))
 

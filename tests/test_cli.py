@@ -273,8 +273,10 @@ def test_warning_prints_as_one_line(tmp_path):
 @pytest.mark.parametrize("cmd, flag, extra", [
     ("ser", "--snr", ("--scheme", "proposed-optimal")),
     ("ser", "--csit-sweep", ("--scheme", "proposed-optimal", "--snr", "20")),
-    ("rate", "--snr", ("--scheme", "variable-apsk"))],
-    ids=["ser-snr", "ser-csit-sweep", "rate-snr"])
+    ("rate", "--snr", ("--scheme", "variable-apsk")),
+    ("ser", "--sn", ("--scheme", "proposed-optimal")),
+    ("ser", "--csit", ("--scheme", "proposed-optimal", "--snr", "20"))],
+    ids=["ser-snr", "ser-csit-sweep", "rate-snr", "ser-sn", "ser-csit"])
 def test_negative_range_after_its_flag(cmd, flag, extra, tmp_path):
     # "-10:30:20" is no plain negative number, so argparse alone takes it
     # for a flag; it is the range flag's value, as in "--snr=-10:30:20"
@@ -462,10 +464,40 @@ def test_rate_with_an_underflowed_tail_at_high_snr(tmp_path):
         assert all(b + q == 1.0 for b, q in got)
 
 
+def test_config_in_any_prefix_ahead_of_the_subcommand(tmp_path):
+    # argparse takes a unique prefix of --config before the subcommand, so
+    # each spelling must apply the file as --config does
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"seed": 9, "snr": "20:22:1"}))
+    name = "ser_fixed-qam16_m2"
+    runs = {}
+    for form, flags in (("full", ["--config", str(conf)]),
+                        ("split", ["--conf", str(conf)]),
+                        ("equals", [f"--conf={conf}"]),
+                        ("shortest", ["--c", str(conf)])):
+        out = tmp_path / form
+        assert main(flags + ["ser", "--scheme", "fixed-qam16", "--trials",
+                             "2e3", "--out-dir", str(out)]) == 0
+        params = json.loads((out / f"{name}.manifest.json").read_text())[
+            "parameters"]
+        assert (params["seed"], params["snr"]) == (9, "20:22:1")
+        runs[form] = (out / f"{name}.csv").read_bytes()
+    assert all(csv == runs["full"] for csv in runs.values())
+    # after the subcommand --c abbreviates ser's --csit-sweep instead
+    out = tmp_path / "csit"
+    assert main(["--c", str(conf), "ser", "--scheme", "proposed-optimal",
+                 "--trials", "1e3", "--snr", "20", "--c", "0:30:10",
+                 "--out-dir", str(out)]) == 0
+    params = json.loads((out / "ser_proposed-optimal_m2_csit.manifest.json")
+                        .read_text())["parameters"]
+    assert (params["seed"], params["csit_sweep"]) == (9, "0:30:10")
+
+
 def test_config_without_path(capsys):
-    assert main(["--config"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: --config needs a path"]
+    for flag in ("--config", "--conf", "--c"):  # or a prefix argparse takes
+        assert main([flag]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --config needs a path"]
 
 
 @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--threads", "0")])

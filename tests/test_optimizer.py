@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 import ceapsk.optimizer as optimizer
 from ceapsk.channel import annulus_arrays, sample_rayleigh
 from ceapsk.constellation import med, modulus_ratio
-from ceapsk.optimizer import (_MAX_CELLS, DesignResult, _CellSearch,
-                              _solve_grid, _solve_n2, build_region_table,
-                              build_suboptimal_table, solve_p2, solve_p21)
+from ceapsk.optimizer import (_MAX_CELLS, DesignResult, Region, RegionTable,
+                              _CellSearch, _solve_grid, _solve_n2,
+                              build_region_table, build_suboptimal_table,
+                              solve_p2, solve_p21)
 
 
 def test_solve_p21_examples():
@@ -310,6 +313,25 @@ def test_suboptimal_table_n8_second_region_is_8psk():
 def test_suboptimal_single_region_passthrough():
     table = build_region_table(4)
     assert build_suboptimal_table(table) == table
+
+
+def test_table_json_holds_the_region_fields_in_order():
+    regions = json.loads(build_region_table(16).to_json())["regions"]
+    names = [f.name for f in dataclasses.fields(Region)]
+    assert len(regions) > 1 and all(list(reg) == names for reg in regions)
+
+
+@pytest.mark.parametrize("rules", [
+    dict(rho2_rule="constant", d_min_rule="formula", d_min=None),
+    dict(rho2_rule="track_ratio", rho2=None)])
+def test_suboptimal_needs_a_constant_last_region(rules):
+    # the second region copies the last one whole, so both of its rules
+    # must be constant over the rest of the ratio range
+    table = build_region_table(16)
+    last = dataclasses.replace(table.regions[-1], **rules)
+    with pytest.raises(ValueError, match="constant design"):
+        build_suboptimal_table(RegionTable(
+            size=16, regions=(*table.regions[:-1], last)))
 
 
 def test_region_probabilities():
