@@ -268,9 +268,8 @@ def _apply_config_file(argv):
     them in any form it accepts: full, `--flag=value` or a unique prefix.
     A run manifest is also accepted as a config file (its "parameters"
     block is used), so any command can be replayed from its manifest.
-    `--config PATH` and `--config=PATH` are read anywhere, and ahead of the
-    subcommand any prefix (`--c` up) is too; after it `--c` is `--csit-sweep`.
-    A range flag, however spelt, takes "-10:0:5" as its value.
+    `--config PATH` and `=PATH` are read anywhere; a prefix only ahead of the
+    subcommand. Any spelling of a range flag takes "-10:0:5" (not "--n").
     """
     rest, path, cmd = [], None, -1  # cmd: the subcommand's index in rest
     toks = iter(argv)
@@ -280,7 +279,8 @@ def _apply_config_file(argv):
             path = value if eq else next(toks, None)
             if path is None:
                 raise ValueError("--config needs a path")
-        elif tok[:1] == "-" and rest and rest[-1] in _RANGE_SPELLINGS:
+        elif (tok[:1] == "-" and tok[1:2] != "-" and rest
+              and rest[-1] in _RANGE_SPELLINGS):
             rest[-1] += "=" + tok
         else:
             cmd = len(rest) if cmd < 0 and tok[:1] != "-" else cmd

@@ -220,8 +220,13 @@ def test_table_n8(tmp_path, capsys):
 def test_table_suboptimal(tmp_path):
     assert main(["table", "--n", "16", "--suboptimal",
                  "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "table_n16_suboptimal.csv").read_text().strip().splitlines()
-    assert len(lines) == 3  # header + 2 regions
+    csv = (tmp_path / "table_n16_suboptimal.csv").read_bytes()
+    assert len(csv.strip().splitlines()) == 3  # header + 2 regions
+    # `--s` is `--suboptimal` here, not a range flag waiting for its value
+    for i, args in enumerate((["--s", "--n", "16"], ["--n", "16", "--s"])):
+        out = tmp_path / f"abbr{i}"
+        assert main(["table", *args, "--out-dir", str(out)]) == 0
+        assert (out / "table_n16_suboptimal.csv").read_bytes() == csv
 
 
 def test_stale_table_cache_ignored(tmp_path):
