@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .optimizer import build_region_table, build_suboptimal_table, solve_p2
-from .sim import (ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig, check_scheme,
-                  run_csit_sweep, run_fixed_rate_ser, run_variable_rate)
+from .sim import (DRAW_LAW, ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig,
+                  check_scheme, check_training, run_csit_sweep,
+                  run_fixed_rate_ser, run_variable_rate)
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
@@ -76,6 +77,7 @@ def write_manifest(path: Path, args, outputs: list, started: float) -> None:
         params["trials"] = parse_trials(params["trials"])
     manifest = {
         "command": args.cmd,
+        "draw_law": DRAW_LAW,
         "parameters": params,
         "seed": params.get("seed"),
         "tool_version": __version__,
@@ -156,7 +158,8 @@ def load_or_build_table(need: str | None):
 def cmd_ser(args) -> int:
     started = time.time()
     cfg, facts = _sim_config(args, "csit" if args.csit_sweep else "ser")
-    tr_grid = parse_range(args.csit_sweep) if args.csit_sweep else None
+    tr_grid = (check_training(parse_range(args.csit_sweep))
+               if args.csit_sweep else None)
     table = load_or_build_table(facts.table)
     curve = (run_fixed_rate_ser(cfg, table) if tr_grid is None
              else run_csit_sweep(cfg, table, tr_grid))
@@ -266,8 +269,8 @@ def _apply_config_file(argv):
     The config's flags go right after the subcommand, ahead of the explicit
     ones, so argparse's last-one-wins rule lets an explicit flag override
     them in any form it accepts: full, `--flag=value` or a unique prefix.
-    A run manifest is also accepted as a config file (its "parameters"
-    block is used), so any command can be replayed from its manifest.
+    A run manifest of this DRAW_LAW is also accepted as a config file (its
+    "parameters" block is used), so any command replays from its manifest.
     `--config PATH` and `=PATH` are read anywhere; a prefix only ahead of the
     subcommand. Any spelling of a range flag takes "-10:0:5" (not "--n").
     """
@@ -290,6 +293,9 @@ def _apply_config_file(argv):
     with open(path) as f:
         conf = json.load(f)
     if isinstance(conf, dict) and "parameters" in conf:
+        if conf.get("draw_law", 1) != DRAW_LAW:  # no key: an older law-1 run
+            raise ValueError(f"manifest {path} names draw law {conf['draw_law']}"
+                             f"; this version draws under law {DRAW_LAW}")
         conf = conf["parameters"]
     if not isinstance(conf, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -312,7 +318,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_BAD_ARGS if e.code not in (0, None) else 0
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
     fmt = warnings.formatwarning
@@ -321,7 +327,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("default")
             warnings.formatwarning = lambda msg, *_, **__: f"warning: {msg}\n"
             return args.func(args)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except OSError as e:

@@ -77,6 +77,8 @@ PATH_LOSS = 1e-9               # beta, -90 dB
 NOISE_POWER = 10 ** (-12.4)    # sigma^2, -94 dBm in watts
 SIZES = (2, 4, 8, 16, 32, 64)  # the variable-rate schemes' constellation sizes
 CHUNK_SIZE = 100_000  # trials per chunk, and so per random stream
+# every manifest names it: bump it whenever a draw changes its bits
+DRAW_LAW = 1
 # upper bounds: no input opens unbounded chunk lists, pools or chunk arrays
 MAX_TRIALS, MAX_THREADS, MAX_ANTENNAS = 10**9, 256, 64
 MAX_SNR_DB = 300.0  # |SNR| in dB; far beyond it the power under- or overflows
@@ -161,7 +163,7 @@ class SerCurve:
             w = csv.writer(f)
             w.writerow(["snr_db", "ser", "errors", "trials"])
             for s, e, t in zip(self.snr_db, self.errors, self.trials):
-                w.writerow([f"{s:g}", f"{e / t:.10e}", int(e), int(t)])
+                w.writerow([f"{s:.10g}", f"{e / t:.10e}", int(e), int(t)])
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class RateCurve:
             w = csv.writer(f)
             w.writerow(["snr_db", "avg_bits", "no_tx_fraction"])
             for s, b, q in zip(self.snr_db, self.avg_bits, self.no_tx_fraction):
-                w.writerow([f"{s:g}", f"{b:.10e}", f"{q:.10e}"])
+                w.writerow([f"{s:.10g}", f"{b:.10e}", f"{q:.10e}"])
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +479,15 @@ def _channel_sums(cfg: SimConfig, engine: str, per_block):
 # Imperfect-CSIT sweep
 
 
+def check_training(training_snr_db) -> tuple[float, ...]:
+    """The CSIT sweep's training SNRs, as floats, if all lie in range."""
+    training = tuple(float(s) for s in training_snr_db)
+    if not all(abs(s) <= MAX_SNR_DB for s in training):  # NaN fails too
+        raise ValueError("training SNRs must be finite and lie in "
+                         f"[-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]")
+    return training
+
+
 def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
                    training_snr_db: tuple[float, ...]) -> SerCurve:
     """Average SER versus training SNR at a fixed data SNR (cfg.snr_db[0]),
@@ -500,10 +511,7 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     """
     facts = check_scheme(cfg, "csit")
     size, screen, detector = _ser_steps(facts, table)
-    training = tuple(float(s) for s in training_snr_db)
-    if not all(abs(s) <= MAX_SNR_DB for s in training):  # NaN fails too
-        raise ValueError("training SNRs must be finite and lie in "
-                         f"[-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]")
+    training = check_training(training_snr_db)
     c = math.sqrt(NOISE_POWER) / math.sqrt(cfg.powers()[0])  # sigma / sqrt(p)
     axis = list(training) + [math.inf]
     # MMSE estimation: error variance beta / (1 + training SNR) per antenna

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ceapsk.sim as sim
-from ceapsk import cli, optimizer
+from ceapsk import channel, cli, optimizer
 from ceapsk.cli import main, parse_range, parse_trials
 from ceapsk.optimizer import build_region_table
 
@@ -48,102 +49,168 @@ def test_parse_range_counts_points_before_building_the_grid():
     assert peak < 2**16
 
 
-def test_cdf_trials_bounded_before_the_draw(monkeypatch, tmp_path, capsys):
-    assert cli.MAX_CDF_TRIALS == 10**7
-    monkeypatch.setattr(cli, "sample_rayleigh", _no_draw)
-    # 1e12 trials would need about 80 TB; bound + 1 would still be drawn
-    # without the bound.  Both are refused before any draw or write.
-    out = tmp_path / "out"
+_CDF_BOUND = "error: cdf --trials must be at most 10000000"
+_N_BOUND = "error: N must be at most 256"
+_TRAINING = "error: training SNRs must be finite and lie in [-300, 300]"
+# the runs that every engine bound below is tried on
+_ENGINE_RUNS = {
+    "ser": ["ser", "--scheme", "proposed-optimal", "--snr", "10:20:5"],
+    "csit": ["ser", "--scheme", "egt-qam16", "--snr", "20",
+             "--csit-sweep", "0:30:10"],
+    "rate": ["rate", "--scheme", "variable-qam", "--snr", "10:20:5"]}
+_ENGINE_BOUNDS = {
+    "threads": ["--threads", "257"],
+    "threads-and-chunks": ["--threads", "10000", "--trials", "1e9"],
+    "trials": ["--trials", "1000000001"], "trials-huge": ["--trials", "1e300"],
+    "antennas": ["--m", "65"], "snr-high": ["--snr", "4000"],
+    "snr-low": ["--snr=-4000"]}
+# every bad input: (id, argv, None or (name, JSON) of a file the row writes
+# first, the stderr line or the fragments it holds)
+_BAD_INPUTS = [
+    # 1e12 cdf trials would need about 80 TB; the bound + 1 would be drawn
+    ("cdf-trials-1e12", ["cdf", "--trials", "1e12"], None, _CDF_BOUND),
+    ("cdf-trials-bound+1", ["cdf", "--trials", str(cli.MAX_CDF_TRIALS + 1)],
+     None, _CDF_BOUND),
+    ("table-258", ["table", "--n", "258"], None, _N_BOUND),
+    ("table-512", ["table", "--n", "512", "--suboptimal"], None, _N_BOUND),
+    ("design-1e9", ["design", "--n", str(10**9), "--ratio", "0.5"], None,
+     _N_BOUND),
+    # argparse's own errors read like every other bad input: one line
+    ("not-an-int", ["design", "--n", "1e9"], None, ()),
+    ("bad-m", ["ser", "--m", "x", "--scheme", "proposed-optimal"], None, ()),
+    ("no-scheme", ["ser", "--m", "2"], None, ()),
+    ("no-command", ["bogus"], None, ()),
+    ("unknown-flag", ["ser", "--scheme", "proposed-optimal", "--nope", "1"],
+     None, ()),
+    ("design-unknown-flag", ["design", "--n", "16", "--ratio", "0.4",
+                             "--bogus"], None, ()),
+    ("points-ser-snr", ["ser", "--scheme", "fixed-qam16", "--snr", "0:1e5:1",
+                        "--trials", "1e3"], None, ("10000",)),
+    ("points-csit-sweep", ["ser", "--scheme", "proposed-optimal", "--snr", "20",
+                           "--csit-sweep", "0:1e5:1", "--trials", "1e3"],
+     None, ("10000",)),
+    ("points-rate-snr", ["rate", "--scheme", "variable-qam", "--snr",
+                         "0:1e5:1", "--trials", "1e3"], None, ("10000",)),
+    ("points-cdf", ["cdf", "--points", "10001", "--trials", "1e3"], None,
+     ("10000",)),
+    # 4000 dB overflows the MMSE error variance; -4000 would run
+    *[(f"training-{tr}", ["ser", "--scheme", "proposed-optimal", "--snr", "20",
+                          "--trials", "1e3", f"--csit-sweep={tr}"], None,
+       _TRAINING) for tr in ("4000", "-4000", "0:400:100", "inf")],
+    *[(f"csit-nan-{name}", ["ser", "--scheme", scheme, "--snr", "20",
+                            "--trials", "1e3", "--csit-sweep", "nan"], None,
+       _TRAINING) for name, scheme in (("proposed", "proposed-optimal"),
+                                       ("egt", "egt-qam16"))],
+    ("design-bad-ratio", ["design", "--n", "16", "--ratio", "1.5"], None, ()),
+    ("table-bad-n", ["table", "--n", "7"], None, ()),
+    ("ser-unknown-scheme", ["ser", "--scheme", "nope", "--snr", "20",
+                            "--trials", "1e3"], None,
+     ("proposed-optimal", "egt-qam16")),
+    *[(f"csit-scheme-{scheme}", ["ser", "--scheme", scheme, "--snr", "20",
+                                 "--trials", "1e3", "--csit-sweep", "0:10:5"],
+       None, ("proposed-optimal", "proposed-suboptimal", "egt-qam16"))
+      for scheme in ("fixed-qam16", "adaptive-qam-psk", "variable-apsk")],
+    ("csit-several-snrs", ["ser", "--scheme", "proposed-optimal", "--snr",
+                           "20:24:2", "--trials", "1e3", "--csit-sweep",
+                           "0:10:5"], None,
+     "error: csit sweep uses a single data SNR"),
+    ("rate-bad-pe", ["rate", "--scheme", "variable-qam", "--pe", "0",
+                     "--snr", "10", "--trials", "1e3"], None, ()),
+    # --config or a prefix that argparse takes for it, with no path
+    *[(f"no-path{flag[1:]}", [flag], None, "error: --config needs a path")
+      for flag in ("--config", "--conf", "--c")],
+    *[(f"ser{flag[1:]}-{value}", ["ser", "--scheme", "fixed-qam16", flag,
+                                  value, "--snr", "20", "--trials", "1e3"],
+       None, ()) for flag, value in (("--m", "0"), ("--threads", "0"))],
+    # a manifest that names the old table grid step is refused, not
+    # replayed at whatever step tables are now built
+    *[(f"grid-step-{cmd}", ["--config", "m.json", cmd],
+       ("m.json", {"command": cmd, "parameters": params}), ("--grid-step",))
+      for cmd, params in (
+          ("rate", {"scheme": "variable-apsk", "m": 2, "snr": "10",
+                    "trials": 1000, "seed": 0, "pe": 0.001,
+                    "grid_step": 0.0001, "threads": 1}),
+          ("ser", {"scheme": "proposed-optimal", "m": 2, "snr": "20",
+                   "trials": 1000, "seed": 0, "csit_sweep": None,
+                   "grid_step": 0.0001, "threads": 1}),
+          ("table", {"n": 8, "grid_step": 0.0001, "suboptimal": False}))],
+    # a manifest of another draw law would replay into other bytes
+    ("draw-law-2", ["--config", "m.json", "ser"],
+     ("m.json", {"command": "ser", "draw_law": 2, "parameters": {
+         "scheme": "fixed-qam16", "snr": "20", "trials": 1000}}),
+     "error: manifest m.json names draw law 2; this version draws under "
+     "law 1"),
+    *[(f"config-{name}", ["--config", "f.json", "rate", "--scheme",
+                          "variable-qam"], ("f.json", conf),
+       "error: config file f.json must hold a JSON object")
+      for name, conf in (("list", [1, 2]), ("str", "rate"),
+                         ("parameters-list", {"parameters": [1, 2]}))],
+    ("rate-snr-nan", ["rate", "--scheme", "variable-qam", "--snr", "nan",
+                      "--trials", "1e3"], None, "error: snr_db must be finite"),
+    *[(name, args, None, ()) for name, args in (
+        ("trials-inf", ["ser", "--scheme", "fixed-qam16", "--snr", "20",
+                        "--trials", "inf"]),
+        ("trials-fractional", ["ser", "--scheme", "fixed-qam16", "--snr", "20",
+                               "--trials", "1000.7"]),
+        ("snr-range-inf", ["ser", "--scheme", "fixed-qam16", "--snr",
+                           "0:inf:1", "--trials", "1e3"]),
+        ("csit-range-inf", ["ser", "--scheme", "proposed-optimal", "--snr",
+                            "20", "--trials", "1e3", "--csit-sweep",
+                            "0:inf:2"]),
+        ("cdf-trials-0", ["cdf", "--trials", "0"]),
+        ("cdf-points-0", ["cdf", "--trials", "1e3", "--points", "0"]))],
+    # the seed is checked before any region table is built
+    *[(f"seed-{name}", [*args, "--trials", "1e3", "--seed", "-1"], None,
+       "error: seed must be a non-negative integer") for name, args in (
+          ("ser", ["ser", "--scheme", "fixed-qam16", "--snr", "20"]),
+          ("rate", ["rate", "--scheme", "variable-qam", "--snr", "20"]),
+          ("cdf", ["cdf"]),
+          ("ser-table", ["ser", "--scheme", "proposed-optimal", "--snr", "20"]),
+          ("rate-table", ["rate", "--scheme", "variable-apsk", "--snr",
+                          "20"]))],
+    *[(f"{run}-{bound}", [*args, "--trials", "1e3", *flags], None, ())
+      for run, args in _ENGINE_RUNS.items()
+      for bound, flags in _ENGINE_BOUNDS.items()],
+]
+
+
+def _reached(name, *args, **kwargs):
+    raise AssertionError(f"{name} was called")
+
+
+@pytest.mark.parametrize("argv,file,want", [row[1:] for row in _BAD_INPUTS],
+                         ids=[row[0] for row in _BAD_INPUTS])
+def test_bad_input_exits_2(argv, file, want, monkeypatch, tmp_path, capsys):
+    # refused with one line before any engine chunk runs (so before any
+    # thread starts), any normal is drawn or any design is solved: were a
+    # bound gone, the row would fail fast, not run, hang or swap
+    assert (cli.MAX_CDF_TRIALS, optimizer.MAX_N) == (10**7, 256)
+    for module, name in ((sim, "_reduce_chunks"),
+                         (channel, "_complex_normal_blocks"),
+                         (optimizer, "_solve_grid")):
+        monkeypatch.setattr(module, name, functools.partial(_reached, name))
+    monkeypatch.chdir(tmp_path)  # so the default out dir lies in tmp_path
+    if file:
+        (tmp_path / file[0]).write_text(json.dumps(file[1]))
+    before = sorted(tmp_path.rglob("*"))
     tracemalloc.start()
     try:
-        for trials in ("1e12", str(cli.MAX_CDF_TRIALS + 1)):
-            assert main(["cdf", "--trials", trials, "--out-dir", str(out)]) == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert err == ["error: cdf --trials must be at most 10000000"]
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.find("\n") == len(err) - 1, err
+    assert (err == want + "\n" if isinstance(want, str)
+            else all(part in err for part in want)), err
+    assert sorted(tmp_path.rglob("*")) == before  # not even the out dir
     assert peak < 2**20
-    assert not out.exists()
-
-
-def _no_draw(*args, **kwargs):
-    raise AssertionError("cdf drew its trials")
-
-
-@pytest.mark.parametrize("args", [
-    ["table", "--n", "258"], ["table", "--n", "512", "--suboptimal"],
-    ["design", "--n", str(10**9), "--ratio", "0.5"]],
-    ids=["table-258", "table-512", "design-1e9"])
-def test_constellation_size_bounded_before_the_solve(args, monkeypatch,
-                                                     tmp_path, capsys):
-    assert optimizer.MAX_N == 256
-    # were the bound gone, the solve would fail the run, not hang or swap
-    monkeypatch.setattr(optimizer, "_solve_grid", _no_solve)
-    out = tmp_path / "out"
-    assert main(args + (["--out-dir", str(out)] if args[0] == "table"
-                        else [])) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: N must be at most 256"]
-    assert not out.exists()
-
-
-def _no_solve(*args, **kwargs):
-    raise AssertionError("the design was solved")
-
-
-@pytest.mark.parametrize("args", [
-    ["design", "--n", "1e9"], ["ser", "--m", "x", "--scheme",
-                               "proposed-optimal"],
-    ["ser", "--m", "2"], ["bogus"],
-    ["ser", "--scheme", "proposed-optimal", "--nope", "1"]],
-    ids=["not-an-int", "bad-m", "no-scheme", "no-command", "unknown-flag"])
-def test_flags_argparse_rejects_get_one_line(args, monkeypatch, tmp_path,
-                                             capsys):
-    # argparse's own errors read like every other bad input: one line
-    monkeypatch.chdir(tmp_path)
-    assert main(args) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert not any(tmp_path.iterdir())  # not even the default out dir
-
-
-def _no_engine_run(cfg, engine, one_chunk):
-    raise AssertionError("an engine ran")
-
-
-@pytest.mark.parametrize("args", [
-    ["ser", "--scheme", "fixed-qam16", "--snr", "0:1e5:1"],
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20",
-     "--csit-sweep", "0:1e5:1"],
-    ["rate", "--scheme", "variable-qam", "--snr", "0:1e5:1"],
-    ["cdf", "--points", "10001"],
-], ids=["ser-snr", "csit-sweep", "rate-snr", "cdf-points"])
-def test_point_counts_are_bounded(args, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(sim, "_reduce_chunks", _no_engine_run)
-    out = tmp_path / "out"
-    assert main(args + ["--trials", "1e3", "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "10000" in err[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("training", ["4000", "-4000", "0:400:100"])
-def test_training_snrs_are_bounded(training, monkeypatch, tmp_path, capsys):
-    # 4000 dB overflows the MMSE error variance; -4000 would run
-    monkeypatch.setattr(sim, "_reduce_chunks", _no_engine_run)
-    out = tmp_path / "out"
-    assert main(["ser", "--scheme", "proposed-optimal", "--snr", "20",
-                 "--trials", "1e3", f"--csit-sweep={training}",
-                 "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: training SNRs must be finite and lie in "
-                   "[-300, 300]"]
-    assert not out.exists()
 
 
 def test_parse_trials():
-    # whole counts in float notation parse; fractional ones exit 2 (below)
+    # whole counts in float notation parse; fractional ones exit 2 (a row
+    # of _BAD_INPUTS)
     assert parse_trials("1e6") == 10 ** 6
     assert parse_trials("2.5e3") == 2500
 
@@ -200,14 +267,6 @@ def test_design_output_pinned(n, ratio, capsys):
     assert capsys.readouterr().out == want
 
 
-def test_design_bad_ratio(capsys):
-    assert main(["design", "--n", "16", "--ratio", "1.5"]) == 2
-
-
-def test_unknown_flag():
-    assert main(["design", "--n", "16", "--ratio", "0.4", "--bogus"]) == 2
-
-
 def test_table_n8(tmp_path, capsys):
     assert main(["table", "--n", "8", "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "table_n8.csv").read_text().strip().splitlines()
@@ -248,13 +307,6 @@ def test_stale_table_cache_ignored(tmp_path):
     assert got["old"] == got["new"]
 
 
-def test_table_bad_n_writes_nothing(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["table", "--n", "7", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
-
-
 def test_table_non_power_of_two_warns(tmp_path):
     with pytest.warns(UserWarning):
         assert main(["table", "--n", "6", "--out-dir", str(tmp_path)]) == 0
@@ -293,43 +345,6 @@ def test_negative_range_after_its_flag(cmd, flag, extra, tmp_path):
     assert csv.read_bytes() == (joined / csv.name).read_bytes()
 
 
-def test_ser_unknown_scheme(capsys):
-    code = main(["ser", "--scheme", "nope", "--snr", "20",
-                 "--trials", "1e3"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "proposed-optimal" in err and "egt-qam16" in err
-
-
-@pytest.mark.parametrize("scheme", ["fixed-qam16", "adaptive-qam-psk",
-                                    "variable-apsk"])
-def test_csit_sweep_scheme_rejected_before_any_write(scheme, tmp_path,
-                                                     capsys):
-    out = tmp_path / "X"
-    assert main(["ser", "--scheme", scheme, "--snr", "20", "--trials", "1e3",
-                 "--csit-sweep", "0:10:5", "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    for csit_scheme in ("proposed-optimal", "proposed-suboptimal",
-                        "egt-qam16"):
-        assert csit_scheme in err[0]
-    assert not out.exists()
-
-
-def test_csit_sweep_several_snrs_rejected_before_any_build(monkeypatch,
-                                                           tmp_path, capsys):
-    built = []
-    monkeypatch.setattr(cli, "build_region_table",
-                        lambda n: built.append(n))
-    out = tmp_path / "X"
-    assert main(["ser", "--scheme", "proposed-optimal", "--snr", "20:24:2",
-                 "--trials", "1e3", "--csit-sweep", "0:10:5",
-                 "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: csit sweep uses a single data SNR"]
-    assert not out.exists() and not built
-
-
 def test_ser_help_lists_schemes(capsys):
     assert main(["ser", "--help"]) == 0
     out = capsys.readouterr().out
@@ -344,11 +359,6 @@ def test_rate_help_lists_schemes(capsys):
     assert "variable-apsk" in out and "variable-qam" in out
 
 
-def test_rate_bad_pe():
-    assert main(["rate", "--scheme", "variable-qam", "--pe", "0",
-                 "--snr", "10", "--trials", "1e3"]) == 2
-
-
 def test_ser_run_and_manifest_replay(tmp_path, capsys):
     args = ["ser", "--scheme", "adaptive-qam-psk", "--m", "2",
             "--snr", "20:24:2", "--trials", "2e4",
@@ -356,11 +366,16 @@ def test_ser_run_and_manifest_replay(tmp_path, capsys):
     assert main(args) == 0
     csv_a = (tmp_path / "a" / "ser_adaptive-qam-psk_m2.csv").read_bytes()
     manifest = tmp_path / "a" / "ser_adaptive-qam-psk_m2.manifest.json"
-    # replay from the manifest into a fresh directory; explicit flag wins
-    assert main(["--config", str(manifest), "ser",
-                 "--out-dir", str(tmp_path / "b")]) == 0
-    csv_b = (tmp_path / "b" / "ser_adaptive-qam-psk_m2.csv").read_bytes()
-    assert csv_a == csv_b
+    # a manifest written before manifests named their draw law is law 1
+    unnamed = json.loads(manifest.read_text())
+    assert unnamed.pop("draw_law") == sim.DRAW_LAW == 1
+    (tmp_path / "old.json").write_text(json.dumps(unnamed))
+    # replay each into a fresh directory; explicit flag wins
+    for out, conf in (("b", manifest), ("c", tmp_path / "old.json")):
+        assert main(["--config", str(conf), "ser",
+                     "--out-dir", str(tmp_path / out)]) == 0
+        csv = (tmp_path / out / "ser_adaptive-qam-psk_m2.csv").read_bytes()
+        assert csv == csv_a
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -432,6 +447,15 @@ def test_rate_run(tmp_path):
     assert len(lines) == 4
 
 
+def test_fine_snr_grid_keeps_its_labels(tmp_path):
+    # :g labelled all five points of this grid "100"
+    assert main(["rate", "--scheme", "variable-qam", "--snr",
+                 "100:100.0004:0.0001", "--trials", "1e3",
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "rate_variable-qam_m2.csv").read_text().split()[1:]
+    assert len({row.split(",")[0] for row in rows}) == len(rows) == 5
+
+
 def test_rate_run_with_an_underflowed_tail(tmp_path):
     # 5e-324 / (N - 1) rounds to 0.0 for every N >= 3: those sizes are
     # never feasible, only BPSK can be chosen, and the run still succeeds
@@ -498,54 +522,6 @@ def test_config_in_any_prefix_ahead_of_the_subcommand(tmp_path):
     assert (params["seed"], params["csit_sweep"]) == (9, "0:30:10")
 
 
-def test_config_without_path(capsys):
-    for flag in ("--config", "--conf", "--c"):  # or a prefix argparse takes
-        assert main([flag]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: --config needs a path"]
-
-
-@pytest.mark.parametrize("flag,value", [("--m", "0"), ("--threads", "0")])
-def test_ser_rejects_counts_below_one(flag, value, tmp_path, capsys):
-    assert main(["ser", "--scheme", "fixed-qam16", flag, value,
-                 "--snr", "20", "--trials", "1e3",
-                 "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-# parameters of manifests written while the table grid step was a flag
-_GRID_STEP_MANIFESTS = {
-    "ser": {"scheme": "proposed-optimal", "m": 2, "snr": "20", "trials": 1000,
-            "seed": 0, "csit_sweep": None, "grid_step": 0.0001, "threads": 1},
-    "rate": {"scheme": "variable-apsk", "m": 2, "snr": "10", "trials": 1000,
-             "seed": 0, "pe": 0.001, "grid_step": 0.0001, "threads": 1},
-    "table": {"n": 8, "grid_step": 0.0001, "suboptimal": False},
-}
-
-
-@pytest.mark.parametrize("cmd", sorted(_GRID_STEP_MANIFESTS))
-def test_grid_step_manifest_exits_2(cmd, tmp_path, capsys):
-    # a run whose manifest names a grid step is refused, not replayed at
-    # whatever step tables are now built
-    out = tmp_path / "out"
-    manifest = tmp_path / f"{cmd}.manifest.json"
-    manifest.write_text(json.dumps({"command": cmd, "parameters": {
-        **_GRID_STEP_MANIFESTS[cmd], "out_dir": str(out)}}))
-    assert main(["--config", str(manifest), cmd]) == 2
-    assert "--grid-step" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("conf", [[1, 2], "rate", {"parameters": [1, 2]}])
-def test_config_not_an_object(conf, tmp_path, capsys):
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(conf))
-    assert main(["--config", str(path), "rate", "--scheme", "variable-qam",
-                 "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: config file {path} must hold a JSON object"]
-
-
 # a command, and the engine or draw of cli that it runs
 _FAULTS = {
     "rate": (["rate", "--scheme", "variable-qam", "--snr", "10",
@@ -557,7 +533,8 @@ _FAULTS = {
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
-                                 AttributeError("no attribute 'items'")])
+                                 AttributeError("no attribute 'items'"),
+                                 KeyError("x")])
 def test_command_fault_exits_runtime(exc, monkeypatch, tmp_path, capsys):
     def fault(*args, **kwargs):
         raise exc
@@ -578,53 +555,6 @@ def test_out_dir_that_is_a_file_exits_runtime(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert out.read_text() == "keep"
-
-
-def test_rate_rejects_non_finite_snr(tmp_path, capsys):
-    assert main(["rate", "--scheme", "variable-qam", "--snr", "nan",
-                 "--trials", "1e3", "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.strip() == "error: snr_db must be finite"
-
-
-@pytest.mark.parametrize("args", [
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
-     "--csit-sweep", "nan"],
-    ["ser", "--scheme", "egt-qam16", "--snr", "20", "--trials", "1e3",
-     "--csit-sweep", "nan"],
-    ["ser", "--scheme", "fixed-qam16", "--snr", "20", "--trials", "inf"],
-    ["ser", "--scheme", "fixed-qam16", "--snr", "20", "--trials", "1000.7"],
-    ["ser", "--scheme", "fixed-qam16", "--snr", "0:inf:1", "--trials", "1e3"],
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20", "--trials", "1e3",
-     "--csit-sweep", "0:inf:2"],
-    ["cdf", "--trials", "0"],
-    ["cdf", "--trials", "1e3", "--points", "0"],
-], ids=["csit-nan-proposed", "csit-nan-egt", "trials-inf",
-        "trials-fractional", "snr-range-inf",
-        "csit-range-inf", "cdf-trials-0", "cdf-points-0"])
-def test_bad_numeric_input_exits_2(args, tmp_path, capsys):
-    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert not list(tmp_path.rglob("*.csv"))
-
-
-@pytest.mark.parametrize("args", [
-    ["ser", "--scheme", "fixed-qam16", "--snr", "20"],
-    ["rate", "--scheme", "variable-qam", "--snr", "20"],
-    ["cdf"],
-    ["ser", "--scheme", "proposed-optimal", "--snr", "20"],
-    ["rate", "--scheme", "variable-apsk", "--snr", "20"]],
-    ids=["ser", "rate", "cdf", "ser-table", "rate-table"])
-def test_negative_seed_exits_2(args, tmp_path, capsys, monkeypatch):
-    # the seed is checked before any region table is built
-    built = []
-    monkeypatch.setattr(cli, "build_region_table", built.append)
-    out = tmp_path / "out"
-    assert main(args + ["--trials", "1e3", "--seed", "-1",
-                        "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: seed must be a non-negative integer"]
-    assert not out.exists() and built == []
 
 
 # one run of each command; --threads 2 shows the replay keeps it too

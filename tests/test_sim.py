@@ -144,16 +144,6 @@ def test_missing_table_error():
         run_fixed_rate_ser(cfg, None)
 
 
-def test_thread_count_invariance(table16, set_chunk):
-    set_chunk(50_000)
-    kw = dict(m=2, snr_db=(20.0, 24.0), trials=200_000,
-              scheme="proposed-optimal")
-    c1 = run_fixed_rate_ser(SimConfig(threads=1, **kw), table16)
-    c4 = run_fixed_rate_ser(SimConfig(threads=4, **kw), table16)
-    np.testing.assert_array_equal(c1.errors, c4.errors)
-    np.testing.assert_array_equal(c1.trials, c4.trials)
-
-
 def test_seed_changes_results(table16):
     kw = dict(m=2, snr_db=(22.0,), trials=50_000, scheme="proposed-optimal")
     a = run_fixed_rate_ser(SimConfig(seed=0, **kw), table16)
@@ -513,6 +503,16 @@ def test_psk16_rounding_matches_brute_force(seed):
     _assert_ml(_psk_decide(w.real, w.imag), w, pts)
 
 
+def _scheme_table(scheme, n=16):
+    if scheme == "proposed-optimal":
+        return _table(n)
+    return _table(n, True) if scheme == "proposed-suboptimal" else None
+
+
+# ---------------------------------------------------------------------------
+# Pinned engine outputs
+
+
 # Error counts of the brute-force detector, recorded before the structured
 # detectors replaced it (seed 5, 2e4 trials in chunks of 8000).
 _PINNED_FIXED = {
@@ -532,21 +532,6 @@ _PINNED_CSIT = {
     "proposed-suboptimal": [11458, 1691, 33, 3],
     "egt-qam16": [9922, 1412, 39, 13],
 }
-
-
-def _scheme_table(scheme, n=16):
-    if scheme == "proposed-optimal":
-        return _table(n)
-    return _table(n, True) if scheme == "proposed-suboptimal" else None
-
-
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED))
-def test_fixed_rate_error_counts_pinned(scheme, m, set_chunk):
-    set_chunk(8_000)
-    cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
-                    scheme=scheme, seed=5)
-    curve = run_fixed_rate_ser(cfg, _scheme_table(scheme))
-    assert curve.errors.tolist() == _PINNED_FIXED[scheme, m]
 
 
 # The same counts, recorded with each chunk screened and precoded whole
@@ -573,15 +558,128 @@ _PINNED_FIXED_BLOCKS = {
 }
 
 
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED_BLOCKS))
-def test_fixed_rate_blocks_pinned(scheme, m, set_chunk):
-    set_chunk(20_000)
-    kw = dict(m=m, snr_db=(12.0, 18.0, 24.0), trials=45_000, scheme=scheme,
-              seed=5)
-    curve = run_fixed_rate_ser(SimConfig(**kw), _scheme_table(scheme))
-    assert curve.errors.tolist() == _PINNED_FIXED_BLOCKS[scheme, m]
-    two = run_fixed_rate_ser(SimConfig(threads=2, **kw), _scheme_table(scheme))
-    np.testing.assert_array_equal(two.errors, curve.errors)
+# Union-bound column summed over whole chunks, recorded before the sum was
+# blocked over rows (seed 5, 2e4 trials at SNR 12/18/24 dB); chunks of 2e4
+# span several row blocks.
+_PINNED_BOUND = {
+    ("proposed-optimal", 2, 8_000): [0.5566091187751877, 0.10817040551260773,
+                                     0.010432154769629021],
+    ("proposed-optimal", 3, 8_000): [0.31251220016166065, 0.020841142434121305,
+                                     0.0005446710221898022],
+    ("proposed-suboptimal", 2, 8_000): [0.5920086297370848, 0.13352974209150117,
+                                        0.014253322030944642],
+    ("proposed-suboptimal", 3, 8_000): [0.31580880263043726, 0.02288912985358386,
+                                        0.0006458411139390354],
+    ("proposed-optimal", 2, 20_000): [0.5510581380512877, 0.10609725330465894,
+                                      0.009740541458086557],
+}
+
+
+# The same sweep across block boundaries, recorded with the kept rows
+# gathered by fancy indexing (seed 5, 45,000 trials in chunks of 20,000:
+# blocks of 8192 + 8192 + 3616 rows, and a last chunk of 5,000 trials).
+_PINNED_CSIT_BLOCKS = {
+    ("egt-qam16", 2): [25209, 8502, 1418, 737],
+    ("egt-qam16", 4): [22258, 3248, 90, 15],
+    ("proposed-optimal", 2): [29986, 11325, 1544, 509],
+    ("proposed-optimal", 4): [25909, 3952, 70, 3],
+    ("proposed-suboptimal", 2): [29652, 11607, 1732, 599],
+    ("proposed-suboptimal", 4): [25909, 3961, 72, 4],
+}
+
+
+# avg_bits and no_tx_fraction of the per-SNR-point selection, recorded
+# before the one-pass selection replaced it (seed 5, 2e4 trials in chunks
+# of 8000, SNR 0:30:5 dB).
+_PINNED_RATE = {
+    ("variable-apsk", 2): (
+        [0.0315, 0.5781, 1.5856, 2.616, 3.70715, 4.7167, 5.57945],
+        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
+    ("variable-apsk", 4): (
+        [0.1837, 1.24735, 2.34025, 3.42585, 4.46115, 5.3683, 5.95175],
+        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
+    ("variable-qam", 2): (
+        [0.0315, 0.57805, 1.53985, 2.3746, 3.1937, 3.7807, 4.06195],
+        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
+    ("variable-qam", 4): (
+        [0.1837, 1.2456, 2.1097, 3.15635, 4.5093, 5.5499, 5.9432],
+        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
+}
+
+
+# The same, recorded with the whole chunk handled at once (seed 5, 45,000
+# trials in chunks of 20,000, SNR 0:30:5 dB).  A 20,000-trial chunk spans
+# blocks of 8192 + 8192 + 3616 rows, and the last chunk holds 5,000 trials.
+_PINNED_RATE_BLOCKS = {
+    ("variable-apsk", 2): (
+        [0.032733333333333337, 0.5771555555555555, 1.5833777777777778, 2.6088,
+         3.7016444444444443, 4.711155555555556, 5.577333333333334],
+        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
+         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
+    ("variable-apsk", 4): (
+        [0.18566666666666667, 1.2466444444444444, 2.3377333333333334,
+         3.4273777777777776, 4.4654, 5.368955555555556, 5.9507111111111115],
+        [0.8151777777777778, 0.11586666666666667, 0.0032,
+         8.888888888888889e-05, 0.0, 0.0, 0.0]),
+    ("variable-qam", 2): (
+        [0.032733333333333337, 0.5770666666666666, 1.5397777777777777, 2.3732,
+         3.195866666666667, 3.7852, 4.067911111111111],
+        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
+         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
+    ("variable-qam", 4): (
+        [0.18566666666666667, 1.2454, 2.1109333333333336, 3.1557333333333335,
+         4.5078, 5.548355555555555, 5.943177777777778],
+        [0.8151777777777778, 0.11586666666666667, 0.0032,
+         8.888888888888889e-05, 0.0, 0.0, 0.0]),
+}
+
+
+# Every pin above in one table keyed by (engine, scheme, m, chunk, trials),
+# on its family's grid at seed 5; "bound" is the fixed-rate union bound.
+_PINNED = {
+    **{("ser", s, m, 8_000, 20_000): v for (s, m), v in _PINNED_FIXED.items()},
+    **{("ser", s, m, 20_000, 45_000): v
+       for (s, m), v in _PINNED_FIXED_BLOCKS.items()},
+    **{("bound", s, m, c, 20_000): v for (s, m, c), v in _PINNED_BOUND.items()},
+    **{("csit", s, 4, 8_000, 20_000): v for s, v in _PINNED_CSIT.items()},
+    **{("csit", s, m, 20_000, 45_000): v
+       for (s, m), v in _PINNED_CSIT_BLOCKS.items()},
+    **{("rate", s, m, 8_000, 20_000): v for (s, m), v in _PINNED_RATE.items()},
+    **{("rate", s, m, 20_000, 45_000): v
+       for (s, m), v in _PINNED_RATE_BLOCKS.items()},
+}
+_GRIDS = {"ser": (12.0, 18.0, 24.0), "bound": (12.0, 18.0, 24.0),
+          "csit": (20.0,), "rate": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)}
+
+
+def _pinned_output(engine, cfg):
+    """The pinned columns of engine's run of cfg, as one array."""
+    if engine == "rate":
+        curve = run_variable_rate(cfg, _rate_tables())
+        return np.stack([curve.avg_bits, curve.no_tx_fraction])
+    table = _scheme_table(cfg.scheme)
+    if engine == "csit":
+        return run_csit_sweep(cfg, table, (0.0, 10.0, 20.0)).errors
+    if engine == "bound":
+        return union_bound_curve(cfg, table)
+    return run_fixed_rate_ser(cfg, table).errors
+
+
+@pytest.mark.parametrize("engine,scheme,m,chunk,trials", sorted(_PINNED))
+def test_engine_outputs_pinned(engine, scheme, m, chunk, trials, set_chunk):
+    set_chunk(chunk)
+    cfg = SimConfig(m=m, snr_db=_GRIDS[engine], trials=trials, scheme=scheme,
+                    seed=5)
+    pin = _PINNED[engine, scheme, m, chunk, trials]
+    one = _pinned_output(engine, cfg)
+    if engine == "bound":
+        assert one.tolist() == pytest.approx(pin, rel=1e-12, abs=0.0)
+    else:
+        assert one.tolist() == list(pin)
+    # bit for bit the same at 2 threads
+    two = _pinned_output(engine, dataclasses.replace(cfg, threads=2))
+    assert (two.dtype, two.shape, two.tobytes()) == (one.dtype, one.shape,
+                                                     one.tobytes())
 
 
 def test_fixed_rate_memory_is_bounded(table16):
@@ -612,96 +710,6 @@ def test_csit_memory_is_bounded(table16):
     finally:
         tracemalloc.stop()
     assert peak <= 17.5 * 2**20
-
-
-# Union-bound column summed over whole chunks, recorded before the sum was
-# blocked over rows (seed 5, 2e4 trials at SNR 12/18/24 dB); chunks of 2e4
-# span several row blocks.
-_PINNED_BOUND = {
-    ("proposed-optimal", 2, 8_000): [0.5566091187751877, 0.10817040551260773,
-                                     0.010432154769629021],
-    ("proposed-optimal", 3, 8_000): [0.31251220016166065, 0.020841142434121305,
-                                     0.0005446710221898022],
-    ("proposed-suboptimal", 2, 8_000): [0.5920086297370848, 0.13352974209150117,
-                                        0.014253322030944642],
-    ("proposed-suboptimal", 3, 8_000): [0.31580880263043726, 0.02288912985358386,
-                                        0.0006458411139390354],
-    ("proposed-optimal", 2, 20_000): [0.5510581380512877, 0.10609725330465894,
-                                      0.009740541458086557],
-}
-
-
-@pytest.mark.parametrize("scheme,m,chunk", sorted(_PINNED_BOUND))
-def test_union_bound_pinned(scheme, m, chunk, set_chunk):
-    set_chunk(chunk)
-    cfg = SimConfig(m=m, snr_db=(12.0, 18.0, 24.0), trials=20_000,
-                    scheme=scheme, seed=5)
-    bound = union_bound_curve(cfg, _scheme_table(scheme))
-    assert bound.tolist() == pytest.approx(
-        _PINNED_BOUND[scheme, m, chunk], rel=1e-12, abs=0.0)
-    two = union_bound_curve(dataclasses.replace(cfg, threads=2),
-                            _scheme_table(scheme))
-    np.testing.assert_array_equal(two, bound)
-
-
-def test_union_bound_lazy_import_under_threads():
-    # in a new interpreter with no scipy loaded, the first bound runs on two
-    # worker threads: it must equal the single-threaded bound and the pin
-    script = textwrap.dedent("""
-        import dataclasses, json, sys
-        import ceapsk.sim as sim
-        from ceapsk.optimizer import build_region_table
-        table = build_region_table(16)
-        before = "scipy" in sys.modules
-        sim.CHUNK_SIZE = 8_000
-        cfg = sim.SimConfig(m=2, snr_db=(12.0, 18.0, 24.0), trials=20_000,
-                            scheme="proposed-optimal", seed=5)
-        two = sim.union_bound_curve(dataclasses.replace(cfg, threads=2),
-                                    table)
-        one = sim.union_bound_curve(cfg, table)
-        print(json.dumps([before, two.tolist(), one.tolist()]))
-    """)
-    run = _fresh_python(script)
-    assert run.returncode == 0, run.stderr
-    before, two, one = json.loads(run.stdout)
-    assert before is False
-    assert two == one
-    assert two == pytest.approx(_PINNED_BOUND["proposed-optimal", 2, 8_000],
-                                rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
-def test_csit_sweep_error_counts_pinned(scheme, set_chunk):
-    set_chunk(8_000)
-    cfg = SimConfig(m=4, snr_db=(20.0,), trials=20_000, scheme=scheme,
-                    seed=5)
-    curve = run_csit_sweep(cfg, _scheme_table(scheme), (0.0, 10.0, 20.0))
-    assert curve.errors.tolist() == _PINNED_CSIT[scheme]
-
-
-# The same sweep across block boundaries, recorded with the kept rows
-# gathered by fancy indexing (seed 5, 45,000 trials in chunks of 20,000:
-# blocks of 8192 + 8192 + 3616 rows, and a last chunk of 5,000 trials).
-_PINNED_CSIT_BLOCKS = {
-    ("egt-qam16", 2): [25209, 8502, 1418, 737],
-    ("egt-qam16", 4): [22258, 3248, 90, 15],
-    ("proposed-optimal", 2): [29986, 11325, 1544, 509],
-    ("proposed-optimal", 4): [25909, 3952, 70, 3],
-    ("proposed-suboptimal", 2): [29652, 11607, 1732, 599],
-    ("proposed-suboptimal", 4): [25909, 3961, 72, 4],
-}
-
-
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_CSIT_BLOCKS))
-def test_csit_sweep_blocks_pinned(scheme, m, set_chunk):
-    set_chunk(20_000)
-    kw = dict(m=m, snr_db=(20.0,), trials=45_000, scheme=scheme, seed=5)
-    training = (0.0, 10.0, 20.0)
-    curve = run_csit_sweep(SimConfig(**kw), _scheme_table(scheme), training)
-    assert curve.errors.tolist() == _PINNED_CSIT_BLOCKS[scheme, m]
-    two = run_csit_sweep(SimConfig(threads=2, **kw), _scheme_table(scheme),
-                         training)
-    np.testing.assert_array_equal(two.errors, curve.errors)
 
 
 class _InlinePool:
@@ -773,34 +781,6 @@ def test_config_bounds_threads_and_trials():
     # a non-finite SNR is named as such, before the range check
     with pytest.raises(ValueError, match="snr_db must be finite"):
         SimConfig(m=2, snr_db=(math.inf,), **kw)
-
-
-@pytest.mark.parametrize("flags", [
-    ["--threads", "257"], ["--threads", "10000", "--trials", "1e9"],
-    ["--trials", "1000000001"], ["--trials", "1e300"], ["--m", "65"],
-    ["--snr", "4000"], ["--snr=-4000"]],
-    ids=["threads", "threads-and-chunks", "trials", "trials-huge",
-         "antennas", "snr-high", "snr-low"])
-@pytest.mark.parametrize("command", [
-    ["ser", "--scheme", "proposed-optimal", "--snr", "10:20:5"],
-    ["ser", "--scheme", "egt-qam16", "--snr", "20", "--csit-sweep", "0:30:10"],
-    ["rate", "--scheme", "variable-qam", "--snr", "10:20:5"]],
-    ids=["ser", "csit", "rate"])
-def test_cli_bounds_threads_and_trials(command, flags, monkeypatch, tmp_path,
-                                       capsys):
-    # refused before any chunk runs: were a bound gone, no real thread
-    # would start and the engine would fail the run rather than run it
-    def no_engine_run(cfg, engine, one_chunk):
-        raise AssertionError("an engine ran")
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "opened", [])
-    monkeypatch.setattr(sim, "_reduce_chunks", no_engine_run)
-    out = tmp_path / "out"
-    assert ceapsk.cli.main(command + ["--trials", "1e3", *flags,
-                                      "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert _InlinePool.opened == [] and not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -959,77 +939,8 @@ def test_select_rate_shares_the_array_rule():
         [[1], [0.0]]
 
 
-# avg_bits and no_tx_fraction of the per-SNR-point selection, recorded
-# before the one-pass selection replaced it (seed 5, 2e4 trials in chunks
-# of 8000, SNR 0:30:5 dB).
-_PINNED_RATE = {
-    ("variable-apsk", 2): (
-        [0.0315, 0.5781, 1.5856, 2.616, 3.70715, 4.7167, 5.57945],
-        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
-    ("variable-apsk", 4): (
-        [0.1837, 1.24735, 2.34025, 3.42585, 4.46115, 5.3683, 5.95175],
-        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
-    ("variable-qam", 2): (
-        [0.0315, 0.57805, 1.53985, 2.3746, 3.1937, 3.7807, 4.06195],
-        [0.9686, 0.5097, 0.1058, 0.01255, 0.0013, 5e-05, 0.0]),
-    ("variable-qam", 4): (
-        [0.1837, 1.2456, 2.1097, 3.15635, 4.5093, 5.5499, 5.9432],
-        [0.8175, 0.11575, 0.0022, 0.0, 0.0, 0.0, 0.0]),
-}
-
-
 def _rate_tables():
     return {n: _table(n) for n in (2, 4, 8, 16, 32, 64)}
-
-
-def _check_rate_pins(pins, scheme, m, chunk, trials, set_chunk):
-    set_chunk(chunk)
-    kw = dict(m=m, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-              trials=trials, scheme=scheme, seed=5)
-    curve = run_variable_rate(SimConfig(**kw), _rate_tables())
-    assert (curve.avg_bits.tolist(), curve.no_tx_fraction.tolist()) == \
-        pins[scheme, m]
-    two = run_variable_rate(SimConfig(threads=2, **kw), _rate_tables())
-    np.testing.assert_array_equal(two.avg_bits, curve.avg_bits)
-    np.testing.assert_array_equal(two.no_tx_fraction, curve.no_tx_fraction)
-
-
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
-def test_variable_rate_pinned(scheme, m, set_chunk):
-    _check_rate_pins(_PINNED_RATE, scheme, m, 8_000, 20_000, set_chunk)
-
-
-# The same, recorded with the whole chunk handled at once (seed 5, 45,000
-# trials in chunks of 20,000, SNR 0:30:5 dB).  A 20,000-trial chunk spans
-# blocks of 8192 + 8192 + 3616 rows, and the last chunk holds 5,000 trials.
-_PINNED_RATE_BLOCKS = {
-    ("variable-apsk", 2): (
-        [0.032733333333333337, 0.5771555555555555, 1.5833777777777778, 2.6088,
-         3.7016444444444443, 4.711155555555556, 5.577333333333334],
-        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
-         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
-    ("variable-apsk", 4): (
-        [0.18566666666666667, 1.2466444444444444, 2.3377333333333334,
-         3.4273777777777776, 4.4654, 5.368955555555556, 5.9507111111111115],
-        [0.8151777777777778, 0.11586666666666667, 0.0032,
-         8.888888888888889e-05, 0.0, 0.0, 0.0]),
-    ("variable-qam", 2): (
-        [0.032733333333333337, 0.5770666666666666, 1.5397777777777777, 2.3732,
-         3.195866666666667, 3.7852, 4.067911111111111],
-        [0.9673111111111111, 0.5099333333333333, 0.10675555555555556,
-         0.013533333333333333, 0.0012, 0.00022222222222222223, 0.0]),
-    ("variable-qam", 4): (
-        [0.18566666666666667, 1.2454, 2.1109333333333336, 3.1557333333333335,
-         4.5078, 5.548355555555555, 5.943177777777778],
-        [0.8151777777777778, 0.11586666666666667, 0.0032,
-         8.888888888888889e-05, 0.0, 0.0, 0.0]),
-}
-
-
-@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE_BLOCKS))
-def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
-    _check_rate_pins(_PINNED_RATE_BLOCKS, scheme, m, 20_000, 45_000,
-                     set_chunk)
 
 
 # ---------------------------------------------------------------------------
