@@ -64,123 +64,144 @@ _ENGINE_BOUNDS = {
     "trials": ["--trials", "1000000001"], "trials-huge": ["--trials", "1e300"],
     "antennas": ["--m", "65"], "snr-high": ["--snr", "4000"],
     "snr-low": ["--snr=-4000"]}
-# every bad input: (id, argv, None or (name, JSON) of a file the row writes
-# first, the stderr line or the fragments it holds)
-_BAD_INPUTS = [
+# every bad input, under the name of the test it runs in: (id, argv, None or
+# (name, JSON) of a file the row writes first, the stderr line or the
+# fragments it holds).  A test whose rows have no id is one case that runs
+# each of its rows.
+_BAD_INPUTS = {
     # 1e12 cdf trials would need about 80 TB; the bound + 1 would be drawn
-    ("cdf-trials-1e12", ["cdf", "--trials", "1e12"], None, _CDF_BOUND),
-    ("cdf-trials-bound+1", ["cdf", "--trials", str(cli.MAX_CDF_TRIALS + 1)],
-     None, _CDF_BOUND),
-    ("table-258", ["table", "--n", "258"], None, _N_BOUND),
-    ("table-512", ["table", "--n", "512", "--suboptimal"], None, _N_BOUND),
-    ("design-1e9", ["design", "--n", str(10**9), "--ratio", "0.5"], None,
-     _N_BOUND),
+    "test_cdf_trials_bounded_before_the_draw": [
+        (None, ["cdf", "--trials", "1e12"], None, _CDF_BOUND),
+        (None, ["cdf", "--trials", str(cli.MAX_CDF_TRIALS + 1)], None,
+         _CDF_BOUND)],
+    "test_constellation_size_bounded_before_the_solve": [
+        ("table-258", ["table", "--n", "258"], None, _N_BOUND),
+        ("table-512", ["table", "--n", "512", "--suboptimal"], None, _N_BOUND),
+        ("design-1e9", ["design", "--n", str(10**9), "--ratio", "0.5"], None,
+         _N_BOUND)],
     # argparse's own errors read like every other bad input: one line
-    ("not-an-int", ["design", "--n", "1e9"], None, ()),
-    ("bad-m", ["ser", "--m", "x", "--scheme", "proposed-optimal"], None, ()),
-    ("no-scheme", ["ser", "--m", "2"], None, ()),
-    ("no-command", ["bogus"], None, ()),
-    ("unknown-flag", ["ser", "--scheme", "proposed-optimal", "--nope", "1"],
-     None, ()),
-    ("design-unknown-flag", ["design", "--n", "16", "--ratio", "0.4",
-                             "--bogus"], None, ()),
-    ("points-ser-snr", ["ser", "--scheme", "fixed-qam16", "--snr", "0:1e5:1",
-                        "--trials", "1e3"], None, ("10000",)),
-    ("points-csit-sweep", ["ser", "--scheme", "proposed-optimal", "--snr", "20",
-                           "--csit-sweep", "0:1e5:1", "--trials", "1e3"],
-     None, ("10000",)),
-    ("points-rate-snr", ["rate", "--scheme", "variable-qam", "--snr",
-                         "0:1e5:1", "--trials", "1e3"], None, ("10000",)),
-    ("points-cdf", ["cdf", "--points", "10001", "--trials", "1e3"], None,
-     ("10000",)),
+    "test_flags_argparse_rejects_get_one_line": [
+        ("not-an-int", ["design", "--n", "1e9"], None, ()),
+        ("bad-m", ["ser", "--m", "x", "--scheme", "proposed-optimal"], None,
+         ()),
+        ("no-scheme", ["ser", "--m", "2"], None, ()),
+        ("no-command", ["bogus"], None, ()),
+        ("unknown-flag", ["ser", "--scheme", "proposed-optimal", "--nope",
+                          "1"], None, ())],
+    "test_unknown_flag": [
+        (None, ["design", "--n", "16", "--ratio", "0.4", "--bogus"], None,
+         ())],
+    "test_point_counts_are_bounded": [
+        ("ser-snr", ["ser", "--scheme", "fixed-qam16", "--snr", "0:1e5:1",
+                     "--trials", "1e3"], None, ("10000",)),
+        ("csit-sweep", ["ser", "--scheme", "proposed-optimal", "--snr", "20",
+                        "--csit-sweep", "0:1e5:1", "--trials", "1e3"], None,
+         ("10000",)),
+        ("rate-snr", ["rate", "--scheme", "variable-qam", "--snr", "0:1e5:1",
+                      "--trials", "1e3"], None, ("10000",)),
+        ("cdf-points", ["cdf", "--points", "10001", "--trials", "1e3"], None,
+         ("10000",))],
     # 4000 dB overflows the MMSE error variance; -4000 would run
-    *[(f"training-{tr}", ["ser", "--scheme", "proposed-optimal", "--snr", "20",
-                          "--trials", "1e3", f"--csit-sweep={tr}"], None,
-       _TRAINING) for tr in ("4000", "-4000", "0:400:100", "inf")],
-    *[(f"csit-nan-{name}", ["ser", "--scheme", scheme, "--snr", "20",
-                            "--trials", "1e3", "--csit-sweep", "nan"], None,
-       _TRAINING) for name, scheme in (("proposed", "proposed-optimal"),
-                                       ("egt", "egt-qam16"))],
-    ("design-bad-ratio", ["design", "--n", "16", "--ratio", "1.5"], None, ()),
-    ("table-bad-n", ["table", "--n", "7"], None, ()),
-    ("ser-unknown-scheme", ["ser", "--scheme", "nope", "--snr", "20",
-                            "--trials", "1e3"], None,
-     ("proposed-optimal", "egt-qam16")),
-    *[(f"csit-scheme-{scheme}", ["ser", "--scheme", scheme, "--snr", "20",
-                                 "--trials", "1e3", "--csit-sweep", "0:10:5"],
-       None, ("proposed-optimal", "proposed-suboptimal", "egt-qam16"))
-      for scheme in ("fixed-qam16", "adaptive-qam-psk", "variable-apsk")],
-    ("csit-several-snrs", ["ser", "--scheme", "proposed-optimal", "--snr",
-                           "20:24:2", "--trials", "1e3", "--csit-sweep",
-                           "0:10:5"], None,
-     "error: csit sweep uses a single data SNR"),
-    ("rate-bad-pe", ["rate", "--scheme", "variable-qam", "--pe", "0",
-                     "--snr", "10", "--trials", "1e3"], None, ()),
+    "test_training_snrs_are_bounded": [
+        (tr, ["ser", "--scheme", "proposed-optimal", "--snr", "20",
+              "--trials", "1e3", f"--csit-sweep={tr}"], None, _TRAINING)
+        for tr in ("4000", "-4000", "0:400:100", "inf")],
+    "test_design_bad_ratio": [
+        (None, ["design", "--n", "16", "--ratio", "1.5"], None, ())],
+    "test_table_bad_n_writes_nothing": [
+        (None, ["table", "--n", "7"], None, ())],
+    "test_ser_unknown_scheme": [
+        (None, ["ser", "--scheme", "nope", "--snr", "20", "--trials", "1e3"],
+         None, ("proposed-optimal", "egt-qam16"))],
+    "test_csit_sweep_scheme_rejected_before_any_write": [
+        (scheme, ["ser", "--scheme", scheme, "--snr", "20", "--trials", "1e3",
+                  "--csit-sweep", "0:10:5"], None,
+         ("proposed-optimal", "proposed-suboptimal", "egt-qam16"))
+        for scheme in ("fixed-qam16", "adaptive-qam-psk", "variable-apsk")],
+    "test_csit_sweep_several_snrs_rejected_before_any_build": [
+        (None, ["ser", "--scheme", "proposed-optimal", "--snr", "20:24:2",
+                "--trials", "1e3", "--csit-sweep", "0:10:5"], None,
+         "error: csit sweep uses a single data SNR")],
+    "test_rate_bad_pe": [
+        (None, ["rate", "--scheme", "variable-qam", "--pe", "0", "--snr", "10",
+                "--trials", "1e3"], None, ())],
     # --config or a prefix that argparse takes for it, with no path
-    *[(f"no-path{flag[1:]}", [flag], None, "error: --config needs a path")
-      for flag in ("--config", "--conf", "--c")],
-    *[(f"ser{flag[1:]}-{value}", ["ser", "--scheme", "fixed-qam16", flag,
-                                  value, "--snr", "20", "--trials", "1e3"],
-       None, ()) for flag, value in (("--m", "0"), ("--threads", "0"))],
+    "test_config_without_path": [
+        (None, [flag], None, "error: --config needs a path")
+        for flag in ("--config", "--conf", "--c")],
+    "test_ser_rejects_counts_below_one": [
+        (f"{flag}-{value}", ["ser", "--scheme", "fixed-qam16", flag, value,
+                             "--snr", "20", "--trials", "1e3"], None, ())
+        for flag, value in (("--m", "0"), ("--threads", "0"))],
     # a manifest that names the old table grid step is refused, not
     # replayed at whatever step tables are now built
-    *[(f"grid-step-{cmd}", ["--config", "m.json", cmd],
-       ("m.json", {"command": cmd, "parameters": params}), ("--grid-step",))
-      for cmd, params in (
-          ("rate", {"scheme": "variable-apsk", "m": 2, "snr": "10",
-                    "trials": 1000, "seed": 0, "pe": 0.001,
-                    "grid_step": 0.0001, "threads": 1}),
-          ("ser", {"scheme": "proposed-optimal", "m": 2, "snr": "20",
-                   "trials": 1000, "seed": 0, "csit_sweep": None,
-                   "grid_step": 0.0001, "threads": 1}),
-          ("table", {"n": 8, "grid_step": 0.0001, "suboptimal": False}))],
+    "test_grid_step_manifest_exits_2": [
+        (cmd, ["--config", "m.json", cmd],
+         ("m.json", {"command": cmd, "parameters": params}), ("--grid-step",))
+        for cmd, params in (
+            ("rate", {"scheme": "variable-apsk", "m": 2, "snr": "10",
+                      "trials": 1000, "seed": 0, "pe": 0.001,
+                      "grid_step": 0.0001, "threads": 1}),
+            ("ser", {"scheme": "proposed-optimal", "m": 2, "snr": "20",
+                     "trials": 1000, "seed": 0, "csit_sweep": None,
+                     "grid_step": 0.0001, "threads": 1}),
+            ("table", {"n": 8, "grid_step": 0.0001, "suboptimal": False}))],
     # a manifest of another draw law would replay into other bytes
-    ("draw-law-2", ["--config", "m.json", "ser"],
-     ("m.json", {"command": "ser", "draw_law": 2, "parameters": {
-         "scheme": "fixed-qam16", "snr": "20", "trials": 1000}}),
-     "error: manifest m.json names draw law 2; this version draws under "
-     "law 1"),
-    *[(f"config-{name}", ["--config", "f.json", "rate", "--scheme",
-                          "variable-qam"], ("f.json", conf),
-       "error: config file f.json must hold a JSON object")
-      for name, conf in (("list", [1, 2]), ("str", "rate"),
-                         ("parameters-list", {"parameters": [1, 2]}))],
-    ("rate-snr-nan", ["rate", "--scheme", "variable-qam", "--snr", "nan",
-                      "--trials", "1e3"], None, "error: snr_db must be finite"),
-    *[(name, args, None, ()) for name, args in (
-        ("trials-inf", ["ser", "--scheme", "fixed-qam16", "--snr", "20",
-                        "--trials", "inf"]),
-        ("trials-fractional", ["ser", "--scheme", "fixed-qam16", "--snr", "20",
-                               "--trials", "1000.7"]),
-        ("snr-range-inf", ["ser", "--scheme", "fixed-qam16", "--snr",
-                           "0:inf:1", "--trials", "1e3"]),
-        ("csit-range-inf", ["ser", "--scheme", "proposed-optimal", "--snr",
-                            "20", "--trials", "1e3", "--csit-sweep",
-                            "0:inf:2"]),
-        ("cdf-trials-0", ["cdf", "--trials", "0"]),
-        ("cdf-points-0", ["cdf", "--trials", "1e3", "--points", "0"]))],
+    "test_manifest_of_another_draw_law_exits_2": [
+        (None, ["--config", "m.json", "ser"],
+         ("m.json", {"command": "ser", "draw_law": 2, "parameters": {
+             "scheme": "fixed-qam16", "snr": "20", "trials": 1000}}),
+         "error: manifest m.json names draw law 2; this version draws under "
+         "law 1")],
+    "test_config_not_an_object": [
+        (name, ["--config", "f.json", "rate", "--scheme", "variable-qam"],
+         ("f.json", conf), "error: config file f.json must hold a JSON object")
+        for name, conf in (("conf0", [1, 2]), ("rate", "rate"),
+                           ("conf2", {"parameters": [1, 2]}))],
+    "test_rate_rejects_non_finite_snr": [
+        (None, ["rate", "--scheme", "variable-qam", "--snr", "nan", "--trials",
+                "1e3"], None, "error: snr_db must be finite")],
+    "test_bad_numeric_input_exits_2": [
+        *[(f"csit-nan-{name}", ["ser", "--scheme", scheme, "--snr", "20",
+                                "--trials", "1e3", "--csit-sweep", "nan"],
+           None, _TRAINING) for name, scheme in (("proposed",
+                                                  "proposed-optimal"),
+                                                 ("egt", "egt-qam16"))],
+        *[(name, args, None, ()) for name, args in (
+            ("trials-inf", ["ser", "--scheme", "fixed-qam16", "--snr", "20",
+                            "--trials", "inf"]),
+            ("trials-fractional", ["ser", "--scheme", "fixed-qam16", "--snr",
+                                   "20", "--trials", "1000.7"]),
+            ("snr-range-inf", ["ser", "--scheme", "fixed-qam16", "--snr",
+                               "0:inf:1", "--trials", "1e3"]),
+            ("csit-range-inf", ["ser", "--scheme", "proposed-optimal",
+                                "--snr", "20", "--trials", "1e3",
+                                "--csit-sweep", "0:inf:2"]),
+            ("cdf-trials-0", ["cdf", "--trials", "0"]),
+            ("cdf-points-0", ["cdf", "--trials", "1e3", "--points", "0"]))]],
     # the seed is checked before any region table is built
-    *[(f"seed-{name}", [*args, "--trials", "1e3", "--seed", "-1"], None,
-       "error: seed must be a non-negative integer") for name, args in (
-          ("ser", ["ser", "--scheme", "fixed-qam16", "--snr", "20"]),
-          ("rate", ["rate", "--scheme", "variable-qam", "--snr", "20"]),
-          ("cdf", ["cdf"]),
-          ("ser-table", ["ser", "--scheme", "proposed-optimal", "--snr", "20"]),
-          ("rate-table", ["rate", "--scheme", "variable-apsk", "--snr",
-                          "20"]))],
-    *[(f"{run}-{bound}", [*args, "--trials", "1e3", *flags], None, ())
-      for run, args in _ENGINE_RUNS.items()
-      for bound, flags in _ENGINE_BOUNDS.items()],
-]
+    "test_negative_seed_exits_2": [
+        (name, [*args, "--trials", "1e3", "--seed", "-1"], None,
+         "error: seed must be a non-negative integer") for name, args in (
+            ("ser", ["ser", "--scheme", "fixed-qam16", "--snr", "20"]),
+            ("rate", ["rate", "--scheme", "variable-qam", "--snr", "20"]),
+            ("cdf", ["cdf"]),
+            ("ser-table", ["ser", "--scheme", "proposed-optimal", "--snr",
+                           "20"]),
+            ("rate-table", ["rate", "--scheme", "variable-apsk", "--snr",
+                            "20"]))],
+    "test_cli_bounds_threads_and_trials": [
+        (f"{run}-{bound}", [*args, "--trials", "1e3", *flags], None, ())
+        for run, args in _ENGINE_RUNS.items()
+        for bound, flags in _ENGINE_BOUNDS.items()],
+}
 
 
 def _reached(name, *args, **kwargs):
     raise AssertionError(f"{name} was called")
 
 
-@pytest.mark.parametrize("argv,file,want", [row[1:] for row in _BAD_INPUTS],
-                         ids=[row[0] for row in _BAD_INPUTS])
-def test_bad_input_exits_2(argv, file, want, monkeypatch, tmp_path, capsys):
+def _check_bad_input(argv, file, want, monkeypatch, cwd, capsys):
     # refused with one line before any engine chunk runs (so before any
     # thread starts), any normal is drawn or any design is solved: were a
     # bound gone, the row would fail fast, not run, hang or swap
@@ -189,10 +210,10 @@ def test_bad_input_exits_2(argv, file, want, monkeypatch, tmp_path, capsys):
                          (channel, "_complex_normal_blocks"),
                          (optimizer, "_solve_grid")):
         monkeypatch.setattr(module, name, functools.partial(_reached, name))
-    monkeypatch.chdir(tmp_path)  # so the default out dir lies in tmp_path
+    monkeypatch.chdir(cwd)  # so the default out dir lies in cwd
     if file:
-        (tmp_path / file[0]).write_text(json.dumps(file[1]))
-    before = sorted(tmp_path.rglob("*"))
+        (cwd / file[0]).write_text(json.dumps(file[1]))
+    before = sorted(cwd.rglob("*"))
     tracemalloc.start()
     try:
         code = main(argv)
@@ -204,8 +225,29 @@ def test_bad_input_exits_2(argv, file, want, monkeypatch, tmp_path, capsys):
     assert err.startswith("error: ") and err.find("\n") == len(err) - 1, err
     assert (err == want + "\n" if isinstance(want, str)
             else all(part in err for part in want)), err
-    assert sorted(tmp_path.rglob("*")) == before  # not even the out dir
+    assert sorted(cwd.rglob("*")) == before  # not even the out dir
     assert peak < 2**20
+
+
+def _bad_input_test(rows):
+    """The test of rows: one case per row id, or one case for every row."""
+    if rows[0][0] is None:
+        def test(monkeypatch, tmp_path, capsys):
+            for i, (_, argv, file, want) in enumerate(rows):
+                (tmp_path / str(i)).mkdir()
+                _check_bad_input(argv, file, want, monkeypatch,
+                                 tmp_path / str(i), capsys)
+        return test
+
+    @pytest.mark.parametrize("argv,file,want", [row[1:] for row in rows],
+                             ids=[row[0] for row in rows])
+    def test(argv, file, want, monkeypatch, tmp_path, capsys):
+        _check_bad_input(argv, file, want, monkeypatch, tmp_path, capsys)
+    return test
+
+
+for _name, _rows in _BAD_INPUTS.items():
+    globals()[_name] = _bad_input_test(_rows)
 
 
 def test_parse_trials():

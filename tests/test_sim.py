@@ -634,20 +634,8 @@ _PINNED_RATE_BLOCKS = {
 }
 
 
-# Every pin above in one table keyed by (engine, scheme, m, chunk, trials),
-# on its family's grid at seed 5; "bound" is the fixed-rate union bound.
-_PINNED = {
-    **{("ser", s, m, 8_000, 20_000): v for (s, m), v in _PINNED_FIXED.items()},
-    **{("ser", s, m, 20_000, 45_000): v
-       for (s, m), v in _PINNED_FIXED_BLOCKS.items()},
-    **{("bound", s, m, c, 20_000): v for (s, m, c), v in _PINNED_BOUND.items()},
-    **{("csit", s, 4, 8_000, 20_000): v for s, v in _PINNED_CSIT.items()},
-    **{("csit", s, m, 20_000, 45_000): v
-       for (s, m), v in _PINNED_CSIT_BLOCKS.items()},
-    **{("rate", s, m, 8_000, 20_000): v for (s, m), v in _PINNED_RATE.items()},
-    **{("rate", s, m, 20_000, 45_000): v
-       for (s, m), v in _PINNED_RATE_BLOCKS.items()},
-}
+# Each family of pins above runs on its own grid at seed 5; "bound" is the
+# fixed-rate union bound.
 _GRIDS = {"ser": (12.0, 18.0, 24.0), "bound": (12.0, 18.0, 24.0),
           "csit": (20.0,), "rate": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)}
 
@@ -665,12 +653,10 @@ def _pinned_output(engine, cfg):
     return run_fixed_rate_ser(cfg, table).errors
 
 
-@pytest.mark.parametrize("engine,scheme,m,chunk,trials", sorted(_PINNED))
-def test_engine_outputs_pinned(engine, scheme, m, chunk, trials, set_chunk):
+def _check_pinned(pin, engine, scheme, m, chunk, trials, set_chunk):
     set_chunk(chunk)
     cfg = SimConfig(m=m, snr_db=_GRIDS[engine], trials=trials, scheme=scheme,
                     seed=5)
-    pin = _PINNED[engine, scheme, m, chunk, trials]
     one = _pinned_output(engine, cfg)
     if engine == "bound":
         assert one.tolist() == pytest.approx(pin, rel=1e-12, abs=0.0)
@@ -680,6 +666,49 @@ def test_engine_outputs_pinned(engine, scheme, m, chunk, trials, set_chunk):
     two = _pinned_output(engine, dataclasses.replace(cfg, threads=2))
     assert (two.dtype, two.shape, two.tobytes()) == (one.dtype, one.shape,
                                                      one.tobytes())
+
+
+# one test per table of pins, each row checked by _check_pinned
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED))
+def test_fixed_rate_error_counts_pinned(scheme, m, set_chunk):
+    _check_pinned(_PINNED_FIXED[scheme, m], "ser", scheme, m, 8_000, 20_000,
+                  set_chunk)
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_FIXED_BLOCKS))
+def test_fixed_rate_blocks_pinned(scheme, m, set_chunk):
+    _check_pinned(_PINNED_FIXED_BLOCKS[scheme, m], "ser", scheme, m, 20_000,
+                  45_000, set_chunk)
+
+
+@pytest.mark.parametrize("scheme,m,chunk", sorted(_PINNED_BOUND))
+def test_union_bound_pinned(scheme, m, chunk, set_chunk):
+    _check_pinned(_PINNED_BOUND[scheme, m, chunk], "bound", scheme, m, chunk,
+                  20_000, set_chunk)
+
+
+@pytest.mark.parametrize("scheme", sorted(_PINNED_CSIT))
+def test_csit_sweep_error_counts_pinned(scheme, set_chunk):
+    _check_pinned(_PINNED_CSIT[scheme], "csit", scheme, 4, 8_000, 20_000,
+                  set_chunk)
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_CSIT_BLOCKS))
+def test_csit_sweep_blocks_pinned(scheme, m, set_chunk):
+    _check_pinned(_PINNED_CSIT_BLOCKS[scheme, m], "csit", scheme, m, 20_000,
+                  45_000, set_chunk)
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE))
+def test_variable_rate_pinned(scheme, m, set_chunk):
+    _check_pinned(_PINNED_RATE[scheme, m], "rate", scheme, m, 8_000, 20_000,
+                  set_chunk)
+
+
+@pytest.mark.parametrize("scheme,m", sorted(_PINNED_RATE_BLOCKS))
+def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
+    _check_pinned(_PINNED_RATE_BLOCKS[scheme, m], "rate", scheme, m, 20_000,
+                  45_000, set_chunk)
 
 
 def test_fixed_rate_memory_is_bounded(table16):
