@@ -9,6 +9,8 @@ depends on the channel only through (r, R); _channel_blocks draws it.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .precoder import _BLOCK
@@ -28,14 +30,34 @@ def annulus_arrays(h: np.ndarray,
     return scale * np.maximum(2.0 * top - l1, 0.0), scale * l1
 
 
-def _complex_normal_blocks(rng: np.random.Generator, shape):
+def _complex_normal_blocks(rng: np.random.Generator, shape: tuple,
+                           replayed: int = 0):
     """(lo, rows lo:lo + _BLOCK of re + 1j im) pairs, re and im standard normals
-    of `shape`: re drawn whole, im as each block is taken, to scale in place."""
-    re = rng.standard_normal(shape)
-    for lo in range(0, len(re), _BLOCK):
-        out = re[lo:lo + _BLOCK].astype(complex)
-        out.imag = rng.standard_normal(out.shape)
-        yield lo, out
+    of `shape`, all of re drawn before any of im; each block is fresh, to
+    scale in place.  The first `replayed` of the two parts (re, then im) are
+    replayed block by block from copies of rng's state as each block is
+    taken, rng being moved past them now through one reused _BLOCK-row
+    buffer, so no chunk-sized array is held.  Of the rest, re is drawn whole
+    now and im from rng as each block is taken.  Successive draws from a
+    Philox stream continue one sequence, and a draw into `out` equals one of
+    its size, so the bits do not depend on `replayed`."""
+    t, *rest = shape
+    rows = [(lo, min(_BLOCK, t - lo)) for lo in range(0, t, _BLOCK)]
+    copies, buf = [], np.empty((min(t, _BLOCK), *rest)) if replayed else None
+    for _ in range(replayed):
+        copies.append(copy.deepcopy(rng))
+        for _, n in rows:
+            rng.standard_normal(out=buf[:n])
+    re = copies[0] if replayed else rng.standard_normal(shape)
+    im = copies[1] if replayed == 2 else rng
+
+    def blocks():
+        for lo, n in rows:
+            out = (re.standard_normal((n, *rest)) if replayed
+                   else re[lo:lo + n]).astype(complex)
+            out.imag = im.standard_normal(out.shape)
+            yield lo, out
+    return blocks()
 
 
 def _channel_blocks(rng: np.random.Generator, m: int, t: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -24,9 +25,9 @@ import numpy as np
 from . import __version__
 from .channel import annulus_arrays, ratio_cdf_m2, sample_rayleigh
 from .optimizer import build_region_table, build_suboptimal_table, solve_p2
-from .sim import (DRAW_LAW, ENGINE_SCHEMES, SIZES, TABLE_SIZE, SimConfig,
-                  check_scheme, check_training, run_csit_sweep,
-                  run_fixed_rate_ser, run_variable_rate)
+from .sim import (_STREAMS, CHUNK_SIZE, DRAW_LAW, ENGINE_SCHEMES, SIZES,
+                  TABLE_SIZE, SimConfig, check_scheme, check_training,
+                  run_csit_sweep, run_fixed_rate_ser, run_variable_rate)
 
 EXIT_BAD_ARGS = 2
 EXIT_RUNTIME = 3
@@ -69,8 +70,11 @@ def parse_trials(text: str) -> int:
     return int(value)
 
 
-def write_manifest(path: Path, args, outputs: list, started: float) -> None:
-    """Record the run: its parameters are every parsed flag of its command."""
+def write_manifest(path: Path, args, outputs: list, started: float,
+                   tables=()) -> None:
+    """Record the run: its parameters are every parsed flag of its command,
+    and its provenance what else its bits rest on, the SHA-256 of the
+    to_json of each region table it used (`tables`) among them."""
     params = {k: v for k, v in vars(args).items()
               if k not in ("cmd", "func", "config")}
     if "trials" in params:
@@ -84,6 +88,15 @@ def write_manifest(path: Path, args, outputs: list, started: float) -> None:
         "started_unix": started,
         "finished_unix": time.time(),
         "outputs": [str(o) for o in outputs],
+        "provenance": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "chunk_size": CHUNK_SIZE,
+            "stream_key": "(seed, streams[engine], chunk)",
+            "streams": _STREAMS,
+            "region_table_sha256": [hashlib.sha256(
+                t.to_json().encode()).hexdigest() for t in tables],
+        },
     }
     path.write_text(json.dumps(manifest, indent=2))
 
@@ -107,16 +120,19 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _write_run(args, stem: str, outputs: dict, started: float) -> None:
+def _write_run(args, stem: str, outputs: dict, started: float,
+               tables=()) -> None:
     """Make --out-dir, call each write(path) of outputs (file name -> write)
-    in order, write stem.manifest.json and print the paths.  Called once a
-    run has succeeded, so a failed run writes nothing, not even its out dir."""
+    in order, write stem.manifest.json, naming the region tables the run
+    used, and print the paths.  Called once a run has succeeded, so a failed
+    run writes nothing, not even its out dir."""
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / name for name in outputs]
     for path, write in zip(paths, outputs.values()):
         write(path)
-    write_manifest(outdir / f"{stem}.manifest.json", args, paths, started)
+    write_manifest(outdir / f"{stem}.manifest.json", args, paths, started,
+                   tables)
     for path in paths:
         print(f"wrote {path}")
 
@@ -131,7 +147,7 @@ def cmd_table(args) -> int:
     for name, tab in tables.items():
         outputs[f"{name}.json"] = lambda p, t=tab: p.write_text(t.to_json())
         outputs[f"{name}.csv"] = tab.write_csv
-    _write_run(args, f"table_n{args.n}", outputs, started)
+    _write_run(args, f"table_n{args.n}", outputs, started, tables.values())
     return 0
 
 
@@ -164,16 +180,19 @@ def cmd_ser(args) -> int:
     curve = (run_fixed_rate_ser(cfg, table) if tr_grid is None
              else run_csit_sweep(cfg, table, tr_grid))
     name = f"ser_{cfg.scheme}_m{cfg.m}" + ("" if tr_grid is None else "_csit")
-    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started)
+    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started,
+               [table] if table else [])
     return 0
 
 
 def cmd_rate(args) -> int:
     started = time.time()
     cfg, facts = _sim_config(args, "rate", target_ser=args.pe)
-    curve = run_variable_rate(cfg, load_or_build_table(facts.table))
+    tables = load_or_build_table(facts.table)
+    curve = run_variable_rate(cfg, tables)
     name = f"rate_{cfg.scheme}_m{cfg.m}"
-    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started)
+    _write_run(args, name, {f"{name}.csv": curve.write_csv}, started,
+               (tables or {}).values())
     return 0
 
 

@@ -30,7 +30,10 @@ read.
 Each engine draws a chunk in stream order, in blocks of precoder._BLOCK rows
 (channel._channel_blocks and _complex_normal_blocks), and works through it
 block by block, so temporaries stay in cache; the fixed-rate engine keeps
-each block's trials that may err and detects them a chunk at a time.
+each block's trials that may err and detects them a chunk at a time.  The
+CSIT sweep holds only the chunk's channel blocks: its noise and the real
+parts of its unit error are replayed block by block from copies of the
+stream's state, with the bits of the whole-chunk draws.
 Variable-rate selection places each trial's R * d_min among per-size SNR
 cuts with an exact table lookup (optimizer._CellSearch) built once per run.
 """
@@ -386,7 +389,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         u = rng.integers(0, size, size=t)
         errors = np.zeros(len(cs), dtype=np.int64)
         parts = []
-        for hb, (lo, zb) in zip(h, _complex_normal_blocks(rng, t)):
+        for hb, (lo, zb) in zip(h, _complex_normal_blocks(rng, (t,))):
             zb /= np.sqrt(2.0)
             mz = np.abs(zb)
             kept, zero, ub, s, lim, big_r0, *state = screen(
@@ -539,13 +542,18 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
         return errors + np.count_nonzero(decide(w.real, w.imag) != u.take(far))
 
     def one_chunk(rng, t: int):
+        # only the channel blocks are held across the chunk (replaying them
+        # too ran slower in fresh processes, to glibc heap trims): the noise
+        # is replayed block by block from copies of the stream, and so are
+        # the unit error's real parts, its imaginary parts (the last draw)
+        # coming straight from rng; the labels, an int64 draw, are kept narrow
         h = [hb for _, hb in _channel_blocks(rng, cfg.m, t, PATH_LOSS)]
-        u = rng.integers(0, size, size=t)
-        noise = [nb for _, nb in _complex_normal_blocks(rng, t)]
+        u = rng.integers(0, size, size=t).astype(np.min_scalar_type(size - 1))
+        noise = _complex_normal_blocks(rng, (t,), replayed=2)
+        dh = _complex_normal_blocks(rng, (t, cfg.m), replayed=1)
         errors = np.zeros(len(err_sd), dtype=np.int64)
         # each block of trials stays in cache across all training points
-        dh = _complex_normal_blocks(rng, (t, cfg.m))
-        for hb, nb, (lo, db) in zip(h, noise, dh):
+        for hb, (lo, nb), (_, db) in zip(h, noise, dh):
             nb /= np.sqrt(2.0)
             nb *= c
             db /= np.sqrt(2.0)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -182,16 +183,28 @@ def test_draw_channel_bits(m):
         _assert_bits(sample_rayleigh(m, 1e-9, 9, trials=t), want)
 
 
-@pytest.mark.parametrize("m", [None, 1, 3, 8])
-@pytest.mark.parametrize("t", sorted({*_TRIALS, _BLOCK}))
-def test_complex_normal_blocks_bits(t, m):
+@pytest.mark.parametrize("t, m, replayed", [
+    pytest.param(t, m, k,
+                 id=f"{t}-{m}" + ("", "-replay-re", "-replay-re-im")[k])
+    for t in sorted({*_TRIALS, _BLOCK}) for m in (None, 1, 3, 8)
+    for k in (0, 1, 2)])
+def test_complex_normal_blocks_bits(t, m, replayed):
     # the engines' unit noise z and unit CSIT error: the blocks, joined and
     # scaled in place, are the textbook (re + 1j im) / sqrt(2) bit for bit,
-    # and leave the stream where the whole draw leaves it
+    # whichever parts are replayed, and leave the stream where the whole draw
+    # leaves it; the call itself moves it past the real parts, and past the
+    # whole draw when both parts are replayed, so the blocks then leave it
     shape = (t,) if m is None else (t, m)
     rng, ref = stream(9, 3, 4), stream(9, 3, 4)
-    got = _joined(list(_complex_normal_blocks(rng, shape)), shape)
+    past_re = copy.deepcopy(ref)
+    past_re.standard_normal(shape)
+    want = _textbook(ref, shape) / np.sqrt(2.0)
+    blocks = _complex_normal_blocks(rng, shape, replayed=replayed)
+    np.testing.assert_array_equal(
+        copy.deepcopy(rng).standard_normal(5),
+        copy.deepcopy(ref if replayed == 2 else past_re).standard_normal(5))
+    got = _joined(list(blocks), shape)
     got /= np.sqrt(2.0)
-    _assert_bits(got, _textbook(ref, shape) / np.sqrt(2.0))
+    _assert_bits(got, want)
     np.testing.assert_array_equal(rng.standard_normal(5),
                                   ref.standard_normal(5))

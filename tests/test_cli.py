@@ -9,12 +9,13 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ceapsk.sim as sim
 from ceapsk import channel, cli, optimizer
 from ceapsk.cli import main, parse_range, parse_trials
-from ceapsk.optimizer import build_region_table
+from ceapsk.optimizer import build_region_table, build_suboptimal_table
 
 
 def test_parse_range():
@@ -667,3 +668,31 @@ def test_manifest_replays_every_output(run, tmp_path, capsys):
         return {p.relative_to(out): p.read_bytes() for p in files - {man}}
     assert outputs(tmp_path / "a")
     assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
+
+
+# the region tables each run uses, in the order its manifest names them
+_RUN_TABLES = {
+    "ser": lambda: [build_suboptimal_table(build_region_table(16))],
+    "ser-csit": lambda: [build_region_table(16)],
+    "rate": lambda: [build_region_table(n) for n in sim.SIZES],
+    "table": lambda: [build_region_table(8),
+                      build_suboptimal_table(build_region_table(8))],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUN_TABLES))
+def test_manifest_names_its_provenance(run, tmp_path, capsys):
+    # beside the parameters: what the run's bits rest on, down to the
+    # SHA-256 of each region table it used
+    assert main(_RUNS[run] + ["--out-dir", str(tmp_path)]) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["provenance"] == {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "chunk_size": sim.CHUNK_SIZE,
+        "stream_key": "(seed, streams[engine], chunk)",
+        "streams": {"ser": 1, "rate": 2, "csit": 3},
+        "region_table_sha256": [
+            hashlib.sha256(t.to_json().encode()).hexdigest()
+            for t in _RUN_TABLES[run]()],
+    }

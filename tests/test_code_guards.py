@@ -319,7 +319,9 @@ def test_normals_drawn_only_in_the_block_draw():
     inside, outside = _in_function("_complex_normal_blocks", lambda n: (
         isinstance(n, ast.Call)
         and getattr(n.func, "attr", None) == "standard_normal"))
-    assert len(inside) == 2  # the scan itself works: real and imaginary parts
+    # the scan itself works: the held real parts, the skip past the
+    # replayed parts, the replayed real parts and the imaginary parts
+    assert len(inside) == 4
     assert all(site.startswith("channel.py:") for site in inside), inside
     assert not outside, outside
 
