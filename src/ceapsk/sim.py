@@ -18,20 +18,21 @@ replays the same realizations across the whole SNR grid.  Both SER engines
 detect w = s + e / R, as the transmitter puts the noise-free receive point
 on the target R s in the annulus.  With perfect CSIT e is scaled noise, so
 the fixed-rate engine never precodes; the CSIT sweep precodes for its
-estimate h_hat of h = h_hat + sd delta once per training point, and e adds
-sd delta . x.  Both share one front end, _ser_steps: its screen counts a
-zero-norm channel as an error at every point, checks the annulus, and
-passes on only the trials whose noise at one point, plus an engine's extra
-term, may leave the sent point's decision cell; the fixed-rate engine then
-counts the points at which each kept trial may err.  The fixed-rate union
-bound (union_bound_curve) is computed when SerCurve.union_bound is first
-read.
+estimate h_hat = h - sd delta, delta a unit error drawn independently of
+h, once per training point, and e adds sd delta . x.  Both share one front
+end, _ser_steps: its screen counts a zero-norm channel as an error at
+every point, checks the annulus, and passes on only the trials whose noise
+at one point, plus an engine's extra term, may leave the sent point's
+decision cell; the fixed-rate engine then counts the points at which each
+kept trial may err.  The fixed-rate union bound (union_bound_curve) is
+computed when SerCurve.union_bound is first read.
 
 Each engine draws a chunk in stream order, in blocks of precoder._BLOCK rows
 (channel._channel_blocks and _complex_normal_blocks), and works through it
-block by block, so temporaries stay in cache; the fixed-rate engine keeps
-each block's trials that may err and detects them a chunk at a time.  The
-CSIT sweep holds only the chunk's channel blocks: its noise and the real
+block by block, so temporaries stay in cache.  The fixed-rate engine frees
+each channel block once it is screened, keeps the block's trials that may
+err, and detects a chunk's kept trials in slices of at most _BLOCK rows.
+The CSIT sweep holds only the chunk's channel blocks: its noise and the real
 parts of its unit error are replayed block by block from copies of the
 stream's state, with the bits of the whole-chunk draws.
 Variable-rate selection places each trial's R * d_min among per-size SNR
@@ -291,8 +292,10 @@ def _ser_steps(facts: Scheme, table: RegionTable | None):
     zero-norm trials (R = 0: nothing to design in, so an error at every
     point), and for the kept trials u, s, lim, R and the state of their
     detector(*state), which takes the receive points of any leading prefix
-    of them.  It raises RuntimeError if a kept target R s leaves the
-    annulus of g (egt-qam16, which precodes linearly, is exempt).
+    of them (the fixed-rate engine passes the state of one slice of at most
+    _BLOCK kept trials, so no call sees more rows).  It raises RuntimeError
+    if a kept target R s leaves the annulus of g (egt-qam16, which precodes
+    linearly, is exempt).
 
     Let R be g's outer radius at unit power, s the target over R (the symbol
     at unit outer radius, clipped into the annulus for fixed-qam16), center
@@ -375,9 +378,12 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     err at point k only if c_k |b| R >= lim R, and c_k |b| falls with k, so
     each may err at a leading run of points, and only those pairs reach the
     detector.  Each chunk is screened in blocks of _BLOCK trials, its noise
-    drawn block by block, and its kept trials detected whole.  The averaged
-    union bound of the proposed schemes is the returned curve's union_bound,
-    computed when it is first read.
+    drawn block by block and each channel block freed once screened; its
+    kept trials, sorted by the number of points they may err at, are
+    detected in slices of at most _BLOCK rows, each slice at the points
+    its leading rows may err at.  The averaged union bound of the proposed
+    schemes is the returned curve's union_bound, computed when it is first
+    read.
     """
     facts = check_scheme(cfg, "ser")
     sigma = math.sqrt(NOISE_POWER)
@@ -385,15 +391,18 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
     size, screen, detector = _ser_steps(facts, table)
 
     def one_chunk(rng, t: int):
-        h = [hb for _, hb in _channel_blocks(rng, cfg.m, t, PATH_LOSS)]
-        u = rng.integers(0, size, size=t)
+        # the channel blocks, last first: each is popped as it is screened,
+        # so the list shrinks as the kept trials grow; the labels, an int64
+        # draw, are kept in one byte
+        h = [hb for _, hb in _channel_blocks(rng, cfg.m, t, PATH_LOSS)][::-1]
+        u = rng.integers(0, size, size=t).astype(np.min_scalar_type(size - 1))
         errors = np.zeros(len(cs), dtype=np.int64)
         parts = []
-        for hb, (lo, zb) in zip(h, _complex_normal_blocks(rng, (t,))):
+        for lo, zb in _complex_normal_blocks(rng, (t,)):
             zb /= np.sqrt(2.0)
             mz = np.abs(zb)
             kept, zero, ub, s, lim, big_r0, *state = screen(
-                hb, u[lo:lo + _BLOCK], cs[0] * mz)
+                h.pop(), u[lo:lo + _BLOCK], cs[0] * mz)
             errors += zero
             # kept[i] may err at the first unsafe[i] points
             mz, reach = mz.take(kept), lim * big_r0
@@ -403,7 +412,7 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
             # w = y / (sqrt(p) R) = s + (sigma / sqrt(p)) b at every point
             b = zb.take(kept)
             parts.append((s, np.divide(b, big_r0, out=b), ub, unsafe, *state))
-        del h, hb, u, zb  # free the draws before the parts are joined
+        del u, zb  # free the draws before the parts are joined
         a, b, sent, unsafe, *state = map(np.concatenate, zip(*parts))
         del parts  # and the parts before detection
         # most unsafe first; a small key dtype lets numpy radix-sort
@@ -411,12 +420,18 @@ def run_fixed_rate_ser(cfg: SimConfig, table: RegionTable | None) -> SerCurve:
         # prefix[k]: the trials unsafe at point k are the first prefix[k]
         hist = np.bincount(unsafe, minlength=len(cs) + 1)
         prefix = np.cumsum(hist[::-1])[-2::-1]
-        decide = detector(*(x[order] for x in state))
-        a, b, sent = a[order], b[order], sent[order]
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        for k, (c, n) in enumerate(zip(cs, prefix)):
-            errors[k] += np.count_nonzero(
-                decide(ar[:n] + c * br[:n], ai[:n] + c * bi[:n]) != sent[:n])
+        # detect _BLOCK sorted trials at a time, each slice with its own
+        # detector, at every point that its leading rows are unsafe at
+        for lo in range(0, prefix[0], _BLOCK):
+            rows = order[lo:lo + _BLOCK]
+            decide = detector(*(x.take(rows) for x in state))
+            sa, sb, su = (x.take(rows) for x in (a, b, sent))
+            ar, ai, br, bi = sa.real, sa.imag, sb.real, sb.imag
+            for k, (c, n) in enumerate(zip(cs, prefix - lo)):
+                if n <= 0:
+                    break
+                errors[k] += np.count_nonzero(
+                    decide(ar[:n] + c * br[:n], ai[:n] + c * bi[:n]) != su[:n])
         return (errors,)
 
     errors, = _reduce_chunks(cfg, "ser", one_chunk)
@@ -497,11 +512,15 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     with perfect CSIT (training SNR inf) as the last point.
 
     The transmitter designs everything (annulus, constellation choice,
-    phases, scale) from its channel estimate h_hat; the true channel h =
-    h_hat + sd delta, with delta a unit error draw, produces the received
-    sample; the receiver detects against the transmitter-intended scaled
-    constellation.  A shared delta couples the sweep points, so the SER
-    trend in training SNR is monotone up to binomial noise.
+    phases, scale) from its channel estimate h_hat; the true channel h
+    produces the received sample; the receiver detects against the
+    transmitter-intended scaled constellation.  The estimate is drawn as
+    h_hat = h - sd delta, with delta a unit CN(0, 1) error per antenna
+    drawn independently of h, so the error is independent of the true
+    channel, not of the estimate, and h_hat has variance beta + sd^2 per
+    antenna (an MMSE estimate would have beta - sd^2, its error
+    independent of it).  A shared delta couples the sweep points, so the
+    SER trend in training SNR is monotone up to binomial noise.
 
     With R the outer radius of h_hat at unit power and s the target over
     R, x is unit-power with h_hat . x = R s: transmit(h_hat, 1, R s), or
@@ -517,7 +536,9 @@ def run_csit_sweep(cfg: SimConfig, table: RegionTable | None,
     training = check_training(training_snr_db)
     c = math.sqrt(NOISE_POWER) / math.sqrt(cfg.powers()[0])  # sigma / sqrt(p)
     axis = list(training) + [math.inf]
-    # MMSE estimation: error variance beta / (1 + training SNR) per antenna
+    # the error's variance per antenna, beta / (1 + training SNR), is the
+    # MMSE error variance, but the estimate is h - sd delta with delta
+    # independent of h (variance beta + sd^2), not the MMSE estimate
     err_sd = [math.sqrt(PATH_LOSS / (1.0 + 10.0 ** (s / 10.0))) for s in axis]
 
     def one_point(h, dh_unit, u, noise, spread, sd):

@@ -22,6 +22,7 @@ from ceapsk.constellation import (qam_family, ser_union_bound,
                                   union_bound_threshold)
 from ceapsk.optimizer import (_CellSearch, build_region_table,
                               build_suboptimal_table)
+from ceapsk.precoder import _BLOCK
 from ceapsk.rng import stream
 from ceapsk.sim import (RateCurve, SerCurve, SimConfig, _least_feasible,
                         _psk_decide, _qam16_decide, _qam_limits, _rate_counts,
@@ -711,19 +712,33 @@ def test_variable_rate_blocks_pinned(scheme, m, set_chunk):
                   45_000, set_chunk)
 
 
-def test_fixed_rate_memory_is_bounded(table16):
-    # ser-apsk16-m2's configuration at 2e5 trials: the engine's per-trial
-    # work runs in row blocks, so its traced peak stays near the chunk's
-    # draws (5.6 MB) and kept trials, not a multiple of the chunk
-    cfg = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
-                    trials=200_000, scheme="proposed-optimal")
+def _traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, over one call fn(*args)."""
     tracemalloc.start()
     try:
-        run_fixed_rate_ser(cfg, table16)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+
+
+# ser-apsk16-m2's configuration at 2e5 trials
+_SER_M2 = SimConfig(m=2, snr_db=tuple(float(s) for s in range(10, 25)),
+                    trials=200_000, scheme="proposed-optimal")
+
+
+def test_fixed_rate_memory_is_bounded(table16):
+    # each phase of a chunk holds at most one block of work beyond the kept
+    # trials: the channel draw (4.7 MiB, the peak here), the screening loop,
+    # which frees each channel block once screened (4.7), the join of the
+    # kept trials, and their detection in _BLOCK-row slices (4.9)
+    assert _traced_peak(run_fixed_rate_ser, _SER_M2, table16) <= 6 * 2**20
+
+
+def test_union_bound_memory_is_bounded(table16):
+    # the bound redraws only the channels and works one block at a time in
+    # reused buffers: 5.7 MiB, most of it the chunk's channel draw
+    assert _traced_peak(union_bound_curve, _SER_M2, table16) <= 6.5 * 2**20
 
 
 def test_csit_memory_is_bounded(table16):
@@ -734,13 +749,8 @@ def test_csit_memory_is_bounded(table16):
     # 16.5 with all three held whole)
     cfg = SimConfig(m=4, snr_db=(20.0,), trials=200_000,
                     scheme="proposed-optimal")
-    tracemalloc.start()
-    try:
-        run_csit_sweep(cfg, table16, tuple(float(s) for s in range(0, 31, 2)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 13 * 2**20
+    training = tuple(float(s) for s in range(0, 31, 2))
+    assert _traced_peak(run_csit_sweep, cfg, table16, training) <= 13 * 2**20
 
 
 class _InlinePool:
@@ -1140,13 +1150,40 @@ def test_skipped_pairs_never_err(scheme, n, m, seed, monkeypatch, set_chunk):
 
 
 @pytest.mark.parametrize("m,lowest_snr", [(2, 0), (8, 10)])
-@pytest.mark.parametrize("scheme", ["proposed-optimal", "fixed-qam16"])
+@pytest.mark.parametrize("scheme", ["proposed-optimal", "fixed-qam16",
+                                    "adaptive-qam-psk", "egt-qam16",
+                                    "proposed-suboptimal"])
 def test_skipped_pairs_never_err_across_blocks(scheme, m, lowest_snr,
                                                monkeypatch, set_chunk):
     # one 20,000-trial chunk spans blocks of 8192 + 8192 + 3616 rows; at
-    # M=8 from 10 dB each block keeps only a few trials
+    # M=2 from 0 dB over _BLOCK trials are kept, so they are detected in
+    # several slices; at M=8 from 10 dB each block keeps only a few trials
     _check_skipped_pairs(scheme, 16, m, 0, 20_000, monkeypatch, set_chunk,
                          lowest_snr)
+
+
+@pytest.mark.parametrize("scheme", sim.ENGINE_SCHEMES["ser"])
+def test_fixed_rate_detects_at_most_a_block(scheme, monkeypatch):
+    # at 0 dB one 20,000-trial chunk keeps over _BLOCK trials, and every
+    # detector call still sees at most _BLOCK rows
+    rows, steps = [], sim._ser_steps
+
+    def recording(facts, table):
+        size, screen, detector = steps(facts, table)
+
+        def recorded(*state):
+            decide = detector(*state)
+
+            def counted(wr, wi):
+                rows.append(wr.size)
+                return decide(wr, wi)
+            return counted
+        return size, screen, recorded
+    monkeypatch.setattr(sim, "_ser_steps", recording)
+    cfg = SimConfig(m=2, snr_db=(0.0,), trials=20_000, scheme=scheme)
+    run_fixed_rate_ser(cfg, _scheme_table(scheme))
+    assert sum(rows) > _BLOCK
+    assert max(rows) <= _BLOCK
 
 
 def _set_meds(pts):
@@ -1259,7 +1296,7 @@ def test_detection_work_is_bounded(monkeypatch):
     # ser-apsk16-m2's configuration: about 11.8% of the (trial, point) pairs
     # can err at all, and only those reach the detector; about 39% of the
     # trials can err at the first point, and no trial reaches the precoder
-    seen, chunks = [], []
+    seen, slices = [], []
     build = _RingTables.detector
 
     def no_transmit(*args, **kw):
@@ -1267,7 +1304,8 @@ def test_detection_work_is_bounded(monkeypatch):
 
     def counting(self, idx, rho2):
         decide, calls = build(self, idx, rho2), []
-        chunks.append(calls)  # one detector per chunk, one call per point
+        # one detector per slice, one call per point it is unsafe at
+        slices.append(calls)
 
         def counted(wr, wi):
             seen.append(wr.size)
@@ -1280,8 +1318,8 @@ def test_detection_work_is_bounded(monkeypatch):
                     trials=200_000, scheme="proposed-optimal")
     run_fixed_rate_ser(cfg, _table(16))
     assert 0 < sum(seen) <= 0.2 * cfg.trials * len(cfg.snr_db)
-    # the first point's call sees every trial the screen kept
-    assert 0 < sum(calls[0] for calls in chunks) <= 0.5 * cfg.trials
+    # the first point's calls see every trial the screen kept
+    assert 0 < sum(calls[0] for calls in slices) <= 0.5 * cfg.trials
 
 
 # ---------------------------------------------------------------------------
