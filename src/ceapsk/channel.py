@@ -84,7 +84,7 @@ def sample_rayleigh(num_antennas: int, path_loss: float, rng_seed: int,
 def ratio_cdf_m2(x):
     """CDF of r/R for M=2 i.i.d. Rayleigh fading: 2x/(1+x^2) on [0,1]."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
+    if not np.all((x >= 0) & (x <= 1)):  # NaN fails too
         raise ValueError("x must lie in [0, 1]")
     out = 2.0 * x / (1.0 + x * x)
     return float(out) if out.ndim == 0 else out

@@ -81,6 +81,10 @@ def test_ratio_cdf_domain_error():
         ratio_cdf_m2(-0.1)
     with pytest.raises(ValueError):
         ratio_cdf_m2(1.5)
+    # NaN compares false both ways, so it fails a check for in-range values
+    for x in (float("nan"), [0.5, float("nan")]):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            ratio_cdf_m2(x)
 
 
 def test_ratio_cdf_ks_distance():

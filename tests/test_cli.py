@@ -230,25 +230,26 @@ def _check_bad_input(argv, file, want, monkeypatch, cwd, capsys):
     assert peak < 2**20
 
 
-def _bad_input_test(rows):
-    """The test of rows: one case per row id, or one case for every row."""
+def _row_test(rows, check):
+    """The test of rows, each checked by check(*row[1:], monkeypatch, cwd,
+    capsys) in a fresh cwd: one case per row id, or one case for every
+    row."""
     if rows[0][0] is None:
         def test(monkeypatch, tmp_path, capsys):
-            for i, (_, argv, file, want) in enumerate(rows):
+            for i, row in enumerate(rows):
                 (tmp_path / str(i)).mkdir()
-                _check_bad_input(argv, file, want, monkeypatch,
-                                 tmp_path / str(i), capsys)
+                check(*row[1:], monkeypatch, tmp_path / str(i), capsys)
         return test
 
-    @pytest.mark.parametrize("argv,file,want", [row[1:] for row in rows],
+    @pytest.mark.parametrize("row", [row[1:] for row in rows],
                              ids=[row[0] for row in rows])
-    def test(argv, file, want, monkeypatch, tmp_path, capsys):
-        _check_bad_input(argv, file, want, monkeypatch, tmp_path, capsys)
+    def test(row, monkeypatch, tmp_path, capsys):
+        check(*row, monkeypatch, tmp_path, capsys)
     return test
 
 
 for _name, _rows in _BAD_INPUTS.items():
-    globals()[_name] = _bad_input_test(_rows)
+    globals()[_name] = _row_test(_rows, _check_bad_input)
 
 
 def test_parse_trials():
@@ -273,7 +274,8 @@ def test_design_qpsk(capsys):
 
 
 # `design` stdout per (N, ratio), recorded while the output was still built
-# from a general ring-list constellation object
+# from a general ring-list constellation object; (16, 0.9), added later, pins
+# the n2 = 8 that the config-override rows of _SPELLINGS reach
 _DESIGN_STDOUT = {
     (2, 0.5): {"constellation": {"rings": [
         {"count": 1, "radius": 1.0, "offset": 0.0},
@@ -295,6 +297,11 @@ _DESIGN_STDOUT = {
          "offset": 0.057119866428905326}]},
         "d_min": 0.5411010556880518, "n2": 5,
         "omega2_over_pi": 0.01818181818181818, "rho2": 0.46028805042118337},
+    (16, 0.9): {"constellation": {"rings": [
+        {"count": 8, "radius": 1.0, "offset": 0.0},
+        {"count": 8, "radius": 1.0, "offset": 0.39269908169872414}]},
+        "d_min": 0.3901806440322566, "n2": 8, "omega2_over_pi": 0.125,
+        "rho2": 1.0},
     (64, 0.9): {"constellation": {"rings": [
         {"count": 32, "radius": 1.0, "offset": 0.0},
         {"count": 32, "radius": 0.9, "offset": 0.09817477042468103}]},
@@ -319,35 +326,12 @@ def test_table_n8(tmp_path, capsys):
     assert (tmp_path / "table_n8.manifest.json").exists()
 
 
-def test_table_suboptimal(tmp_path):
+def test_suboptimal_table_csv(tmp_path):
+    # header + 2 regions; its abbreviated spellings are rows of _SPELLINGS
     assert main(["table", "--n", "16", "--suboptimal",
                  "--out-dir", str(tmp_path)]) == 0
-    csv = (tmp_path / "table_n16_suboptimal.csv").read_bytes()
-    assert len(csv.strip().splitlines()) == 3  # header + 2 regions
-    # `--s` is `--suboptimal` here, not a range flag waiting for its value
-    for i, args in enumerate((["--s", "--n", "16"], ["--n", "16", "--s"])):
-        out = tmp_path / f"abbr{i}"
-        assert main(["table", *args, "--out-dir", str(out)]) == 0
-        assert (out / "table_n16_suboptimal.csv").read_bytes() == csv
-
-
-def test_stale_table_cache_ignored(tmp_path):
-    # a table file left in out/cache by an older version, with every
-    # constant d_min altered, must not change a run in that directory
-    stale = json.loads(build_region_table(16).to_json())
-    for reg in stale["regions"]:
-        if reg["d_min"] is not None:
-            reg["d_min"] *= 1.5
-    (tmp_path / "old" / "cache").mkdir(parents=True)
-    (tmp_path / "old" / "cache" / "regions_n16_v1.json").write_text(
-        json.dumps(stale))
-    args = ["ser", "--scheme", "proposed-optimal", "--snr", "10:14:2",
-            "--trials", "2e4", "--seed", "4"]
-    got = {}
-    for out in ("old", "new"):
-        assert main(args + ["--out-dir", str(tmp_path / out)]) == 0
-        got[out] = (tmp_path / out / "ser_proposed-optimal_m2.csv").read_bytes()
-    assert got["old"] == got["new"]
+    csv = (tmp_path / "table_n16_suboptimal.csv").read_text()
+    assert len(csv.strip().splitlines()) == 3
 
 
 def test_table_non_power_of_two_warns(tmp_path):
@@ -370,24 +354,6 @@ def test_warning_prints_as_one_line(tmp_path):
     assert warnings.formatwarning is formatwarning  # put back after the run
 
 
-@pytest.mark.parametrize("cmd, flag, extra", [
-    ("ser", "--snr", ("--scheme", "proposed-optimal")),
-    ("ser", "--csit-sweep", ("--scheme", "proposed-optimal", "--snr", "20")),
-    ("rate", "--snr", ("--scheme", "variable-apsk")),
-    ("ser", "--sn", ("--scheme", "proposed-optimal")),
-    ("ser", "--csit", ("--scheme", "proposed-optimal", "--snr", "20"))],
-    ids=["ser-snr", "ser-csit-sweep", "rate-snr", "ser-sn", "ser-csit"])
-def test_negative_range_after_its_flag(cmd, flag, extra, tmp_path):
-    # "-10:30:20" is no plain negative number, so argparse alone takes it
-    # for a flag; it is the range flag's value, as in "--snr=-10:30:20"
-    common = [cmd, *extra, "--m", "2", "--trials", "1e3"]
-    split, joined = tmp_path / "split", tmp_path / "joined"
-    assert main([*common, flag, "-10:30:20", "--out-dir", str(split)]) == 0
-    assert main([*common, f"{flag}=-10:30:20", "--out-dir", str(joined)]) == 0
-    csv, = split.glob("*.csv")
-    assert csv.read_bytes() == (joined / csv.name).read_bytes()
-
-
 def test_ser_help_lists_schemes(capsys):
     assert main(["ser", "--help"]) == 0
     out = capsys.readouterr().out
@@ -400,77 +366,6 @@ def test_rate_help_lists_schemes(capsys):
     assert main(["rate", "--help"]) == 0
     out = capsys.readouterr().out
     assert "variable-apsk" in out and "variable-qam" in out
-
-
-def test_ser_run_and_manifest_replay(tmp_path, capsys):
-    args = ["ser", "--scheme", "adaptive-qam-psk", "--m", "2",
-            "--snr", "20:24:2", "--trials", "2e4",
-            "--out-dir", str(tmp_path / "a")]
-    assert main(args) == 0
-    csv_a = (tmp_path / "a" / "ser_adaptive-qam-psk_m2.csv").read_bytes()
-    manifest = tmp_path / "a" / "ser_adaptive-qam-psk_m2.manifest.json"
-    # a manifest written before manifests named their draw law is law 1
-    unnamed = json.loads(manifest.read_text())
-    assert unnamed.pop("draw_law") == sim.DRAW_LAW == 1
-    (tmp_path / "old.json").write_text(json.dumps(unnamed))
-    # replay each into a fresh directory; explicit flag wins
-    for out, conf in (("b", manifest), ("c", tmp_path / "old.json")):
-        assert main(["--config", str(conf), "ser",
-                     "--out-dir", str(tmp_path / out)]) == 0
-        csv = (tmp_path / out / "ser_adaptive-qam-psk_m2.csv").read_bytes()
-        assert csv == csv_a
-
-
-def test_config_file_defaults_and_override(tmp_path, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"n": 16, "ratio": 0.4}))
-    assert main(["--config", str(conf), "design"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["n2"] == 5
-    # explicit flag overrides the config value, in either flag form
-    for flags in (["--config", str(conf)], [f"--config={conf}"]):
-        for ratio in (["--ratio", "0.9"], ["--ratio=0.9"]):
-            assert main(flags + ["design"] + ratio) == 0
-            out = json.loads(capsys.readouterr().out)
-            assert out["n2"] == 8
-
-
-@pytest.mark.parametrize("ratio", [["--rat", "0.9"], ["--rat=0.9"],
-                                   ["--ra", "0.9"]])
-def test_config_loses_to_abbreviated_flag(ratio, tmp_path, capsys):
-    # argparse accepts a unique prefix of a flag; it must win as well
-    conf = tmp_path / "c.json"
-    conf.write_text(json.dumps({"n": 16, "ratio": 0.4}))
-    assert main(["--config", str(conf), "design"] + ratio) == 0
-    assert json.loads(capsys.readouterr().out)["n2"] == 8
-
-
-def test_config_value_starting_with_dash(tmp_path, capsys):
-    # a replayed manifest may hold a grid such as -4:0:2
-    conf = tmp_path / "c.json"
-    conf.write_text(json.dumps({"snr": "-4:0:2", "trials": 1000}))
-    assert main(["--config", str(conf), "ser", "--scheme", "fixed-qam16",
-                 "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "ser_fixed-qam16_m2.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in lines[1:]] == ["-4", "-2", "0"]
-
-
-def test_config_equals_form(tmp_path, capsys):
-    conf = tmp_path / "c.json"
-    conf.write_text(json.dumps({"m": 3, "trials": 2e3}))
-    name = "ser_fixed-qam16_m3"
-    runs = {}
-    for form, flags in (("split", ["--config", str(conf)]),
-                        ("equals", [f"--config={conf}"])):
-        out = tmp_path / form
-        assert main(flags + ["ser", "--scheme", "fixed-qam16", "--snr", "20:22:2",
-                             "--out-dir", str(out)]) == 0
-        params = json.loads((out / f"{name}.manifest.json").read_text())[
-            "parameters"]
-        assert (params.pop("out_dir"), params["m"], params["trials"]) == (
-            str(out), 3, 2000)
-        runs[form] = ((out / f"{name}.csv").read_bytes(), params)
-    assert runs["split"] == runs["equals"]
 
 
 def test_cdf_output(tmp_path, capsys):
@@ -536,35 +431,6 @@ def test_rate_with_an_underflowed_tail_at_high_snr(tmp_path):
         assert all(b + q == 1.0 for b, q in got)
 
 
-def test_config_in_any_prefix_ahead_of_the_subcommand(tmp_path):
-    # argparse takes a unique prefix of --config before the subcommand, so
-    # each spelling must apply the file as --config does
-    conf = tmp_path / "c.json"
-    conf.write_text(json.dumps({"seed": 9, "snr": "20:22:1"}))
-    name = "ser_fixed-qam16_m2"
-    runs = {}
-    for form, flags in (("full", ["--config", str(conf)]),
-                        ("split", ["--conf", str(conf)]),
-                        ("equals", [f"--conf={conf}"]),
-                        ("shortest", ["--c", str(conf)])):
-        out = tmp_path / form
-        assert main(flags + ["ser", "--scheme", "fixed-qam16", "--trials",
-                             "2e3", "--out-dir", str(out)]) == 0
-        params = json.loads((out / f"{name}.manifest.json").read_text())[
-            "parameters"]
-        assert (params["seed"], params["snr"]) == (9, "20:22:1")
-        runs[form] = (out / f"{name}.csv").read_bytes()
-    assert all(csv == runs["full"] for csv in runs.values())
-    # after the subcommand --c abbreviates ser's --csit-sweep instead
-    out = tmp_path / "csit"
-    assert main(["--c", str(conf), "ser", "--scheme", "proposed-optimal",
-                 "--trials", "1e3", "--snr", "20", "--c", "0:30:10",
-                 "--out-dir", str(out)]) == 0
-    params = json.loads((out / "ser_proposed-optimal_m2_csit.manifest.json")
-                        .read_text())["parameters"]
-    assert (params["seed"], params["csit_sweep"]) == (9, "0:30:10")
-
-
 # a command, and the engine or draw of cli that it runs
 _FAULTS = {
     "rate": (["rate", "--scheme", "variable-qam", "--snr", "10",
@@ -613,13 +479,6 @@ _RUNS = {
 }
 
 
-def _run(run, out) -> dict:
-    """Run _RUNS[run] into out; its manifest's parameters."""
-    assert main(_RUNS[run] + ["--out-dir", str(out)]) == 0
-    (manifest,) = out.glob("*.manifest.json")
-    return json.loads(manifest.read_text())["parameters"]
-
-
 def _flags() -> dict:
     """The parsed-flag names of each subcommand."""
     sub = next(a for a in cli.build_parser()._actions
@@ -646,28 +505,139 @@ def test_flag_sets_pinned():
 
 @pytest.mark.parametrize("run", sorted(_RUNS))
 def test_manifest_parameters_are_the_flags(run, tmp_path, capsys):
-    params = _run(run, tmp_path)
+    assert main(_RUNS[run] + ["--out-dir", str(tmp_path)]) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    params = json.loads(manifest.read_text())["parameters"]
     assert set(params) == _flags()[_RUNS[run][0]]
     assert type(params.get("trials", 0)) is int
 
 
-@pytest.mark.parametrize("run", sorted(_RUNS))
-def test_manifest_replays_every_output(run, tmp_path, capsys):
-    _run(run, tmp_path / "a")
-    (manifest,) = (tmp_path / "a").glob("*.manifest.json")
-    assert main(["--config", str(manifest), _RUNS[run][0],
-                 "--out-dir", str(tmp_path / "b")]) == 0
+def _law1(manifest):
+    """The manifest as a run wrote it before manifests named their draw law:
+    with no draw_law, which reads as law 1."""
+    manifest = dict(manifest)
+    assert manifest.pop("draw_law") == sim.DRAW_LAW == 1
+    return manifest
 
-    def outputs(out):
-        """Every file the run left under out, but its manifest, by path;
-        they must be exactly the outputs its manifest lists."""
-        (man,) = out.glob("*.manifest.json")
-        files = {p for p in out.rglob("*") if p.is_file()}
-        listed = json.loads(man.read_text())["outputs"]
-        assert files == {man} | {Path(o) for o in listed}
-        return {p.relative_to(out): p.read_bytes() for p in files - {man}}
-    assert outputs(tmp_path / "a")
-    assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
+
+def _stale_table(_):
+    """The N=16 table with every constant d_min altered, as an older
+    version might have left it in out/cache."""
+    stale = json.loads(build_region_table(16).to_json())
+    for reg in stale["regions"]:
+        if reg["d_min"] is not None:
+            reg["d_min"] *= 1.5
+    return stale
+
+
+_OPT, _FIXED = "ser --scheme proposed-optimal", "ser --scheme fixed-qam16"
+_N16 = {"c.json": {"n": 16, "ratio": 0.4}}
+_SEED9 = {"c.json": {"seed": 9, "snr": "20:22:1"}}
+_STALE = "ser --scheme proposed-optimal --snr 10:14:2 --trials 2e4 --seed 4"
+# every accepted spelling of a run, under the name of the test it runs in:
+# (id, canonical argv, variant argv, {path: JSON, or a function of the
+# canonical run's manifest giving it, dict for the manifest as it is} of the
+# files the variant's directory holds first).  Rows are grouped and run as in
+# _BAD_INPUTS.
+_SPELLINGS = {
+    # "-10:30:20" is no plain negative number, so argparse alone takes it
+    # for a flag; after any spelling of a range flag it is that flag's value
+    "test_negative_range_after_its_flag": [
+        (name, f"{run} --trials 1e3 {flag}=-10:30:20",
+         f"{run} --trials 1e3 {flag} -10:30:20", {})
+        for name, run, flag in (
+            ("ser-snr", _OPT, "--snr"), ("ser-sn", _OPT, "--sn"),
+            ("ser-csit-sweep", f"{_OPT} --snr 20", "--csit-sweep"),
+            ("ser-csit", f"{_OPT} --snr 20", "--csit"),
+            ("rate-snr", "rate --scheme variable-apsk", "--snr"))],
+    # config values are defaults; an explicit flag wins, in either form
+    "test_config_file_defaults_and_override": [
+        (None, "design --n 16 --ratio 0.4", "--config c.json design", _N16),
+        *[(None, "design --n 16 --ratio 0.9", f"{conf} design {ratio}", _N16)
+          for conf in ("--config c.json", "--config=c.json")
+          for ratio in ("--ratio 0.9", "--ratio=0.9")]],
+    # argparse accepts a unique prefix of a flag; it must win as well
+    "test_config_loses_to_abbreviated_flag": [
+        (f"ratio{i}", "design --n 16 --ratio 0.9",
+         f"--config c.json design {ratio}", _N16)
+        for i, ratio in enumerate(("--rat 0.9", "--rat=0.9", "--ra 0.9"))],
+    # a replayed manifest may hold a grid such as -4:0:2
+    "test_config_value_starting_with_dash": [
+        (None, f"{_FIXED} --snr=-4:0:2 --trials 1000",
+         f"--config c.json {_FIXED}",
+         {"c.json": {"snr": "-4:0:2", "trials": 1000}})],
+    "test_config_equals_form": [
+        (None, f"{_FIXED} --snr 20:22:2 --m 3 --trials 2e3",
+         f"{conf} {_FIXED} --snr 20:22:2", {"c.json": {"m": 3, "trials": 2e3}})
+        for conf in ("--config c.json", "--config=c.json")],
+    # argparse takes a unique prefix of --config before the subcommand, so
+    # each spelling must apply the file as --config does; after the
+    # subcommand --c abbreviates ser's --csit-sweep instead
+    "test_config_in_any_prefix_ahead_of_the_subcommand": [
+        *[(None, f"{_FIXED} --trials 2e3 --seed 9 --snr 20:22:1",
+           f"{conf} {_FIXED} --trials 2e3", _SEED9)
+          for conf in ("--config c.json", "--conf c.json", "--conf=c.json",
+                       "--c c.json")],
+        (None, f"{_OPT} --snr 20 --trials 1e3 --csit-sweep 0:30:10 --seed 9",
+         f"--c c.json {_OPT} --snr 20 --trials 1e3 --c 0:30:10", _SEED9)],
+    # `--s` is `--suboptimal` here, not a range flag waiting for its value
+    "test_table_suboptimal": [
+        (None, "table --n 16 --suboptimal", f"table {args}", {})
+        for args in ("--s --n 16", "--n 16 --s")],
+    # a table file left in out/cache by an older version must not change a
+    # run in that directory
+    "test_stale_table_cache_ignored": [
+        (None, _STALE, _STALE,
+         {"out/cache/regions_n16_v1.json": _stale_table})],
+    "test_ser_run_and_manifest_replay": [
+        (None, "ser --scheme adaptive-qam-psk --snr 20:24:2 --trials 2e4",
+         "--config m.json ser", {"m.json": read}) for read in (dict, _law1)],
+    # every command replays from its manifest, and from a law-1 manifest
+    # that does not name its draw law
+    "test_manifest_replays_every_output": [
+        (run + tag, " ".join(_RUNS[run]), f"--config m.json {_RUNS[run][0]}",
+         {"m.json": read}) for run in sorted(_RUNS)
+        for tag, read in (("", dict), ("-law1", _law1))],
+}
+
+
+def _spelled_run(argv, cwd, monkeypatch, capsys):
+    """Run argv through main in cwd, so into out dir `out`: (stdout, every
+    file it wrote but its manifest, by path, its manifest or {})."""
+    cwd.mkdir(exist_ok=True)
+    before = set(cwd.rglob("*"))
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert main(argv.split()) == 0
+    written = {p.relative_to(cwd).as_posix(): p.read_bytes()
+               for p in set(cwd.rglob("*")) - before if p.is_file()}
+    names = [p for p in written if p.endswith(".manifest.json")]
+    manifest = json.loads(written.pop(names[0])) if names else {}
+    # one manifest at most, listing exactly the other files written; a run
+    # writes outputs exactly when it writes a manifest
+    assert len(names) <= 1 and set(written) == set(manifest.get("outputs", ()))
+    assert bool(written) == bool(manifest)
+    return capsys.readouterr().out, written, manifest
+
+
+def _check_spelling(canonical, variant, files, monkeypatch, cwd, capsys):
+    # the variant is the canonical run: the same stdout, the same bytes in
+    # every output and the same manifest but for its clock
+    want = _spelled_run(canonical, cwd / "a", monkeypatch, capsys)
+    assert want[0]  # every command prints what it made
+    for name, value in files.items():
+        (cwd / "b" / name).parent.mkdir(parents=True, exist_ok=True)
+        (cwd / "b" / name).write_text(json.dumps(
+            value(want[2]) if callable(value) else value))
+    got = _spelled_run(variant, cwd / "b", monkeypatch, capsys)
+    for manifest in (want[2], got[2]):
+        manifest.pop("started_unix", None)
+        manifest.pop("finished_unix", None)
+    assert got == want
+
+
+for _name, _rows in _SPELLINGS.items():
+    globals()[_name] = _row_test(_rows, _check_spelling)
 
 
 # the region tables each run uses, in the order its manifest names them

@@ -1,14 +1,15 @@
 """Static guards: no unused imports in the package or its tests, no assert
-statements in the package, no scheme name outside the scheme table, no file
-read but the --config file, every package name the benchmark harness in
-perfbench/ or the README's examples reach still resolves, and every public
-name has a caller."""
+statements in the package, no scheme name outside the scheme table, each
+one-place rule (_ONE_PLACE) holds, every package name the benchmark harness
+in perfbench/ or the README's examples reach still resolves, every README
+command parses, and every public name has a caller."""
 
 import ast
 import importlib
 import importlib.util
 import math
 import re
+import shlex
 import sys
 import tokenize
 from pathlib import Path
@@ -115,43 +116,6 @@ def test_no_scipy_in_src():
     assert not found, found
 
 
-def _file_reads(tree: ast.Module):
-    """The function enclosing every call that reads a file: open() in a
-    read mode, read_text(), read_bytes() and json.load()."""
-    def walk(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from walk(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = getattr(f, "id", None) or getattr(f, "attr", None)
-                if name == "open":
-                    # open(path, mode) or path.open(mode), "r" by default;
-                    # a mode that is not a literal counts as a read
-                    args = child.args[isinstance(f, ast.Name):]
-                    mode = next((kw.value for kw in child.keywords
-                                 if kw.arg == "mode"),
-                                args[0] if args else ast.Constant("r"))
-                    if not (isinstance(mode, ast.Constant)
-                            and set(str(mode.value)) & set("wax")):
-                        yield func
-                elif name in ("read_text", "read_bytes") or (
-                        name == "load" and isinstance(f, ast.Attribute)
-                        and getattr(f.value, "id", "") == "json"):
-                    yield func
-            yield from walk(child, func)
-    return walk(tree, "<module>")
-
-
-def test_only_the_config_file_is_read():
-    # a run's results come from its flags alone: tables are built in the
-    # run, and the --config file is the one file the package reads
-    reads = {f"{path.name}:{func}" for path in sorted(SRC.glob("*.py"))
-             for func in _file_reads(ast.parse(path.read_text()))}
-    assert reads == {"cli.py:_apply_config_file"}, reads
-
-
 def _resolve(dotted: str):
     obj = ceapsk
     for part in dotted.split("."):
@@ -185,6 +149,26 @@ def test_readme_imports_resolve():
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
+
+
+def test_readme_commands_parse():
+    # the shell twin of test_readme_imports_resolve: every `ceapsk ...`
+    # command in the README's sh blocks parses, without running
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ceapsk ")]
+    # the scan itself works, and joins a command split over lines
+    assert ["cdf", "--trials", "1e6", "--out-dir", "out"] in commands
+    assert any("--threads" in argv for argv in commands)
+    bad = []
+    for argv in commands:
+        try:
+            ceapsk.cli.build_parser().parse_args(
+                ceapsk.cli._apply_config_file(argv))
+        except SystemExit:
+            bad.append(argv)
+    assert not bad, bad
 
 
 def test_perfbench_layer_targets_resolve():
@@ -230,52 +214,6 @@ def test_public_names_have_callers():
     assert sorted(public - used) == []
 
 
-def test_cli_writes_only_in_the_run_writer():
-    # one place writes a run's files: cli._write_run makes the out dir and
-    # writes the manifest, so no command can write before its run succeeds
-    inside, outside = [], []
-    tree = ast.parse((SRC / "cli.py").read_text())
-    writer = {id(n) for f in ast.walk(tree)
-              if isinstance(f, ast.FunctionDef) and f.name == "_write_run"
-              for n in ast.walk(f)}
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Call) and (
-                (isinstance(n.func, ast.Attribute) and n.func.attr == "mkdir")
-                or (isinstance(n.func, ast.Name)
-                    and n.func.id == "write_manifest")):
-            (inside if id(n) in writer else outside).append(
-                f"cli.py:{n.lineno}")
-    assert not outside, outside
-    assert len(inside) == 2  # the scan itself works
-
-
-def _in_function(func, found, files="*.py") -> tuple[list[str], list[str]]:
-    """(inside, outside): the nodes n with found(n) in the src files matching
-    `files`, as file:line, split by whether they lie in a function `func`."""
-    inside, outside = [], []
-    for path in sorted(SRC.glob(files)):
-        tree = ast.parse(path.read_text())
-        body = {id(n) for f in ast.walk(tree)
-                if isinstance(f, ast.FunctionDef) and f.name == func
-                for n in ast.walk(f)}
-        for n in ast.walk(tree):
-            if found(n):
-                (inside if id(n) in body else outside).append(
-                    f"{path.name}:{n.lineno}")
-    return inside, outside
-
-
-def test_safe_radius_read_only_in_the_shared_screen():
-    # one skip rule: both SER engines reach _SAFE_RADIUS only through the
-    # screen that sim._ser_steps builds
-    inside, outside = _in_function("_ser_steps", lambda n: (
-        (isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
-         and isinstance(n.ctx, ast.Load))
-        or (isinstance(n, ast.Attribute) and n.attr == "_SAFE_RADIUS")))
-    assert inside  # the scan itself works
-    assert not outside, outside
-
-
 def test_safe_radius_stated_as_in_the_code():
     # the skip radius is written out in _ser_steps' error budget and in the
     # README: every multiple of d_cell stated there is the radius or the
@@ -293,48 +231,98 @@ def test_safe_radius_stated_as_in_the_code():
     assert all(x == radius for x in readme), readme
 
 
-def test_annulus_checked_only_in_the_shared_screen():
+def _in_function(home, found, files) -> tuple[list[str], list[str]]:
+    """(inside, outside): the nodes n with found(n) in the src files matching
+    `files`, as file:line, split by whether they lie in the function home,
+    named as file:function."""
+    inside, outside = [], []
+    for path in sorted(SRC.glob(files)):
+        tree = ast.parse(path.read_text())
+        body = {id(n) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef)
+                and f"{path.name}:{f.name}" == home for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if found(n):
+                (inside if id(n) in body else outside).append(
+                    f"{path.name}:{n.lineno}")
+    return inside, outside
+
+
+def _reads_a_file(n) -> bool:
+    """n is a call that reads a file: open() in a read mode (a mode that is
+    not a literal counts as one), read_text(), read_bytes() or json.load()."""
+    f = getattr(n, "func", None)  # only a call has one
+    name = getattr(f, "id", None) or getattr(f, "attr", None)
+    if name == "open":  # open(path, mode) or path.open(mode), "r" by default
+        args = n.args[isinstance(f, ast.Name):]
+        mode = next((kw.value for kw in n.keywords if kw.arg == "mode"),
+                    args[0] if args else ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant)
+                    and set(str(mode.value)) & set("wax"))
+    return name in ("read_text", "read_bytes") or (
+        f is not None and ast.unparse(f) == "json.load")
+
+
+def _calls(attr=None, name=None):
+    """The predicate of a call x.attr(...) or name(...)."""
+    return lambda n: isinstance(n, ast.Call) and (
+        getattr(n.func, "attr", 0) == attr or getattr(n.func, "id", 0) == name)
+
+
+# every rule "concept X is written in one function", under the name of the
+# test that checks it: (its home as file:function, the src files scanned,
+# the predicate of a site, the count of sites in the home or None for at
+# least one).  A site in a def nested in the home is in the home.
+_ONE_PLACE = {
+    # a run's results come from its flags alone: tables are built in the
+    # run, and the --config file is the one file the package reads
+    "test_only_the_config_file_is_read": (
+        "cli.py:_apply_config_file", "*.py", _reads_a_file, 2),
+    # one place writes a run's files: cli._write_run makes the out dir and
+    # writes the manifest, so no command can write before its run succeeds
+    "test_cli_writes_only_in_the_run_writer": (
+        "cli.py:_write_run", "cli.py", _calls("mkdir", "write_manifest"), 2),
+    # one skip rule: both SER engines reach _SAFE_RADIUS only through the
+    # screen that sim._ser_steps builds
+    "test_safe_radius_read_only_in_the_shared_screen": (
+        "sim.py:_ser_steps", "*.py", lambda n: (
+            isinstance(n, ast.Name) and n.id == "_SAFE_RADIUS"
+            and isinstance(n.ctx, ast.Load))
+        or getattr(n, "attr", None) == "_SAFE_RADIUS", None),
     # one premise check: both SER engines detect w = s + e / R, which rests
     # on R s lying in the annulus, and only the screen checks it
-    inside, outside = _in_function("_ser_steps", lambda n: (
-        isinstance(n, ast.Constant) and isinstance(n.value, str)
-        and "target left the annulus" in n.value))
-    assert len(inside) == 1  # the scan itself works
-    assert not outside, outside
-
-
-def test_streams_formed_only_in_the_chunk_reduce():
+    "test_annulus_checked_only_in_the_shared_screen": (
+        "sim.py:_ser_steps", "*.py", lambda n: isinstance(n, ast.Constant)
+        and "target left the annulus" in str(n.value), 1),
     # one determinism rule: sim._reduce_chunks alone forms a chunk's stream,
     # so no engine sees a chunk index or a stream key
-    inside, outside = _in_function("_reduce_chunks", lambda n: (
-        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "stream"),
-        "sim.py")
-    assert len(inside) == 1  # the scan itself works
-    assert not outside, outside
-
-
-def test_normals_drawn_only_in_the_block_draw():
+    "test_streams_formed_only_in_the_chunk_reduce": (
+        "sim.py:_reduce_chunks", "sim.py", _calls(name="stream"), 1),
     # one draw path: every standard normal in the package, channel, noise
-    # and CSIT error alike, is drawn by channel._complex_normal_blocks
-    inside, outside = _in_function("_complex_normal_blocks", lambda n: (
-        isinstance(n, ast.Call)
-        and getattr(n.func, "attr", None) == "standard_normal"))
-    # the scan itself works: the held real parts, the skip past the
-    # replayed parts, the replayed real parts and the imaginary parts
-    assert len(inside) == 4
-    assert all(site.startswith("channel.py:") for site in inside), inside
-    assert not outside, outside
-
-
-def test_path_loss_scaled_only_in_the_channel_draw():
+    # and CSIT error alike, is drawn by channel._complex_normal_blocks: the
+    # held real parts, the skip past the replayed ones, the replayed real
+    # parts and the imaginary parts
+    "test_normals_drawn_only_in_the_block_draw": (
+        "channel.py:_complex_normal_blocks", "*.py",
+        _calls("standard_normal"), 4),
     # one channel draw: sqrt(beta / 2) scales a drawn channel in
     # channel._channel_blocks alone, for every engine and the union bound
-    def scaling(n):
-        arg = n.args[0] if isinstance(n, ast.Call) and n.args else None
-        return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Div)
-                and getattr(n.func, "attr", None) == "sqrt"
-                and getattr(arg.left, "id", "").lower() == "path_loss"
-                and getattr(arg.right, "value", None) == 2.0)
-    inside, outside = _in_function("_channel_blocks", scaling)
-    assert len(inside) == 1 and inside[0].startswith("channel.py:"), inside
-    assert not outside, outside
+    "test_path_loss_scaled_only_in_the_channel_draw": (
+        "channel.py:_channel_blocks", "*.py", lambda n: isinstance(n, ast.Call)
+        and re.fullmatch(r".*\.sqrt\(path_loss / 2(\.0)?\)", ast.unparse(n),
+                         re.I), 1),
+}
+
+
+def _one_place_test(home, files, found, count):
+    def test():
+        # as many sites lie in the home as the row says (so the scan itself
+        # works), and none outside it
+        inside, outside = _in_function(home, found, files)
+        assert inside and count in (None, len(inside)), inside
+        assert not outside, outside
+    return test
+
+
+for _name, _row in _ONE_PLACE.items():
+    globals()[_name] = _one_place_test(*_row)
